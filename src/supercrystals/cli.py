@@ -268,6 +268,11 @@ def cmd_verify(ctx, args) -> int:
         processes=args.processes,
         max_r=args.max_r,
     )
+    if not reports:
+        raise ValueError(
+            f"suite {args.suite} has no shard for parities {args.parities}"
+            f" within its rank caps (--max-rank {args.max_rank})"
+        )
     failures = 0
     lines = []
     for rep in reports:
@@ -285,6 +290,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "dot" and args.command != "graph":
+            raise ValueError(f"--format dot applies only to graph, not {args.command}")
         ctx = _context(args)
         if args.command == "signature":
             return cmd_signature(ctx, args)

@@ -3,30 +3,45 @@
 Signatures, their stack-based reduction, the star operators e*/f* and their
 counters, normal/good/conormal/cogood classification with the B-into-C
 matching certificate, and odd reflections between adjacent parity contexts.
+
+Each object has one implementation, a kernel over values the caller computes
+once per weight: the residue vectors ``down``/``up`` of
+``weights.residue_vectors``, the sign vector ``ctx.signs`` and the
+characteristic ``p``.  The kernels code a signature entry as +1/-1/0:
+``reduced_entries`` (the reduced signature), ``star_moves`` (e*, f* and
+their counters), ``bc_positions``, ``matching_normal`` and
+``matching_good`` (the B-into-C criterion), ``downarrow`` and
+``greedy_match`` (the matching itself) and ``odd_weight`` (odd
+reflections).  The sweeps call them directly; the functions taking a
+context validate their input, compute the residues once and call them.
+``Signature``, with its "+"/"-"/"0" entries, is the boundary type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .weights import (
     ParityContext,
     Weight,
     build_context,
+    check_weight,
     eps,
     flip_map,
-    form_pair,
     residue_int,
-    residues,
-    residues_up,
+    residue_vectors,
     weight_add,
-    weight_sub,
 )
 
 PLUS = "+"
 MINUS = "-"
 ZERO = "0"
+
+# entry symbols indexed by their int code; code -1 picks the last one
+_SYMBOLS = (ZERO, PLUS, MINUS)
+# (down, up) residues whose 0-signature at p = 0 is the given entry
+_ENTRY_RESIDUES = {PLUS: (1, 0), MINUS: (0, 1), ZERO: (1, 1)}
 
 NOT_CLASSIFIED = "not-classified"
 NORMAL = "normal"
@@ -68,69 +83,197 @@ class IndexClass:
         return self.kind in (CONORMAL, COGOOD)
 
 
+# ---------------------------------------------------------------------------
+# kernels over residue vectors
+
+
+def reduced_entries(
+    p: int, down: Sequence[int], up: Sequence[int], r: int
+) -> List[int]:
+    """The reduced r-signature as +1/-1/0 from the residue vectors.
+
+    The r-signature has +1 where up_i = r, else -1 where down_i = r (mod p),
+    else 0.  Read left to right, each +1 cancels the nearest uncanceled -1
+    to its left, and both become 0.
+    """
+    red = []
+    minus = []  # indices of the uncanceled -1 entries so far
+    for d, u in zip(down, up):
+        if (u - r) % p == 0 if p else u == r:
+            if minus:
+                red[minus.pop()] = 0
+                red.append(0)
+            else:
+                red.append(1)
+        elif (d - r) % p == 0 if p else d == r:
+            minus.append(len(red))
+            red.append(-1)
+        else:
+            red.append(0)
+    return red
+
+
+def star_moves(
+    p: int, lam: Weight, down: Sequence[int], up: Sequence[int], r: int
+) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
+    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) from the residue vectors of lam.
+
+    e* removes eps_q at the leftmost -1 of the reduced signature and f* adds
+    eps_q at its rightmost +1; a move without such an entry is None.  The
+    counters count the -1 and +1 entries.
+    """
+    red = reduced_entries(p, down, up, r)
+    e_cnt = red.count(-1)
+    f_cnt = red.count(1)
+    e_w = f_w = None
+    if e_cnt:
+        q = red.index(-1)
+        e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
+    if f_cnt:
+        q = len(red) - 1 - red[::-1].index(1)
+        f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
+    return e_w, f_w, (e_cnt, f_cnt)
+
+
+def bc_positions(
+    p: int, down: Sequence[int], up: Sequence[int], i: int, j: int
+) -> Tuple[Set[int], Set[int]]:
+    """(C_{i,j}, B_{i,j}) from the residue vectors.
+
+    c_{i,h} = down_i - down_h and b_{i,h} = down_i - up_{h+1}, so C holds the
+    h in (i..j] with down_h = down_i and B the h in [i..j) with
+    up_{h+1} = down_i (mod p).
+    """
+    d = down[i - 1]
+    if p:
+        c_set = {h for h in range(i + 1, j + 1) if (d - down[h - 1]) % p == 0}
+        b_set = {h for h in range(i, j) if (d - up[h]) % p == 0}
+    else:
+        c_set = {h for h in range(i + 1, j + 1) if down[h - 1] == d}
+        b_set = {h for h in range(i, j) if up[h] == d}
+    return c_set, b_set
+
+
+def downarrow(a: Set[int], b: Set[int]) -> bool:
+    """True iff there is an injection from a into b sending x to some y <= x.
+
+    a and b hold positive integers.  Decided by the prefix counts
+    |a cap [1..k]| <= |b cap [1..k]| for all k; ``greedy_match`` builds the
+    injection itself.
+    """
+    ca = cb = 0
+    for k in range(1, max(a, default=0) + 1):
+        ca += k in a
+        cb += k in b
+        if ca > cb:
+            return False
+    return True
+
+
+def greedy_match(sources: Set[int], targets: Set[int]) -> Optional[List[int]]:
+    """An injection witnessing downarrow(sources, targets), or None.
+
+    Takes each source x in increasing order to the largest free target
+    y <= x and returns these picks in that order.
+    """
+    avail = sorted(targets)
+    picks = []
+    for x in sorted(sources):
+        pick = None
+        for y in avail:
+            if y > x:
+                break
+            pick = y
+        if pick is None:
+            return None
+        avail.remove(pick)
+        picks.append(pick)
+    return picks
+
+
+def matching_normal(p: int, down: Sequence[int], up: Sequence[int], i: int) -> bool:
+    """Normality of position i by matching: B_{i,k} injects down into C_{i,k}, k the rank."""
+    k = len(down)
+    if i == k:
+        return True
+    c_set, b_set = bc_positions(p, down, up, i, k)
+    return downarrow(b_set, c_set)
+
+
+def matching_good(p: int, down: Sequence[int], normal: Sequence[bool], i: int) -> bool:
+    """Goodness of position i by matching, from normal[t - 1] for the positions t <= i.
+
+    Good means normal with no normal j < i where c_{j,i} = down_j - down_i
+    vanishes mod p.
+    """
+    if not normal[i - 1]:
+        return False
+    d = down[i - 1]
+    if p:
+        return not any(normal[j] and (down[j] - d) % p == 0 for j in range(i - 1))
+    return not any(normal[j] and down[j] == d for j in range(i - 1))
+
+
+def odd_weight(p: int, signs: Sequence[int], lam: Weight, i: int) -> Weight:
+    """The weight half of the odd reflection at positions i, i+1.
+
+    Swaps lam_i and lam_{i+1}, then adds eps_i - eps_{i+1} unless the pairing
+    (lam, eps_i - eps_{i+1}) = signs_i lam_i - signs_{i+1} lam_{i+1} is 0 mod p.
+    """
+    a, b = lam[i - 1], lam[i]
+    pairing = signs[i - 1] * a - signs[i] * b
+    shift = 1 if (pairing % p if p else pairing) else 0
+    return lam[: i - 1] + (b + shift, a - shift) + lam[i + 1 :]
+
+
+# ---------------------------------------------------------------------------
+# public functions on a context
+
+
+def _signature(entries: List[int], reduced: bool) -> Signature:
+    return Signature(tuple([_SYMBOLS[e] for e in entries]), reduced)
+
+
 def r_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:
     """The r-signature: + where r_i(lam+eps_i) = r, - where r_i(lam) = r."""
-    down = residues(ctx, lam)
-    up = residues_up(ctx, lam)
-    entries = []
-    for lo, hi in zip(down, up):
-        if ctx.congruent(hi, r):
-            entries.append(PLUS)
-        elif ctx.congruent(lo, r):
-            entries.append(MINUS)
-        else:
-            entries.append(ZERO)
-    return Signature(tuple(entries), reduced=False)
+    down, up = residue_vectors(ctx, lam)
+    return Signature(
+        tuple(
+            PLUS if ctx.congruent(u, r) else MINUS if ctx.congruent(d, r) else ZERO
+            for d, u in zip(down, up)
+        )
+    )
 
 
 def reduce_signature(sig: Signature) -> Signature:
     """Cancel -+ pairs: each + cancels the nearest unmatched - to its left."""
-    entries = list(sig.entries)
-    stack = []
-    for i, e in enumerate(entries):
-        if e == MINUS:
-            stack.append(i)
-        elif e == PLUS and stack:
-            j = stack.pop()
-            entries[i] = ZERO
-            entries[j] = ZERO
-    return Signature(tuple(entries), reduced=True)
+    down = [_ENTRY_RESIDUES[e][0] for e in sig.entries]
+    up = [_ENTRY_RESIDUES[e][1] for e in sig.entries]
+    return _signature(reduced_entries(0, down, up, 0), reduced=True)
 
 
 def reduced_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:
-    return reduce_signature(r_signature(ctx, lam, r))
-
-
-def _leftmost_minus(sig: Signature) -> Optional[int]:
-    for i, e in enumerate(sig.entries):
-        if e == MINUS:
-            return i + 1
-    return None
-
-
-def _rightmost_plus(sig: Signature) -> Optional[int]:
-    for i in range(len(sig.entries) - 1, -1, -1):
-        if sig.entries[i] == PLUS:
-            return i + 1
-    return None
+    down, up = residue_vectors(ctx, lam)
+    return _signature(reduced_entries(ctx.p, down, up, r), reduced=True)
 
 
 def e_star(ctx: ParityContext, lam: Weight, r: int) -> Optional[Weight]:
     """Remove eps_j at the leftmost - of the reduced r-signature, if any."""
-    j = _leftmost_minus(reduced_signature(ctx, lam, r))
-    return None if j is None else weight_sub(lam, eps(ctx, j))
+    down, up = residue_vectors(ctx, lam)
+    return star_moves(ctx.p, tuple(lam), down, up, r)[0]
 
 
 def f_star(ctx: ParityContext, lam: Weight, r: int) -> Optional[Weight]:
     """Add eps_j at the rightmost + of the reduced r-signature, if any."""
-    j = _rightmost_plus(reduced_signature(ctx, lam, r))
-    return None if j is None else weight_add(lam, eps(ctx, j))
+    down, up = residue_vectors(ctx, lam)
+    return star_moves(ctx.p, tuple(lam), down, up, r)[1]
 
 
 def eps_phi_star(ctx: ParityContext, lam: Weight, r: int) -> Tuple[int, int]:
     """(eps*_r, phi*_r): counts of - and + in the reduced signature."""
-    sig = reduced_signature(ctx, lam, r)
-    return sig.count(MINUS), sig.count(PLUS)
+    down, up = residue_vectors(ctx, lam)
+    red = reduced_entries(ctx.p, down, up, r)
+    return red.count(-1), red.count(1)
 
 
 def relevant_residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
@@ -138,12 +281,8 @@ def relevant_residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
 
     For p > 0 these are a subset of 0..p-1; for p = 0 finitely many integers.
     """
-    vals = set()
-    for v in residues(ctx, lam):
-        vals.add(ctx.reduce(v))
-    for v in residues_up(ctx, lam):
-        vals.add(ctx.reduce(v))
-    return tuple(sorted(vals))
+    down, up = residue_vectors(ctx, lam)
+    return tuple(sorted({ctx.reduce(v) for v in down + up}))
 
 
 def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClass:
@@ -154,12 +293,13 @@ def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClas
     """
     if not 1 <= i <= ctx.rank:
         raise IndexError(f"position {i} out of range 1..{ctx.rank}")
-    sig = reduced_signature(ctx, lam, r)
-    entry = sig.entries[i - 1]
-    if entry == MINUS:
-        kind = GOOD if _leftmost_minus(sig) == i else NORMAL
-    elif entry == PLUS:
-        kind = COGOOD if _rightmost_plus(sig) == i else CONORMAL
+    down, up = residue_vectors(ctx, lam)
+    red = reduced_entries(ctx.p, down, up, r)
+    entry = red[i - 1]
+    if entry == -1:
+        kind = GOOD if red.index(-1) == i - 1 else NORMAL
+    elif entry == 1:
+        kind = CONORMAL if 1 in red[i:] else COGOOD
     else:
         kind = NOT_CLASSIFIED
     return IndexClass(kind=kind, r=ctx.reduce(r))
@@ -181,77 +321,31 @@ def bc_sets(
 ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """(C_{i,j}, B_{i,j}): positions where c resp. b vanish mod p.
 
-    C collects h in (i..j) with c_{i,h} = 0; B collects h in [i..j) with
+    C collects h in (i..j] with c_{i,h} = 0; B collects h in [i..j) with
     b_{i,h} = 0.
     """
     if not 1 <= i < j <= ctx.rank:
         raise IndexError(f"need 1 <= i < j <= {ctx.rank}, got ({i}, {j})")
-    c_set = frozenset(
-        h for h in range(i + 1, j + 1) if ctx.congruent(c_scalar(ctx, lam, i, h), 0)
-    )
-    b_set = frozenset(
-        h for h in range(i, j) if ctx.congruent(b_scalar(ctx, lam, i, h), 0)
-    )
-    return c_set, b_set
-
-
-def downarrow(a: Set[int], b: Set[int]) -> bool:
-    """True iff there is an injection from a into b sending x to some y <= x.
-
-    Equivalent to the prefix-count criterion |a cap [1..k]| <= |b cap [1..k]|
-    for all k; both routes are computed and must agree.
-    """
-    if not a:
-        return True
-    top = max(a | b) if (a or b) else 0
-    ca = cb = 0
-    prefix_ok = True
-    for k in range(1, top + 1):
-        ca += k in a
-        cb += k in b
-        if ca > cb:
-            prefix_ok = False
-            break
-    greedy_ok = _greedy_match(a, b)
-    if prefix_ok != greedy_ok:
-        raise AssertionError("matching-criterion implementations disagree")
-    return prefix_ok
-
-
-def _greedy_match(a: Set[int], b: Set[int]) -> bool:
-    avail = sorted(b)
-    for x in sorted(a):
-        # take the largest available target <= x
-        pick = None
-        for y in avail:
-            if y <= x:
-                pick = y
-            else:
-                break
-        if pick is None:
-            return False
-        avail.remove(pick)
-    return True
+    down, up = residue_vectors(ctx, lam)
+    c_set, b_set = bc_positions(ctx.p, down, up, i, j)
+    return frozenset(c_set), frozenset(b_set)
 
 
 def normal_by_matching(ctx: ParityContext, lam: Weight, i: int) -> bool:
     """Independent normality route: B_{i,m+n}(lam) injects down into C_{i,m+n}(lam)."""
-    if i == ctx.rank:
-        return True
-    c_set, b_set = bc_sets(ctx, lam, i, ctx.rank)
-    return downarrow(b_set, c_set)
+    if not 1 <= i <= ctx.rank:
+        raise IndexError(f"position {i} out of range 1..{ctx.rank}")
+    down, up = residue_vectors(ctx, lam)
+    return matching_normal(ctx.p, down, up, i)
 
 
 def good_by_matching(ctx: ParityContext, lam: Weight, i: int) -> bool:
     """Good via matching: normal, and no normal j < i with c_{j,i}(lam) = 0."""
-    if not normal_by_matching(ctx, lam, i):
-        return False
-    for j in range(1, i):
-        if ctx.congruent(c_scalar(ctx, lam, j, i), 0) and normal_by_matching(
-            ctx, lam, j
-        ):
-            return False
-    return True
+    if not 1 <= i <= ctx.rank:
+        raise IndexError(f"position {i} out of range 1..{ctx.rank}")
+    down, up = residue_vectors(ctx, lam)
+    normal = [matching_normal(ctx.p, down, up, t) for t in range(1, i + 1)]
+    return matching_good(ctx.p, down, normal, i)
 
 
 def s_i_map(ctx: ParityContext, lam: Weight, i: int) -> Tuple[ParityContext, Weight]:
@@ -265,16 +359,11 @@ def s_i_map(ctx: ParityContext, lam: Weight, i: int) -> Tuple[ParityContext, Wei
         raise IndexError(f"position {i} out of range 1..{ctx.rank - 1}")
     if ctx.parity(i) == ctx.parity(i + 1):
         raise ValueError(f"positions {i}, {i + 1} have equal parities")
-    swapped = list(lam)
-    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+    check_weight(ctx, lam)
     new_parities = list(ctx.parities)
     new_parities[i - 1], new_parities[i] = new_parities[i], new_parities[i - 1]
     new_ctx = build_context(ctx.m, ctx.n, tuple(new_parities), ctx.p)
-    pairing = form_pair(ctx, lam, weight_sub(eps(ctx, i), eps(ctx, i + 1)))
-    if not ctx.congruent(pairing, 0):
-        swapped[i - 1] += 1
-        swapped[i] -= 1
-    return new_ctx, tuple(swapped)
+    return new_ctx, odd_weight(ctx.p, ctx.signs, tuple(lam), i)
 
 
 def conormal_via_flip(ctx: ParityContext, lam: Weight, i: int, r: int) -> bool:

@@ -46,9 +46,11 @@ def crystal_component(
 ) -> CrystalGraph:
     """Breadth-first exploration by e*/f* up to max_steps applications.
 
-    Edges always point in the f-direction (source --f--> target); an e-move
-    discovered from lam is recorded as target --f--> lam with the same r.
-    Node order is discovery order, which is deterministic.
+    An edge (a, b, r, d) records the move that discovered it: b = e*_r(a)
+    when d is "e" and b = f*_r(a) when d is "f".  Each unordered pair and
+    residue keeps only its first-discovered edge, so an e-edge is never
+    repeated as the f-edge back.  Node order is discovery order, which is
+    deterministic.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")

@@ -4,6 +4,10 @@ Each suite checks one family of identities over windows of weights, all
 parity sequences of the requested ranks, and a list of characteristics.
 Workers are top-level functions on picklable arguments so suites can be
 sharded across processes.
+
+The crystal workers compute the residue vectors of each weight once and call
+the kernels of ``crystal`` and ``tensorrule`` on them, the same kernels the
+public functions wrap, so every check runs library code.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from .weights import (
     Weight,
     build_context,
     flip_map,
+    flip_weight,
     iter_window,
     length,
     residue_int,
+    residue_vectors,
 )
 
 CtxSpec = Tuple[int, int, Tuple[int, ...], int]  # (m, n, parities, p)
@@ -53,17 +59,11 @@ def context_specs(
     p_list: Sequence[int],
     parities_pin: Optional[Tuple[int, ...]] = None,
 ) -> List[CtxSpec]:
-    """All (m, n, parities, p) combinations for the sweep."""
+    """All (m, n, parities, p) combinations for the sweep; see _parity_seqs for a pin."""
     specs = []
-    if parities_pin is not None:
-        parities = tuple(parities_pin)
+    for parities in _parity_seqs(ranks, parities_pin):
         m = parities.count(0)
-        return [(m, len(parities) - m, parities, p) for p in p_list]
-    for rank in ranks:
-        for parities in itertools.product((0, 1), repeat=rank):
-            m = parities.count(0)
-            for p in p_list:
-                specs.append((m, rank - m, parities, p))
+        specs.extend((m, len(parities) - m, parities, p) for p in p_list)
     return specs
 
 
@@ -122,140 +122,28 @@ def _residue_candidates(p: int, down: Sequence[int], up: Sequence[int]) -> List[
     return vals
 
 
-def _reduced_entries(rank, p, down, up, r) -> List[int]:
-    """Reduced r-signature as a list of +1/-1/0 from precomputed residues."""
-    if p:
-        red = [
-            1 if (up[i] - r) % p == 0 else (-1 if (down[i] - r) % p == 0 else 0)
-            for i in range(rank)
-        ]
-    else:
-        red = [
-            1 if up[i] == r else (-1 if down[i] == r else 0) for i in range(rank)
-        ]
-    stack = []
-    for idx in range(rank):
-        e = red[idx]
-        if e == -1:
-            stack.append(idx)
-        elif e == 1 and stack:
-            red[stack.pop()] = 0
-            red[idx] = 0
-    return red
-
-
-def _signature_route(rank, p, lam, down, up, r):
-    """(e* weight, f* weight, (eps*, phi*)) straight from the reduced signature."""
-    red = _reduced_entries(rank, p, down, up, r)
-    e_cnt = red.count(-1)
-    p_cnt = red.count(1)
-    sig_e = sig_f = None
-    if e_cnt:
-        q = red.index(-1)
-        sig_e = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
-    if p_cnt:
-        q = rank - 1 - red[::-1].index(1)
-        sig_f = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
-    return sig_e, sig_f, (e_cnt, p_cnt)
-
-
-def _tensor_route(rank, p, even, signs, lam, neg, r):
-    """Same triple through the tensor-rule dual twist on the negated letters."""
-    r2 = -1 - r
-    if p:
-        cng = lambda a, b: (a - b) % p == 0  # noqa: E731
-    else:
-        cng = lambda a, b: a == b  # noqa: E731
-    eps_loc = []
-    phi_loc = []
-    for i in range(rank):
-        c = neg[i]
-        hit_r = 1 if cng(r2, c) else 0
-        hit_r1 = 1 if cng(r2 + 1, c) else 0
-        if even[i]:
-            eps_loc.append(hit_r1)
-            phi_loc.append(hit_r)
-        else:
-            eps_loc.append(hit_r)
-            phi_loc.append(hit_r1)
-    neg_inf = tensorrule.NEG_INF
-    eps_pre = [neg_inf] * (rank + 1)
-    phi_pre = [neg_inf] * (rank + 1)
-    h_sum = 0
-    for j in range(1, rank + 1):
-        e_, p_ = eps_loc[j - 1], phi_loc[j - 1]
-        eps_pre[j] = max(eps_pre[j - 1], e_ - h_sum)
-        phi_pre[j] = max(p_, phi_pre[j - 1] + (p_ - e_))
-        h_sum += p_ - e_
-    # e*_r(x) = -f_{r2}(-x)
-    orc_e = None
-    if phi_pre[rank] > 0:
-        pos = rank
-        while pos > 1 and phi_pre[pos - 1] > eps_loc[pos - 1]:
-            pos -= 1
-        q = pos - 1
-        if even[q]:
-            delta = 1 if cng(r2, neg[q]) else None
-        else:
-            delta = -1 if cng(r2 + 1, neg[q]) else None
-        if delta is not None:
-            orc_e = lam[:q] + (lam[q] - signs[q] * delta,) + lam[q + 1 :]
-    # f*_r(x) = -e_{r2}(-x)
-    orc_f = None
-    if eps_pre[rank] > 0:
-        pos = rank
-        while pos > 1 and phi_pre[pos - 1] >= eps_loc[pos - 1]:
-            pos -= 1
-        q = pos - 1
-        if even[q]:
-            delta = -1 if cng(r2 + 1, neg[q]) else None
-        else:
-            delta = 1 if cng(r2, neg[q]) else None
-        if delta is not None:
-            orc_f = lam[:q] + (lam[q] - signs[q] * delta,) + lam[q + 1 :]
-    return orc_e, orc_f, (max(0, phi_pre[rank]), max(0, eps_pre[rank]))
-
-
 def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
     ops = PropertyReport("star operators match the tensor-rule oracle", 0, 0)
     counts = PropertyReport("star counters match the tensor-rule oracle", 0, 0)
-    rank = ctx.rank
     p = ctx.p
-    signs = tuple(ctx.sign(i) for i in range(1, rank + 1))
-    even = tuple(s == 1 for s in signs)
-    theta = ctx.theta
-    for lam in iter_window(rank, window):
-        down = [signs[i] * (lam[i] + theta[i]) for i in range(rank)]
-        up = [down[i] + signs[i] for i in range(rank)]
-        neg = [-(down[i] + 1) if even[i] else -down[i] for i in range(rank)]
+    signs = ctx.signs
+    for lam in iter_window(ctx.rank, window):
+        down, up = residue_vectors(ctx, lam)
+        # the negated letters -b_i; b_i = down_i + 1 at even positions
+        neg = [-(d + 1) if s > 0 else -d for d, s in zip(down, signs)]
         for r in _residue_candidates(p, down, up):
             ops.checks += 2
             counts.checks += 1
-            got_e, got_f, got_counts = _signature_route(rank, p, lam, down, up, r)
-            want_e, want_f, want_counts = _tensor_route(
-                rank, p, even, signs, lam, neg, r
-            )
+            got_e, got_f, got_counts = crystal.star_moves(p, lam, down, up, r)
+            want_e, want_f, want_counts = tensorrule.dual_moves(p, signs, lam, neg, r)
             if got_e != want_e:
                 _fail(ops, f"e*: ctx={spec} lam={lam} r={r}: {got_e} vs {want_e}")
             if got_f != want_f:
                 _fail(ops, f"f*: ctx={spec} lam={lam} r={r}: {got_f} vs {want_f}")
             if got_counts != want_counts:
                 _fail(counts, f"counters: ctx={spec} lam={lam} r={r}")
-            # periodically pin the fast inline routes to the public functions
-            if ops.checks % 194 == 0:
-                if got_e != crystal.e_star(ctx, lam, r) or got_f != crystal.f_star(
-                    ctx, lam, r
-                ):
-                    _fail(ops, f"inline drift: ctx={spec} lam={lam} r={r}")
-                if (
-                    got_counts != crystal.eps_phi_star(ctx, lam, r)
-                    or want_e != tensorrule.dual_oracle(ctx, lam, r, "e")
-                    or want_f != tensorrule.dual_oracle(ctx, lam, r, "f")
-                    or want_counts != tensorrule.dual_eps_phi(ctx, lam, r)
-                ):
-                    _fail(counts, f"inline drift: ctx={spec} lam={lam} r={r}")
     return [ops, counts]
 
 
@@ -272,9 +160,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     shift = PropertyReport("e*/f* shift wt by the simple root", 0, 0)
     rank = ctx.rank
     p = ctx.p
-    signs = tuple(ctx.sign(i) for i in range(1, rank + 1))
-    even = tuple(s == 1 for s in signs)
-    theta = ctx.theta
+    signs = ctx.signs
     # wt(e* lam) - wt(lam) = sign_q * (gamma_{b_q - sign_q} - gamma_{b_q});
     # cache whether that difference equals +alpha_r / -alpha_r per letter
     wt_shift_ok: Dict[Tuple[int, int, int, int], bool] = {}
@@ -289,10 +175,9 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         return cached
 
     for lam in iter_window(rank, window):
-        down = [signs[i] * (lam[i] + theta[i]) for i in range(rank)]
-        up = [down[i] + signs[i] for i in range(rank)]
+        down, up = residue_vectors(ctx, lam)
         for r in _residue_candidates(p, down, up):
-            red = _reduced_entries(rank, p, down, up, r)
+            red = crystal.reduced_entries(p, down, up, r)
             e_cnt = red.count(-1)
             f_cnt = red.count(1)
             if p:
@@ -312,7 +197,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 down2[q] -= signs[q]
                 up2 = up[:]
                 up2[q] -= signs[q]
-                _, back, cnt2 = _signature_route(rank, p, mu, down2, up2, r)
+                _, back, cnt2 = crystal.star_moves(p, mu, down2, up2, r)
                 c4.checks += 1
                 if back != lam:
                     _fail(c4, f"C4(ef): ctx={spec} lam={lam} r={r}")
@@ -320,16 +205,9 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if cnt2 != (e_cnt - 1, f_cnt + 1):
                     _fail(c23, f"C2: ctx={spec} lam={lam} r={r}")
                 shift.checks += 1
-                b_letter = down[q] + (1 if even[q] else 0)
+                b_letter = down[q] + (1 if signs[q] > 0 else 0)
                 if not shift_matches(b_letter, signs[q], r, -1):
                     _fail(shift, f"wt(e*): ctx={spec} lam={lam} r={r}")
-                # periodically pin the inline route to the public functions
-                if c4.checks % 197 == 0 and (
-                    mu != crystal.e_star(ctx, lam, r)
-                    or wt_of(ctx, mu) != wt_of(ctx, lam) + alpha_of(p, r)
-                    or (e_cnt, f_cnt) != crystal.eps_phi_star(ctx, lam, r)
-                ):
-                    _fail(c4, f"inline drift: ctx={spec} lam={lam} r={r}")
             if f_cnt:
                 q = rank - 1 - red[::-1].index(1)
                 nu = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
@@ -337,7 +215,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 down2[q] += signs[q]
                 up2 = up[:]
                 up2[q] += signs[q]
-                back, _, cnt2 = _signature_route(rank, p, nu, down2, up2, r)
+                back, _, cnt2 = crystal.star_moves(p, nu, down2, up2, r)
                 c4.checks += 1
                 if back != lam:
                     _fail(c4, f"C4(fe): ctx={spec} lam={lam} r={r}")
@@ -345,14 +223,9 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if cnt2 != (e_cnt + 1, f_cnt - 1):
                     _fail(c23, f"C3: ctx={spec} lam={lam} r={r}")
                 shift.checks += 1
-                b_letter = down[q] + (1 if even[q] else 0)
+                b_letter = down[q] + (1 if signs[q] > 0 else 0)
                 if not shift_matches(b_letter, signs[q], r, 1):
                     _fail(shift, f"wt(f*): ctx={spec} lam={lam} r={r}")
-                if c4.checks % 197 == 0 and (
-                    nu != crystal.f_star(ctx, lam, r)
-                    or wt_of(ctx, nu) != wt_of(ctx, lam) - alpha_of(p, r)
-                ):
-                    _fail(c4, f"inline drift: ctx={spec} lam={lam} r={r}")
     return [c1, c23, c4, shift]
 
 
@@ -369,27 +242,13 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     flip = PropertyReport("normal maps to conormal through the flip", 0, 0)
     rank = ctx.rank
     p = ctx.p
-    signs = tuple(ctx.sign(i) for i in range(1, rank + 1))
-    theta = ctx.theta
+    signs = ctx.signs
     fctx = flip_map(ctx, (0,) * rank)[0]
-    fsigns = tuple(fctx.sign(i) for i in range(1, rank + 1))
-    ftheta = fctx.theta
     fshift = ctx.m - ctx.n
-    cng = (lambda a, b: (a - b) % p == 0) if p else (lambda a, b: a == b)
     for lam in iter_window(rank, window):
-        down = [signs[i] * (lam[i] + theta[i]) for i in range(rank)]
-        up = [down[i] + signs[i] for i in range(rank)]
-        flam = tuple(-lam[rank - 1 - i] for i in range(rank))
-        fdown = [fsigns[i] * (flam[i] + ftheta[i]) for i in range(rank)]
-        fup = [fdown[i] + fsigns[i] for i in range(rank)]
-        # matching-route data: C_i from c_{i,h} = down_i - down_h,
-        # B_i from b_{i,h} = down_i - up_{h+1}
-        normal_match = [False] * (rank + 1)
-        normal_match[rank] = True
-        for i in range(1, rank):
-            c_set = {h for h in range(i + 1, rank + 1) if cng(down[i - 1], down[h - 1])}
-            b_set = {h for h in range(i, rank) if cng(down[i - 1], up[h])}
-            normal_match[i] = crystal.downarrow(b_set, c_set)
+        down, up = residue_vectors(ctx, lam)
+        fdown, fup = residue_vectors(fctx, flip_weight(lam))
+        normal = [crystal.matching_normal(p, down, up, i) for i in range(1, rank + 1)]
         red_cache: Dict[int, List[int]] = {}
         fred_cache: Dict[int, List[int]] = {}
         for i in range(1, rank + 1):
@@ -397,57 +256,40 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             key = r % p if p else r
             red = red_cache.get(key)
             if red is None:
-                red = _reduced_entries(rank, p, down, up, r)
+                red = crystal.reduced_entries(p, down, up, r)
                 red_cache[key] = red
             sig_normal = red[i - 1] == -1
             sig_good = sig_normal and red.index(-1) == i - 1
             crit.checks += 1
-            if sig_normal != normal_match[i]:
+            if sig_normal != normal[i - 1]:
                 _fail(crit, f"normal: ctx={spec} lam={lam} i={i}")
             goodcrit.checks += 1
-            match_good = normal_match[i] and not any(
-                cng(down[j - 1], down[i - 1]) and normal_match[j]
-                for j in range(1, i)
-            )
-            if sig_good != match_good:
+            if sig_good != crystal.matching_good(p, down, normal, i):
                 _fail(goodcrit, f"good: ctx={spec} lam={lam} i={i}")
             npc.checks += 1
             down2 = down[:]
             down2[i - 1] -= signs[i - 1]
             up2 = up[:]
             up2[i - 1] -= signs[i - 1]
-            red2 = _reduced_entries(rank, p, down2, up2, r)
+            red2 = crystal.reduced_entries(p, down2, up2, r)
             want_good = sig_normal and red2[i - 1] == 1
             if sig_good != want_good:
                 _fail(npc, f"good=normal+conormal: ctx={spec} lam={lam} i={i}")
+            # flipped residues are r_i(lam + eps_i) - (m - n), read backwards
             fr = r - fshift
             fkey = fr % p if p else fr
             fred = fred_cache.get(fkey)
             if fred is None:
-                fred = _reduced_entries(rank, p, fdown, fup, fr)
+                fred = crystal.reduced_entries(p, fdown, fup, fr)
                 fred_cache[fkey] = fred
             fi = rank - i  # 0-based index of the flipped position
             f_conormal = fred[fi] == 1
-            f_cogood = f_conormal and rank - 1 - fred[::-1].index(1) == fi
+            f_cogood = f_conormal and 1 not in fred[fi + 1 :]
             flip.checks += 2
             if sig_normal != f_conormal:
                 _fail(flip, f"normal/conormal flip: ctx={spec} lam={lam} i={i}")
             if sig_good != f_cogood:
                 _fail(flip, f"good/cogood flip: ctx={spec} lam={lam} i={i}")
-            # periodically pin the inline routes to the public functions
-            if crit.checks % 199 == 0:
-                cls = crystal.classify_index(ctx, lam, i, r)
-                fcls = crystal.classify_index(fctx, flam, rank + 1 - i, fr)
-                if (
-                    cls.is_normal != sig_normal
-                    or (cls.kind == crystal.GOOD) != sig_good
-                    or fcls.is_conormal != f_conormal
-                    or (fcls.kind == crystal.COGOOD) != f_cogood
-                    or crystal.normal_by_matching(ctx, lam, i) != normal_match[i]
-                    or crystal.good_by_matching(ctx, lam, i) != match_good
-                    or flip_map(ctx, lam)[1] != flam
-                ):
-                    _fail(crit, f"inline drift: ctx={spec} lam={lam} i={i}")
     return [crit, goodcrit, npc, flip]
 
 
@@ -462,46 +304,25 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     stats = PropertyReport("odd reflections preserve the counters and wt", 0, 0)
     rank = ctx.rank
     p = ctx.p
-    signs = tuple(ctx.sign(i) for i in range(1, rank + 1))
-    theta = ctx.theta
+    signs = ctx.signs
     adjacents = [i for i in range(1, rank) if ctx.parity(i) != ctx.parity(i + 1)]
     if not adjacents:
         return [commute, stats]
     octxs = {i: crystal.s_i_map(ctx, (0,) * rank, i)[0] for i in adjacents}
-    osigns = {
-        i: tuple(octxs[i].sign(k) for k in range(1, rank + 1)) for i in adjacents
-    }
-    cng0 = (lambda v: v % p == 0) if p else (lambda v: v == 0)
-
-    def odd_image(mu: Weight, i: int) -> Weight:
-        # swap coordinates i, i+1; add eps_i - eps_{i+1} unless
-        # (mu, eps_i - eps_{i+1}) = 0 mod p
-        a, b = mu[i - 1], mu[i]
-        sw = list(mu)
-        sw[i - 1], sw[i] = b, a
-        if not cng0(signs[i - 1] * a - signs[i] * b):
-            sw[i - 1] += 1
-            sw[i] -= 1
-        return tuple(sw)
-
     for lam in iter_window(rank, window):
-        down = [signs[i] * (lam[i] + theta[i]) for i in range(rank)]
-        up = [down[i] + signs[i] for i in range(rank)]
+        down, up = residue_vectors(ctx, lam)
         for i in adjacents:
             octx = octxs[i]
-            olam = odd_image(lam, i)
-            osg = osigns[i]
-            otheta = octx.theta
-            odown = [osg[k] * (olam[k] + otheta[k]) for k in range(rank)]
-            oup = [odown[k] + osg[k] for k in range(rank)]
+            olam = crystal.odd_weight(p, signs, lam, i)
+            odown, oup = residue_vectors(octx, olam)
             stats.checks += 1
             if wt_of(ctx, lam) != wt_of(octx, olam):
                 _fail(stats, f"wt: ctx={spec} lam={lam} i={i}")
             rset = set(_residue_candidates(p, down, up))
             rset.update(_residue_candidates(p, odown, oup))
             for r in sorted(rset):
-                e1, f1, cnt1 = _signature_route(rank, p, lam, down, up, r)
-                e2, f2, cnt2 = _signature_route(rank, p, olam, odown, oup, r)
+                e1, f1, cnt1 = crystal.star_moves(p, lam, down, up, r)
+                e2, f2, cnt2 = crystal.star_moves(p, olam, odown, oup, r)
                 stats.checks += 1
                 if cnt1 != cnt2:
                     _fail(stats, f"counters: ctx={spec} lam={lam} i={i} r={r}")
@@ -511,17 +332,8 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                         if src is not None or dst is not None:
                             _fail(commute, f"ctx={spec} lam={lam} i={i} r={r}")
                         continue
-                    if odd_image(src, i) != dst:
+                    if crystal.odd_weight(p, signs, src, i) != dst:
                         _fail(commute, f"ctx={spec} lam={lam} i={i} r={r}")
-                # periodically pin the inline routes to the public functions
-                if commute.checks % 198 == 0:
-                    if (
-                        crystal.s_i_map(ctx, lam, i) != (octx, olam)
-                        or crystal.e_star(ctx, lam, r) != e1
-                        or crystal.f_star(octx, olam, r) != f2
-                        or crystal.eps_phi_star(ctx, lam, r) != cnt1
-                    ):
-                        _fail(commute, f"inline drift: ctx={spec} lam={lam} i={i}")
     return [commute, stats]
 
 
@@ -817,7 +629,7 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if not crystal.classify_index(ctx, lam, i, r).is_normal:
                 continue
             c_full, b_full = crystal.bc_sets(ctx, lam, i, rank)
-            chosen = _match_targets(b_full, c_full)
+            chosen = crystal.greedy_match(b_full, c_full)
             if chosen is None:
                 _fail(rep, f"no matching despite normality: ctx={spec} lam={lam} i={i}")
                 continue
@@ -833,24 +645,6 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if scalar == 0:
                 _fail(rep, f"vanishing witness: ctx={spec} lam={lam} i={i}")
     return [rep]
-
-
-def _match_targets(sources: frozenset, targets: frozenset) -> Optional[List[int]]:
-    """Greedy down-matching; returns the chosen targets or None."""
-    avail = sorted(targets)
-    picks = []
-    for x in sorted(sources):
-        pick = None
-        for y in avail:
-            if y <= x:
-                pick = y
-            else:
-                break
-        if pick is None:
-            return None
-        avail.remove(pick)
-        picks.append(pick)
-    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +751,15 @@ def run_suite(
     raise ValueError(f"unknown suite {name!r}")
 
 
-def _parity_seqs(ranks, parities_pin):
-    if parities_pin is not None:
-        return [tuple(parities_pin)]
-    seqs = []
-    for rank in ranks:
-        seqs.extend(tuple(s) for s in itertools.product((0, 1), repeat=rank))
-    return seqs
+def _parity_seqs(
+    ranks: Iterable[int], parities_pin: Optional[Tuple[int, ...]] = None
+) -> List[Tuple[int, ...]]:
+    """All parity sequences of the given ranks.
+
+    A pin keeps only itself, and nothing when its rank is not among the
+    ranks, so a pinned run is always part of the unpinned one.
+    """
+    seqs = [s for rank in ranks for s in itertools.product((0, 1), repeat=rank)]
+    if parities_pin is None:
+        return seqs
+    return [s for s in seqs if s == tuple(parities_pin)]

@@ -8,138 +8,98 @@ position, even or odd by the context parity).  The dual operators are
 
 where -x negates every letter and e/f act by the recursive Kashiwara tensor
 rule.  None of the signature machinery is used here.
+
+The rule is one kernel, ``dual_moves``, over the negated letter word that the
+caller computes once per weight.  ``dual_oracle`` and ``dual_eps_phi`` are
+thin wrappers over it, and the oracle sweep calls it directly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .weights import EVEN, ParityContext, Weight
+from .weights import ParityContext, Weight, check_weight
 
 NEG_INF = float("-inf")
 
 
 def letters_of(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
     """The letter word b_i = (lam+rho, eps_i) = sign_i * (lam_i + rho_i)."""
-    return tuple(
-        ctx.sign(i + 1) * (lam[i] + ctx.rho[i]) for i in range(ctx.rank)
-    )
+    check_weight(ctx, lam)
+    return tuple(s * (x + rho) for s, x, rho in zip(ctx.signs, lam, ctx.rho))
 
 
 def weight_of_letters(ctx: ParityContext, letters: Tuple[int, ...]) -> Weight:
     """Inverse of letters_of: lam_i = sign_i * b_i - rho_i."""
-    return tuple(
-        ctx.sign(i + 1) * letters[i] - ctx.rho[i] for i in range(ctx.rank)
-    )
+    return tuple(s * b - rho for s, b, rho in zip(ctx.signs, letters, ctx.rho))
 
 
-def _elem_eps(parity: int, b: int, r: int, congruent) -> int:
-    """eps_r of the one-letter crystal: [r+1 = b] if even, [r = b] if odd."""
-    if parity == EVEN:
-        return 1 if congruent(r + 1, b) else 0
-    return 1 if congruent(r, b) else 0
+def dual_moves(
+    p: int, signs: Sequence[int], lam: Weight, neg: Sequence[int], r: int
+) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
+    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) by the tensor rule on neg = -b.
 
-
-def _elem_phi(parity: int, b: int, r: int, congruent) -> int:
-    """phi_r of the one-letter crystal: [r = b] if even, [r+1 = b] if odd."""
-    if parity == EVEN:
-        return 1 if congruent(r, b) else 0
-    return 1 if congruent(r + 1, b) else 0
-
-
-def _elem_e(parity: int, b: int, r: int, congruent) -> Optional[int]:
-    """e_r on one letter: even b -> b-1 when r+1 = b; odd b -> b+1 when r = b."""
-    if parity == EVEN:
-        return b - 1 if congruent(r + 1, b) else None
-    return b + 1 if congruent(r, b) else None
-
-
-def _elem_f(parity: int, b: int, r: int, congruent) -> Optional[int]:
-    """f_r on one letter: even b -> b+1 when r = b; odd b -> b-1 when r+1 = b."""
-    if parity == EVEN:
-        return b + 1 if congruent(r, b) else None
-    return b - 1 if congruent(r + 1, b) else None
-
-
-def _prefix_stats(
-    parities: Tuple[int, ...], letters: Tuple[int, ...], r: int, congruent
-) -> Tuple[List[float], List[float], List[int], List[int]]:
-    """Left-fold eps/phi prefix arrays for the tensor word.
-
-    Folding (((x1 x2) x3) ...) with the Kashiwara rule gives, for the
-    prefix of length j:
+    With r' = -1-r, a one-letter crystal c at an even position (signs 1) has
+    eps_r' = [r'+1 = c] and phi_r' = [r' = c]; e_r' sends c to c-1 and f_r'
+    sends c to c+1 where defined.  At an odd position r' and r'+1 trade
+    places and e, f move c the other way.  Folding (((x1 x2) x3) ...) with
+    the Kashiwara rule gives, for the prefix of length j,
         eps = max(eps_prev, eps_j - h_sum_prev)
         phi = max(phi_j, phi_prev + h_j)
-    where h = phi - eps per factor and h_sum is its running total.
+    where h = phi - eps per letter and h_sum is its running total.  The twist
+    swaps eps and phi, so (eps*, phi*) = (phi, eps) of the whole word.
     """
-    k = len(letters)
-    eps_loc = [_elem_eps(parities[i], letters[i], r, congruent) for i in range(k)]
-    phi_loc = [_elem_phi(parities[i], letters[i], r, congruent) for i in range(k)]
-    eps_pre: List[float] = [0.0] * (k + 1)
-    phi_pre: List[float] = [0.0] * (k + 1)
-    eps_pre[0] = NEG_INF  # empty tensor factor: nothing to raise
-    phi_pre[0] = NEG_INF
+    r2 = -1 - r
+    rank = len(neg)
+    eps_loc = []
+    phi_loc = []
+    for s, c in zip(signs, neg):
+        if p:
+            at_r = 1 if (c - r2) % p == 0 else 0
+            at_r1 = 1 if (c - r2 - 1) % p == 0 else 0
+        else:
+            at_r = 1 if c == r2 else 0
+            at_r1 = 1 if c == r2 + 1 else 0
+        if s > 0:
+            eps_loc.append(at_r1)
+            phi_loc.append(at_r)
+        else:
+            eps_loc.append(at_r)
+            phi_loc.append(at_r1)
+    eps_pre = [NEG_INF] * (rank + 1)  # the empty prefix: nothing to raise
+    phi_pre = [NEG_INF] * (rank + 1)
     h_sum = 0
-    for j in range(1, k + 1):
-        e, p = eps_loc[j - 1], phi_loc[j - 1]
-        eps_pre[j] = max(eps_pre[j - 1], e - h_sum)
-        phi_pre[j] = max(p, phi_pre[j - 1] + (p - e))
-        h_sum += p - e
-    return eps_pre, phi_pre, eps_loc, phi_loc
+    for j in range(rank):
+        e, f = eps_loc[j], phi_loc[j]
+        eps_pre[j + 1] = max(eps_pre[j], e - h_sum)
+        phi_pre[j + 1] = max(f, phi_pre[j] + (f - e))
+        h_sum += f - e
+    # lam_q = -sign_q * c_q - rho_q, and the letter c_q moves by sign_q under
+    # f_r' and by -sign_q under e_r', so lam_q moves by -1 resp. +1
+    # e*_r(x) = -f_r'(-x): f acts on the last letter q whose eps is at least
+    # the phi of the prefix before it
+    e_w = None
+    if phi_pre[rank] > 0:
+        q = rank - 1
+        while q > 0 and phi_pre[q] > eps_loc[q]:
+            q -= 1
+        if phi_loc[q]:
+            e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
+    # f*_r(x) = -e_r'(-x): e acts on the last letter q whose eps exceeds the
+    # phi of the prefix before it
+    f_w = None
+    if eps_pre[rank] > 0:
+        q = rank - 1
+        while q > 0 and phi_pre[q] >= eps_loc[q]:
+            q -= 1
+        if eps_loc[q]:
+            f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
+    return e_w, f_w, (max(0, phi_pre[rank]), max(0, eps_pre[rank]))
 
 
-def tensor_e(
-    ctx_parities: Tuple[int, ...],
-    letters: Tuple[int, ...],
-    r: int,
-    congruent,
-) -> Optional[Tuple[int, ...]]:
-    """Apply e_r to the tensor word by the left-fold tensor rule."""
-    k = len(letters)
-    eps_pre, phi_pre, eps_loc, _ = _prefix_stats(ctx_parities, letters, r, congruent)
-    if eps_pre[k] <= 0:
-        return None
-    # e acts on (x (1..j-1) tensor x_j): on x_j iff eps_j > phi of the prefix
-    pos = k
-    while pos > 1 and phi_pre[pos - 1] >= eps_loc[pos - 1]:
-        pos -= 1
-    new_b = _elem_e(ctx_parities[pos - 1], letters[pos - 1], r, congruent)
-    if new_b is None:
-        return None
-    return letters[: pos - 1] + (new_b,) + letters[pos:]
-
-
-def tensor_f(
-    ctx_parities: Tuple[int, ...],
-    letters: Tuple[int, ...],
-    r: int,
-    congruent,
-) -> Optional[Tuple[int, ...]]:
-    """Apply f_r to the tensor word by the left-fold tensor rule."""
-    k = len(letters)
-    _, phi_pre, eps_loc, _ = _prefix_stats(ctx_parities, letters, r, congruent)
-    if phi_pre[k] <= 0:
-        return None
-    # f acts on x_j iff eps_j >= phi of the prefix
-    pos = k
-    while pos > 1 and phi_pre[pos - 1] > eps_loc[pos - 1]:
-        pos -= 1
-    new_b = _elem_f(ctx_parities[pos - 1], letters[pos - 1], r, congruent)
-    if new_b is None:
-        return None
-    return letters[: pos - 1] + (new_b,) + letters[pos:]
-
-
-def tensor_eps_phi(
-    ctx_parities: Tuple[int, ...],
-    letters: Tuple[int, ...],
-    r: int,
-    congruent,
-) -> Tuple[int, int]:
-    """(eps_r, phi_r) of the full tensor word."""
-    k = len(letters)
-    eps_pre, phi_pre, _, _ = _prefix_stats(ctx_parities, letters, r, congruent)
-    return max(0, int(eps_pre[k])), max(0, int(phi_pre[k]))
+def _moves(ctx: ParityContext, lam: Weight, r: int):
+    lam = tuple(lam)
+    return dual_moves(ctx.p, ctx.signs, lam, [-b for b in letters_of(ctx, lam)], r)
 
 
 def dual_oracle(
@@ -148,21 +108,9 @@ def dual_oracle(
     """Compute e*_r or f*_r of lam through the tensor-rule dual twist."""
     if which not in ("e", "f"):
         raise ValueError(f"which must be 'e' or 'f', got {which!r}")
-    letters = letters_of(ctx, lam)
-    neg = tuple(-b for b in letters)
-    if which == "e":
-        out = tensor_f(ctx.parities, neg, -1 - r, ctx.congruent)
-    else:
-        out = tensor_e(ctx.parities, neg, -1 - r, ctx.congruent)
-    if out is None:
-        return None
-    return weight_of_letters(ctx, tuple(-b for b in out))
+    return _moves(ctx, lam, r)[0 if which == "e" else 1]
 
 
 def dual_eps_phi(ctx: ParityContext, lam: Weight, r: int) -> Tuple[int, int]:
     """(eps*_r, phi*_r) of lam via the tensor-rule twist."""
-    letters = letters_of(ctx, lam)
-    neg = tuple(-b for b in letters)
-    e, p = tensor_eps_phi(ctx.parities, neg, -1 - r, ctx.congruent)
-    # the twist swaps the roles of eps and phi
-    return p, e
+    return _moves(ctx, lam, r)[2]

@@ -9,8 +9,8 @@ integer tuples (coefficients on epsilon_1..epsilon_{m+n}); all positions are
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 
@@ -37,7 +37,11 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class ParityContext:
-    """Immutable (m, n, parities, p) datum plus the derived theta and rho."""
+    """Immutable (m, n, parities, p) datum plus the derived theta and rho.
+
+    ``signs`` holds (-1)**parity at every position, for the kernels in
+    ``crystal`` and ``tensorrule``.
+    """
 
     m: int
     n: int
@@ -45,6 +49,10 @@ class ParityContext:
     p: int
     theta: Tuple[int, ...]
     rho: Tuple[int, ...]
+    signs: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signs", tuple(-1 if x else 1 for x in self.parities))
 
     @property
     def rank(self) -> int:
@@ -52,7 +60,7 @@ class ParityContext:
 
     def sign(self, i: int) -> int:
         """(-1)**parity at 1-based position i."""
-        return -1 if self.parities[i - 1] else 1
+        return self.signs[i - 1]
 
     def parity(self, i: int) -> int:
         return self.parities[i - 1]
@@ -152,10 +160,16 @@ def weight_sub(lam: Weight, mu: Weight) -> Weight:
     return tuple(a - b for a, b in zip(lam, mu))
 
 
+def check_weight(ctx: ParityContext, lam: Weight) -> None:
+    """Raise ValueError unless lam has one coefficient per position."""
+    if len(lam) != ctx.rank:
+        raise ValueError("weight length does not match the context rank")
+
+
 def form_pair(ctx: ParityContext, lam: Weight, mu: Weight) -> int:
     """Symmetric bilinear form: sum_i (-1)**parity_i * lam_i * mu_i."""
-    if len(lam) != ctx.rank or len(mu) != ctx.rank:
-        raise ValueError("weight length does not match the context rank")
+    check_weight(ctx, lam)
+    check_weight(ctx, mu)
     return sum(ctx.sign(i + 1) * a * b for i, (a, b) in enumerate(zip(lam, mu)))
 
 
@@ -171,19 +185,30 @@ def residue(ctx: ParityContext, lam: Weight, j: int) -> ResidueClass:
     return ResidueClass(residue_int(ctx, lam, j), ctx.p)
 
 
+def residue_vectors(ctx: ParityContext, lam: Weight) -> Tuple[List[int], List[int]]:
+    """(down, up): the residues r_j(lam) and r_j(lam + eps_j), j = 1..k.
+
+    r_j(lam + eps_j) = r_j(lam) + (-1)**parity_j by bilinearity.  These are
+    the inputs of the kernels in ``crystal``.
+    """
+    check_weight(ctx, lam)
+    down = []
+    up = []
+    for s, x, t in zip(ctx.signs, lam, ctx.theta):
+        d = s * (x + t)
+        down.append(d)
+        up.append(d + s)
+    return down, up
+
+
 def residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
     """All residues r_1(lam)..r_k(lam) as integers."""
-    return tuple(residue_int(ctx, lam, j) for j in range(1, ctx.rank + 1))
+    return tuple(residue_vectors(ctx, lam)[0])
 
 
 def residues_up(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
-    """The shifted residues r_j(lam + eps_j), j = 1..k.
-
-    r_j(lam + eps_j) = r_j(lam) + (-1)**parity_j by bilinearity.
-    """
-    return tuple(
-        residue_int(ctx, lam, j) + ctx.sign(j) for j in range(1, ctx.rank + 1)
-    )
+    """The shifted residues r_j(lam + eps_j), j = 1..k."""
+    return tuple(residue_vectors(ctx, lam)[1])
 
 
 def dominance_leq(ctx: ParityContext, lam: Weight, mu: Weight) -> bool:
@@ -209,10 +234,13 @@ def flip_map(ctx: ParityContext, lam: Weight) -> Tuple[ParityContext, Weight]:
 
     Two applications return the original (context, weight) pair.
     """
-    k = ctx.rank
-    flipped = tuple(1 - ctx.parities[k - 1 - i] for i in range(k))
-    out = tuple(-lam[k - 1 - i] for i in range(k))
-    return build_context(ctx.n, ctx.m, flipped, ctx.p), out
+    flipped = tuple(1 - x for x in reversed(ctx.parities))
+    return build_context(ctx.n, ctx.m, flipped, ctx.p), flip_weight(lam)
+
+
+def flip_weight(lam: Weight) -> Weight:
+    """The weight half of flip_map: reverse lam and negate every coefficient."""
+    return tuple(-c for c in reversed(lam))
 
 
 def parse_weight(text: str, ctx: ParityContext = None) -> Weight:

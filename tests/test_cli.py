@@ -156,3 +156,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "++-++ / ++00+"
+
+
+def test_dot_format_outside_graph_exits_2(capsys):
+    for argv in (
+        ["signature", "--weight", "1,-1,1,7,5"],
+        ["apply", "--op", "fstar", "--r", "0", "--weight", "1,-1,1,7,5"],
+        ["classify", "--weight", "1,-1,1,7,5", "--i", "1"],
+    ):
+        code, out, err = run(PAPER + ["--format", "dot"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--format dot" in err
+
+
+def test_verify_pin_outside_the_rank_caps_exits_2(capsys):
+    code, _, err = run(
+        ["--p", "0", "--parities", "1,0,0,1,0", "verify", "pbw-identities",
+         "--pin-parities", "--processes", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:")

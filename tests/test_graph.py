@@ -2,6 +2,7 @@
 
 import pytest
 
+from supercrystals.crystal import e_star, f_star
 from supercrystals.graph import crystal_component
 from supercrystals.weights import build_context
 
@@ -43,6 +44,8 @@ def test_worked_example_depth_one():
     labels = {(r, d) for _, _, r, d in g.edges}
     assert labels == {(1, "e"), (2, "e"), (0, "f")}
     assert len(g.edges) == 3
+    for a, b, r, d in g.edges:
+        assert b == (e_star if d == "e" else f_star)(paper_ctx(), a, r)
 
 
 def test_json_schema():

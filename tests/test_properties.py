@@ -1,11 +1,13 @@
 """Property-based tests for the core combinatorics."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercrystals import crystal
 from supercrystals.affine import gamma_of, wt_of
-from supercrystals.crystal import Signature, downarrow, reduce_signature
+from supercrystals.crystal import Signature, downarrow, greedy_match, reduce_signature
 from supercrystals.linkage import TruncatedSeries
 from supercrystals.weights import (
     build_context,
@@ -38,11 +40,29 @@ def test_reduce_signature_preserves_count_difference(sig):
 subsets = st.sets(st.integers(min_value=1, max_value=10), max_size=6)
 
 
+def _check_matching(a, b):
+    """downarrow's prefix counts agree with the injection greedy_match builds."""
+    picks = greedy_match(a, b)
+    assert downarrow(a, b) == (picks is not None)
+    if picks is not None:
+        assert len(set(picks)) == len(picks) == len(a)
+        assert set(picks) <= b
+        assert all(y <= x for x, y in zip(sorted(a), picks))
+
+
 @given(subsets, subsets)
 def test_downarrow_definitions_agree(a, b):
-    # downarrow cross-checks the prefix-count criterion against greedy
-    # matching internally and raises on disagreement
-    downarrow(a, b)
+    _check_matching(a, b)
+
+
+def test_downarrow_definitions_agree_on_all_small_subsets():
+    universe = range(1, 7)
+    small = [
+        set(c) for k in range(len(universe) + 1) for c in itertools.combinations(universe, k)
+    ]
+    for a in small:
+        for b in small:
+            _check_matching(a, b)
 
 
 @given(subsets, subsets)

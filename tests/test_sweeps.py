@@ -1,0 +1,34 @@
+"""Job plans of the verification suites."""
+
+import itertools
+
+from supercrystals import sweeps
+
+ACCEPTANCE = dict(max_rank=4, coeff_window=4, p_list=(0, 2, 3, 5), processes=1)
+
+
+def planned_jobs(monkeypatch, suite, **overrides):
+    """(worker name, job) pairs that run_suite hands to _run_sharded."""
+    recorded = []
+
+    def record(worker, jobs, processes):
+        recorded.extend((worker.__name__, job) for job in jobs)
+        return []
+
+    monkeypatch.setattr(sweeps, "_run_sharded", record)
+    params = dict(ACCEPTANCE)
+    params.update(overrides)
+    sweeps.run_suite(suite, **params)
+    return recorded
+
+
+def test_pinned_runs_stay_inside_the_gate(monkeypatch):
+    for suite in sweeps.SUITES:
+        gate = set(planned_jobs(monkeypatch, suite))
+        for rank in (2, 3, 4):
+            for pin in itertools.product((0, 1), repeat=rank):
+                for p_list in ((0, 2, 3, 5), (0,), (3,)):
+                    pinned = planned_jobs(
+                        monkeypatch, suite, parities_pin=pin, p_list=p_list
+                    )
+                    assert set(pinned) <= gate, (suite, pin, p_list)
