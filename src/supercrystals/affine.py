@@ -6,6 +6,11 @@ For p > 0 it is Z*delta + sum over Z/p of Z*Lambda_r with the form determined
 by declaring (delta, Lambda_0..Lambda_{p-1}) and (Lambda_0, alpha_0..alpha_{p-1})
 to be dual bases; the Gram matrix is solved once per characteristic with exact
 rational arithmetic.
+
+``wt_key`` and ``ab_key`` are the kernels behind ``wt_of`` and
+``ab_counts``: plain-int passes over the residue vectors ``down``/``up`` of
+``weights.residue_vectors`` and the sign vector ``ctx.signs``.
+``AffineWeight`` is the boundary type for JSON, the CLI and equality.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .weights import ParityContext, Weight, residues, residues_up
+from .weights import ParityContext, Weight, residue_vectors
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,13 @@ class AffineWeight:
         if self.p == 0:
             return {"gamma": {str(i): c for i, c in self.gamma}}
         return {"delta": self.delta, "lambda": list(self.lambdas)}
+
+    @staticmethod
+    def from_key(p: int, key: tuple) -> "AffineWeight":
+        """The weight whose ``wt_key`` form is key."""
+        if p == 0:
+            return AffineWeight(p=0, gamma=key)
+        return AffineWeight(p=p, delta=key[0], lambdas=key[1:])
 
     @staticmethod
     def from_json(p: int, data: dict) -> "AffineWeight":
@@ -202,20 +214,61 @@ def k_element(p: int) -> AffineWeight:
     return AffineWeight(p=p, lambdas=(-1,) * p)
 
 
+def wt_key(p: int, signs: Sequence[int], down: Sequence[int]) -> tuple:
+    """wt = sum_i signs_i * gamma_{b_i} over the letters b_i = down_i + [even].
+
+    p > 0: the int tuple (delta, Lambda_0..Lambda_{p-1}) of coefficients,
+    using gamma_b = Lambda_s - Lambda_{s-1} - d*delta for b = p*d + s with
+    s in {1..p}.  p = 0: the sorted nonzero (b, coeff) pairs, which is
+    ``AffineWeight.gamma``.
+    """
+    if p:
+        acc = [0] * (p + 1)
+        for s, d in zip(signs, down):
+            # b - 1 = p*q + t, so gamma_b = Lambda_{t+1} - Lambda_t - q*delta
+            q, t = divmod(d if s > 0 else d - 1, p)
+            acc[0] -= s * q
+            acc[1 + t] -= s
+            acc[1 + (t + 1) % p] += s
+        return tuple(acc)
+    coeffs: Dict[int, int] = {}
+    for s, d in zip(signs, down):
+        b = d + 1 if s > 0 else d
+        coeffs[b] = coeffs.get(b, 0) + s
+    return tuple(sorted((b, c) for b, c in coeffs.items() if c))
+
+
 def wt_of(ctx: ParityContext, lam: Weight) -> AffineWeight:
     """The affine weight wt(lam) = sum_i (-1)**parity_i * gamma_{(lam+rho, eps_i)}."""
-    out = zero_affine(ctx.p)
-    for i in range(1, ctx.rank + 1):
-        b = ctx.sign(i) * (lam[i - 1] + ctx.rho[i - 1])
-        term = gamma_of(ctx.p, b)
-        out = out + (term if ctx.sign(i) == 1 else -term)
-    return out
+    down, _ = residue_vectors(ctx, lam)
+    return AffineWeight.from_key(ctx.p, wt_key(ctx.p, ctx.signs, down))
+
+
+def ab_key(p: int, down: Sequence[int], up: Sequence[int]) -> tuple:
+    """A_r - B_r for every residue r, in one pass over the residue vectors.
+
+    A_r counts the positions with up_i = r, B_r those with down_i = r (mod p).
+    p > 0: the p-tuple indexed by r.  p = 0: the sorted (r, A_r - B_r) pairs
+    with A_r != B_r.
+    """
+    if p:
+        acc = [0] * p
+        for d, u in zip(down, up):
+            acc[u % p] += 1
+            acc[d % p] -= 1
+        return tuple(acc)
+    diff: Dict[int, int] = {}
+    for d, u in zip(down, up):
+        diff[u] = diff.get(u, 0) + 1
+        diff[d] = diff.get(d, 0) - 1
+    return tuple(sorted((r, c) for r, c in diff.items() if c))
 
 
 def ab_counts(ctx: ParityContext, lam: Weight, r: int) -> Tuple[int, int]:
     """(A_r, B_r): counts of positions with r_i(lam+eps_i) == r resp. r_i(lam) == r."""
-    a = sum(1 for v in residues_up(ctx, lam) if ctx.congruent(v, r))
-    b = sum(1 for v in residues(ctx, lam) if ctx.congruent(v, r))
+    down, up = residue_vectors(ctx, lam)
+    a = sum(1 for v in up if ctx.congruent(v, r))
+    b = sum(1 for v in down if ctx.congruent(v, r))
     return a, b
 
 

@@ -273,7 +273,24 @@ def cmd_verify(ctx, args) -> int:
             f"suite {args.suite} has no shard for parities {args.parities}"
             f" within its rank caps (--max-rank {args.max_rank})"
         )
-    failures = 0
+    failures = sum(rep.failures for rep in reports)
+    if args.format == "json":
+        _emit(
+            args,
+            json.dumps(
+                [
+                    {
+                        "name": rep.name,
+                        "checks": rep.checks,
+                        "failures": rep.failures,
+                        "passed": rep.passed,
+                        "counterexample": rep.counterexample,
+                    }
+                    for rep in reports
+                ]
+            ),
+        )
+        return 0 if failures == 0 else 1
     lines = []
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
@@ -281,7 +298,6 @@ def cmd_verify(ctx, args) -> int:
         if rep.counterexample:
             line += f"\n       first counterexample: {rep.counterexample}"
         lines.append(line)
-        failures += rep.failures
     _emit(args, "\n".join(lines))
     return 0 if failures == 0 else 1
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .affine import AffineWeight, wt_of
-from .weights import ParityContext, Weight, residues, residues_up
+from .weights import ParityContext, Weight, residue_vectors, residues
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,6 @@ def one_series(n: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * n)
 
 
-def _linear_factor(a: int, n: int) -> TruncatedSeries:
-    """(t - a) / t = 1 - a*u as a truncated series in u."""
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    if n >= 1:
-        coeffs[1] = -a
-    return TruncatedSeries(tuple(coeffs))
-
-
-def _geometric_factor(b: int, n: int) -> TruncatedSeries:
-    """t / (t - b) = sum_k b^k u^k as a truncated series in u."""
-    return TruncatedSeries(tuple(b**k for k in range(n + 1)))
-
-
 def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
     """Z_r(lam): the alternating residue-power sum.
 
@@ -109,24 +95,41 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
+    """Coefficients of prod_i (1 - up_i u) / (1 - down_i u) up to u^n.
+
+    Each factor is applied in place with an O(n) recurrence: dividing by
+    1 - d u sets c_k += d c_{k-1} in ascending k, multiplying by 1 - a u
+    sets c_k -= a c_{k-1} in descending k.
+    """
+    coeffs = [1] + [0] * n
+    for d, a in zip(down, up):
+        for k in range(n, 0, -1):
+            coeffs[k] -= a * coeffs[k - 1]
+        for k in range(1, n + 1):
+            coeffs[k] += d * coeffs[k - 1]
+    return coeffs
+
+
 def g_series(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:
     """G_lam(t) = prod_i (t - r_i(lam+eps_i)) / (t - r_i(lam)), order n in t^{-1}."""
     if n < 1:
         raise ValueError("truncation order must be >= 1")
-    out = one_series(n)
-    for up, down in zip(residues_up(ctx, lam), residues(ctx, lam)):
-        out = out * _linear_factor(up, n) * _geometric_factor(down, n)
-    return out
+    down, up = residue_vectors(ctx, lam)
+    return TruncatedSeries(tuple(series_coeffs(down, up, n)))
 
 
 def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:
     """The 1 - sum_{r>=1} Z_r(lam) u^{r+1} presentation of the same object.
 
-    This is NOT equal to g_series: the u^1 coefficient differs by the
-    constant -(m-n), and the higher coefficients can differ as well (e.g.
-    m = n = 1, lam = 0).  Both are exposed so the discrepancy is visible
-    rather than silently reconciled; the block partition is keyed on
-    g_series.
+    This is NOT equal to g_series.  With s_i = (-1)**parity_i and Z_0 = 0,
+
+        [u^{r+1}] G_lam(u) = -Z_r(lam) - (-1)**r e_{r+1}(s_1..s_k)   (r >= 0),
+
+    so the presented series lacks exactly the elementary symmetric term
+    e_{r+1}(s): at u^1 the constant -(m-n), and nothing once r >= m+n.  The
+    missing terms depend on the parities alone, so both series separate the
+    same weights; the block partition is keyed on g_series.
     """
     coeffs = [0] * (n + 1)
     coeffs[0] = 1

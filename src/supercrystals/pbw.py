@@ -361,7 +361,7 @@ def _lowering_cached(
     a_set: FrozenSet[int],
     order: GeneratorOrder,
 ) -> Tuple[SuperElt, SuperElt]:
-    key = (ctx.parities, i, j, a_set, order)
+    key = (ctx.parities, ctx.p, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit

@@ -5,9 +5,10 @@ parity sequences of the requested ranks, and a list of characteristics.
 Workers are top-level functions on picklable arguments so suites can be
 sharded across processes.
 
-The crystal workers compute the residue vectors of each weight once and call
-the kernels of ``crystal`` and ``tensorrule`` on them, the same kernels the
-public functions wrap, so every check runs library code.
+The crystal, odd-reflection and linkage workers compute the residue vectors
+of each weight once and call the kernels of ``crystal``, ``tensorrule``,
+``affine`` and ``linkage`` on them, the same kernels the public functions
+wrap, so every check runs library code.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
-from .affine import ab_counts, alpha_of, gamma_of, wt_of
-from .linkage import g_series, z_scalar
+from .affine import ab_key, alpha_of, gamma_of, wt_key
+from .linkage import series_coeffs, z_scalar
 from .weights import (
     ParityContext,
-    Weight,
     build_context,
     flip_map,
     flip_weight,
@@ -311,12 +311,13 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     octxs = {i: crystal.s_i_map(ctx, (0,) * rank, i)[0] for i in adjacents}
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
+        w = wt_key(p, signs, down)
         for i in adjacents:
             octx = octxs[i]
             olam = crystal.odd_weight(p, signs, lam, i)
             odown, oup = residue_vectors(octx, olam)
             stats.checks += 1
-            if wt_of(ctx, lam) != wt_of(octx, olam):
+            if w != wt_key(p, octx.signs, odown):
                 _fail(stats, f"wt: ctx={spec} lam={lam} i={i}")
             rset = set(_residue_candidates(p, down, up))
             rset.update(_residue_candidates(p, odown, oup))
@@ -341,43 +342,29 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 # linkage
 
 
-def _ab_key(ctx: ParityContext, lam: Weight) -> tuple:
-    if ctx.p:
-        return tuple(
-            ab_counts(ctx, lam, r)[0] - ab_counts(ctx, lam, r)[1]
-            for r in range(ctx.p)
-        )
-    items = []
-    for r in crystal.relevant_residues(ctx, lam):
-        a, b = ab_counts(ctx, lam, r)
-        if a != b:
-            items.append((r, a - b))
-    return tuple(items)
-
-
 def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
     iii_iv = PropertyReport("wt equality matches length plus A-B data", 0, 0)
     ii_iii = PropertyReport("residue series equality matches the A-B data", 0, 0)
+    p = ctx.p
+    signs = ctx.signs
     order = 2 * ctx.rank + 2
-    wt_keys: Dict[tuple, object] = {}
-    ab_of_wt: Dict[object, tuple] = {}
+    wt_keys: Dict[tuple, tuple] = {}
+    ab_of_wt: Dict[tuple, tuple] = {}
     series_of_ab: Dict[tuple, tuple] = {}
-    lams = iter_window(ctx.rank, window)
-    for lam in lams:
-        w = wt_of(ctx, lam)
-        ab = (length(lam),) + (_ab_key(ctx, lam),)
-        series = g_series(ctx, lam, order)
+    for lam in iter_window(ctx.rank, window):
+        down, up = residue_vectors(ctx, lam)
+        size = length(lam)
+        w = wt_key(p, signs, down)
+        ab = (size, ab_key(p, down, up))
+        coeffs = series_coeffs(down, up, order)
         iii_iv.checks += 1
         ii_iii.checks += 1
         # (iii) <=> (iv): the wt value and the (length, A-B) key determine
         # each other; (ii) <=> (iii): likewise for the series key, except
         # the series does not see the length, so pair it with the length
-        skey = (
-            length(lam),
-            tuple((c % ctx.p) if ctx.p else c for c in series.coeffs),
-        )
+        skey = (size, tuple(c % p for c in coeffs) if p else tuple(coeffs))
         prev = ab_of_wt.get(w)
         if prev is None:
             ab_of_wt[w] = ab

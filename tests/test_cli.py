@@ -2,6 +2,7 @@
 
 import json
 
+from supercrystals import sweeps
 from supercrystals.cli import main
 
 PAPER = ["--p", "3", "--parities", "1,1,0,0,0"]
@@ -177,3 +178,39 @@ def test_verify_pin_outside_the_rank_caps_exits_2(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def _report_rows(reports):
+    return [
+        {
+            "name": rep.name,
+            "checks": rep.checks,
+            "failures": rep.failures,
+            "passed": rep.passed,
+            "counterexample": rep.counterexample,
+        }
+        for rep in reports
+    ]
+
+
+def test_verify_json_reports(capsys):
+    code, out, _ = run(
+        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
+         "--p-list", "0,3", "--processes", "1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    want = sweeps.run_suite("linkage", max_rank=2, p_list=[0, 3], processes=1)
+    assert json.loads(out) == _report_rows(want)
+    assert all(rep.checks for rep in want)
+
+
+def test_verify_json_failure_exits_1(monkeypatch, capsys):
+    failing = [sweeps.PropertyReport("a property", 5, 2, "ctx=... lam=(0, 1)")]
+    monkeypatch.setattr(sweeps, "run_suite", lambda *args, **kwargs: failing)
+    code, out, _ = run(
+        ["--p", "0", "--parities", "1,0", "--format", "json", "verify", "linkage"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out) == _report_rows(failing)

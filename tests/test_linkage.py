@@ -1,5 +1,8 @@
 """Tests for central-character scalars, residue series, and block partitions."""
 
+import itertools
+from math import prod
+
 import pytest
 
 from supercrystals.affine import ab_counts, wt_of
@@ -70,6 +73,24 @@ def test_g_series_vs_presented_u1_discrepancy():
             b = g_series_presented(ctx, lam, n)
             assert a.coeffs[0] == b.coeffs[0] == 1
             assert a.coeffs[1] - b.coeffs[1] == -(ctx.m - ctx.n), (parities, lam)
+
+
+def test_z_scalar_is_the_g_series_coefficient_less_the_parity_term():
+    # [u^{r+1}] G_lam = -Z_r(lam) - (-1)^r e_{r+1}(s), s_i = (-1)^{parity_i};
+    # the exponential sum in z_scalar is the oracle
+    for rank in (2, 3, 4):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            ctx = build_context(m, rank - m, parities, 0)
+            elementary = [
+                sum(prod(c) for c in itertools.combinations(ctx.signs, k))
+                for k in range(6)
+            ]
+            for lam in iter_window(rank, 2):
+                g = g_series(ctx, lam, 5).coeffs
+                for r in range(1, 5):
+                    want = -g[r + 1] - (-1) ** r * elementary[r + 1]
+                    assert z_scalar(ctx, lam, r) == want, (parities, lam, r)
 
 
 def test_blocks_match_ab_data_in_small_window():

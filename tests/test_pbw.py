@@ -177,3 +177,9 @@ def test_lowering_scalar_check_rejects_bad_preconditions():
     ctx = build_context(1, 1, (0, 1), 2)
     with pytest.raises(ValueError):
         pbw.lowering_scalar_check(ctx, 1, 2, {1}, set(), (0, 0))
+
+
+def test_lowering_cache_keeps_characteristics_apart():
+    # a cached lowering operator carries the context it was asked for
+    for p in (0, 3, 0):
+        assert pbw.s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p

@@ -6,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercrystals import crystal
-from supercrystals.affine import gamma_of, wt_of
+from supercrystals.affine import (
+    AffineWeight,
+    ab_counts,
+    ab_key,
+    gamma_of,
+    wt_key,
+    wt_of,
+    zero_affine,
+)
 from supercrystals.crystal import Signature, downarrow, greedy_match, reduce_signature
-from supercrystals.linkage import TruncatedSeries
+from supercrystals.linkage import TruncatedSeries, one_series, series_coeffs
 from supercrystals.weights import (
     build_context,
     eps,
     flip_map,
+    iter_window,
     residue_int,
+    residue_vectors,
     weight_add,
 )
 
@@ -151,3 +161,78 @@ small_series = st.lists(
 def test_series_multiplication_commutes_and_associates(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# the flat-integer kernels of affine and linkage against independent routes
+
+KERNEL_PRIMES = (0, 2, 3, 5, 7)
+
+
+def _wt_by_gamma_sum(ctx, lam):
+    """wt(lam) summed letter by letter in AffineWeight arithmetic."""
+    out = zero_affine(ctx.p)
+    for i in range(1, ctx.rank + 1):
+        s = ctx.sign(i)
+        term = gamma_of(ctx.p, s * (lam[i - 1] + ctx.rho[i - 1]))
+        out = out + (term if s == 1 else -term)
+    return out
+
+
+def _linear_factor(a, n):
+    """1 - a*u as a truncated series in u."""
+    return TruncatedSeries((1, -a) + (0,) * (n - 1))
+
+
+def _geometric_factor(b, n):
+    """1 / (1 - b*u) = sum_k b^k u^k as a truncated series in u."""
+    return TruncatedSeries(tuple(b**k for k in range(n + 1)))
+
+
+def _check_kernels(ctx, lam):
+    p = ctx.p
+    down, up = residue_vectors(ctx, lam)
+    assert AffineWeight.from_key(p, wt_key(p, ctx.signs, down)) == _wt_by_gamma_sum(
+        ctx, lam
+    )
+    n = 2 * ctx.rank + 2
+    series = one_series(n)
+    for d, a in zip(down, up):
+        series = series * _linear_factor(a, n) * _geometric_factor(d, n)
+    assert tuple(series_coeffs(down, up, n)) == series.coeffs
+    key = ab_key(p, down, up)
+    if p:
+        rs = range(p)
+        diffs = dict(enumerate(key))
+    else:
+        rs = range(min(down + up) - 1, max(down + up) + 2)
+        diffs = dict(key)
+        assert all(diffs.values())
+    for r in rs:
+        a, b = ab_counts(ctx, lam, r)
+        assert diffs.get(r, 0) == a - b, r
+
+
+@st.composite
+def kernel_inputs(draw):
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=5)))
+    m = parities.count(0)
+    ctx = build_context(m, len(parities) - m, parities, draw(st.sampled_from(KERNEL_PRIMES)))
+    lam = tuple(draw(st.integers(-9, 9)) for _ in parities)
+    return ctx, lam
+
+
+@given(kernel_inputs())
+@settings(max_examples=300)
+def test_kernels_agree_with_independent_routes(cw):
+    _check_kernels(*cw)
+
+
+def test_kernels_agree_with_independent_routes_on_a_small_window():
+    for rank, window in ((1, 9), (2, 4), (3, 2), (4, 1)):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in KERNEL_PRIMES:
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, window):
+                    _check_kernels(ctx, lam)

@@ -32,3 +32,12 @@ def test_pinned_runs_stay_inside_the_gate(monkeypatch):
                         monkeypatch, suite, parities_pin=pin, p_list=p_list
                     )
                     assert set(pinned) <= gate, (suite, pin, p_list)
+
+
+def test_odd_reflection_and_linkage_check_counts():
+    # a kernel swap must not drop checks
+    counts = {
+        suite: [rep.checks for rep in sweeps.run_suite(suite, max_rank=3, processes=1)]
+        for suite in ("odd-reflection", "linkage")
+    }
+    assert counts == {"odd-reflection": [188288, 118120], "linkage": [11760, 15406]}
