@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .affine import AffineWeight, wt_of
-from .weights import ParityContext, Weight, residue_vectors, residues
+from .weights import ParityContext, Weight, residue_vectors
 
 
 @dataclass(frozen=True)
@@ -60,41 +59,6 @@ def one_series(n: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * n)
 
 
-def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
-    """Z_r(lam): the alternating residue-power sum.
-
-    Sum over s = 1..r, index tuples k_1 < ... < k_s, and nonnegative
-    compositions a_1 + ... + a_s = r - s + 1 of
-    (-1)**(s-1) (-1)**(parity sum) r_{k_1}^{a_1} ... r_{k_s}^{a_s}.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    res = residues(ctx, lam)
-    total = 0
-    for s in range(1, r + 1):
-        target = r - s + 1
-        sign_s = (-1) ** (s - 1)
-        for combo in itertools.combinations(range(1, ctx.rank + 1), s):
-            sign_p = (-1) ** sum(ctx.parity(k) for k in combo)
-            base = sign_s * sign_p
-            for comp in _compositions(target, s):
-                prod = 1
-                for k, a in zip(combo, comp):
-                    prod *= res[k - 1] ** a
-                total += base * prod
-    return total
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
     """Coefficients of prod_i (1 - up_i u) / (1 - down_i u) up to u^n.
 
@@ -109,6 +73,27 @@ def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
         for k in range(1, n + 1):
             coeffs[k] += d * coeffs[k - 1]
     return coeffs
+
+
+def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
+    """Z_r(lam), the scalar by which the central element Z_r acts on v_lam.
+
+    By definition the alternating residue-power sum over s = 1..r, index
+    tuples k_1 < ... < k_s and nonnegative compositions a_1 + ... + a_s =
+    r - s + 1 of (-1)**(s-1) (-1)**(parity sum) r_{k_1}^{a_1} ... r_{k_s}^{a_s}.
+    Computed in O(k r) by the closed form
+
+        Z_r(lam) = [u^{r+1}] prod_k (1 - s_k u) - [u^{r+1}] G_lam(u),
+
+    s_k = (-1)**parity_k, both coefficients from ``series_coeffs``.  The
+    exponential sum is the test oracle (``exponential_z`` in
+    ``tests/test_linkage.py``).
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    down, up = residue_vectors(ctx, lam)
+    parity_term = series_coeffs([0] * ctx.rank, ctx.signs, r + 1)[r + 1]
+    return parity_term - series_coeffs(down, up, r + 1)[r + 1]
 
 
 def g_series(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:

@@ -1,7 +1,9 @@
 """Exact symbolic computation in the enveloping superalgebra of gl(m|n).
 
-Elements are rational linear combinations of normal-ordered monomials in the
-matrix units e_{i,j}.  The defining relation is the supercommutator
+Elements are linear combinations of normal-ordered monomials in the matrix
+units e_{i,j}.  Every structure constant is +-1 and every theta_i is an
+integer, so coefficients are plain ints throughout; a Fraction appears only
+after scaling by a non-integer.  The defining relation is the supercommutator
 
     [e_{i,j}, e_{k,l}] = d_{j,k} e_{i,l} - (-1)^{(pi+pj)(pk+pl)} d_{i,l} e_{k,j}
 
@@ -15,15 +17,16 @@ membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from .linkage import series_coeffs
 from .weights import ParityContext, Weight
 
 Gen = Tuple[int, int]
 Monomial = Tuple[Tuple[Gen, int], ...]
+Coeff = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def _bracket_gens(parities: Tuple[int, ...], x: Gen, y: Gen) -> List[Tuple[int, 
     return [(c, g) for g, c in terms.items() if c]
 
 
-_NORMALIZE_CACHE: Dict[tuple, Dict[Monomial, Fraction]] = {}
+_NORMALIZE_CACHE: Dict[tuple, Dict[Monomial, int]] = {}
 
 
 def _collapse(parities: Tuple[int, ...], word: Tuple[Gen, ...]) -> Optional[Monomial]:
@@ -93,14 +96,14 @@ def _collapse(parities: Tuple[int, ...], word: Tuple[Gen, ...]) -> Optional[Mono
 
 def normalize_word(
     parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
-) -> Dict[Monomial, Fraction]:
-    """Normal-order a generator word; returns monomial -> coefficient."""
+) -> Dict[Monomial, int]:
+    """Normal-order a generator word; returns monomial -> int coefficient."""
     cache_key = (parities, order, word)
     hit = _NORMALIZE_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    out: Dict[Monomial, Fraction] = {}
-    stack: List[Tuple[Fraction, Tuple[Gen, ...]]] = [(Fraction(1), word)]
+    out: Dict[Monomial, int] = {}
+    stack: List[Tuple[int, Tuple[Gen, ...]]] = [(1, word)]
     while stack:
         coeff, w = stack.pop()
         swap_at = None
@@ -111,7 +114,7 @@ def normalize_word(
         if swap_at is None:
             mono = _collapse(parities, w)
             if mono is not None:
-                acc = out.get(mono, Fraction(0)) + coeff
+                acc = out.get(mono, 0) + coeff
                 if acc:
                     out[mono] = acc
                 elif mono in out:
@@ -140,7 +143,7 @@ class SuperElt:
     def __init__(
         self,
         ctx: ParityContext,
-        terms: Dict[Monomial, Fraction],
+        terms: Dict[Monomial, Coeff],
         order: GeneratorOrder = DEFAULT_ORDER,
     ):
         self.ctx = ctx
@@ -156,7 +159,8 @@ class SuperElt:
     def const(
         ctx: ParityContext, c, order: GeneratorOrder = DEFAULT_ORDER
     ) -> "SuperElt":
-        return SuperElt(ctx, {(): Fraction(c)}, order)
+        c = c if isinstance(c, int) else Fraction(c)
+        return SuperElt(ctx, {(): c}, order)
 
     @staticmethod
     def gen(
@@ -164,7 +168,7 @@ class SuperElt:
     ) -> "SuperElt":
         if not (1 <= i <= ctx.rank and 1 <= j <= ctx.rank):
             raise IndexError(f"generator ({i},{j}) out of range for rank {ctx.rank}")
-        return SuperElt(ctx, {(((i, j), 1),): Fraction(1)}, order)
+        return SuperElt(ctx, {(((i, j), 1),): 1}, order)
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "SuperElt") -> None:
@@ -175,7 +179,7 @@ class SuperElt:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return SuperElt(self.ctx, terms, self.order)
 
     def __sub__(self, other: "SuperElt") -> "SuperElt":
@@ -185,19 +189,19 @@ class SuperElt:
         return self.scale(-1)
 
     def scale(self, c) -> "SuperElt":
-        c = Fraction(c)
+        c = c if isinstance(c, int) else Fraction(c)
         return SuperElt(self.ctx, {m: c * v for m, v in self.terms.items()}, self.order)
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
         parities = self.ctx.parities
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             w1 = _expand(m1)
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for mono, c in normalize_word(parities, self.order, w1 + _expand(m2)).items():
-                    acc = out.get(mono, Fraction(0)) + c12 * c
+                    acc = out.get(mono, 0) + c12 * c
                     if acc:
                         out[mono] = acc
                     elif mono in out:
@@ -240,10 +244,10 @@ class SuperElt:
         if order == self.order:
             return self
         parities = self.ctx.parities
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
             for mono, c2 in normalize_word(parities, order, _expand(m)).items():
-                acc = out.get(mono, Fraction(0)) + c * c2
+                acc = out.get(mono, 0) + c * c2
                 if acc:
                     out[mono] = acc
                 elif mono in out:
@@ -427,57 +431,62 @@ def z_element(
 
     Z_r = Z-tilde_r - (-1)**r * sum over k_1 < ... < k_{r+1} of
     (-1)**(p_{k_1}+...+p_{k_{r+1}}).  This is the unique constant shift of
-    Z-tilde_r that acts on a highest-weight vector of weight lam by the
-    alternating residue-power sum Z_r(lam).
+    Z-tilde_r that acts on a highest-weight vector of weight lam by
+    Z_r(lam) (see ``linkage.z_scalar``).  The sum is (-1)**r e_{r+1}(s) with
+    s_k = (-1)**p_k, i.e. minus the u^{r+1} coefficient of prod_k (1 - s_k u),
+    which ``series_coeffs`` expands in O(k r).
     """
-    shift = 0
-    for combo in itertools.combinations(range(1, ctx.rank + 1), r + 1):
-        shift += (-1) ** sum(ctx.parity(k) for k in combo)
-    return z_tilde_element(ctx, r, order) - SuperElt.const(ctx, (-1) ** r * shift, order)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    shift = series_coeffs([0] * ctx.rank, ctx.signs, r + 1)[r + 1]
+    return z_tilde_element(ctx, r, order) + SuperElt.const(ctx, shift, order)
 
 
 # ---------------------------------------------------------------------------
 # Verma highest-weight action
 
 
-def verma_apply(u: SuperElt, lam: Weight) -> Dict[Monomial, Fraction]:
+def verma_apply(u: SuperElt, lam: Weight) -> Dict[Monomial, Coeff]:
     """Apply u to the Verma highest-weight vector of weight lam.
 
     Requires a B-minus-first normal order (any of the orders here): monomials
     with an E-part annihilate the vector; the H-part evaluates to a product
     of weight coordinates; what remains is an F-monomial combination,
     returned as F-monomial -> coefficient (the empty monomial is v itself).
+    Coefficients are ints for an integral weight, unless u itself carries a
+    Fraction.
     """
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for mono, c in u.terms.items():
-        if any(i < j for (i, j), _ in mono):
-            continue
-        scalar = c
         f_part: List[Tuple[Gen, int]] = []
         for (i, j), e in mono:
+            if i < j:
+                break
             if i == j:
-                scalar *= Fraction(lam[i - 1]) ** e
+                c *= lam[i - 1] ** e
             else:
                 f_part.append(((i, j), e))
-        key = tuple(f_part)
-        acc = out.get(key, Fraction(0)) + scalar
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+        else:
+            key = tuple(f_part)
+            acc = out.get(key, 0) + c
+            if acc:
+                out[key] = acc
+            elif key in out:
+                del out[key]
     return out
 
 
-def verma_scalar(u: SuperElt, lam: Weight) -> Fraction:
+def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
     """The v-coefficient of u.v for the highest-weight vector of weight lam.
 
+    An int for an integral weight, unless u itself carries a Fraction.
     Raises if the image has a component outside the highest-weight line.
     """
     vec = verma_apply(u, lam)
     extra = [m for m in vec if m]
     if extra:
         raise ArithmeticError(f"image leaves the highest-weight line: {extra[:3]}")
-    return vec.get((), Fraction(0))
+    return vec.get((), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -658,7 +658,14 @@ def run_suite(
     processes: Optional[int] = None,
     max_r: int = 4,
 ) -> List[PropertyReport]:
-    """Run one named verification suite (or 'all'); returns its reports."""
+    """Run one named verification suite (or 'all'); returns its reports.
+
+    Raises ValueError for a window or r range that would leave checks empty.
+    """
+    if coeff_window < 0:
+        raise ValueError(f"coeff_window must be >= 0, got {coeff_window}")
+    if max_r < 1:
+        raise ValueError(f"max_r must be >= 1, got {max_r}")
     if name == "all":
         reports = []
         for suite in SUITES:

@@ -112,7 +112,30 @@ def test_pbw_verma_scalar(capsys):
         capsys,
     )
     assert code == 0
-    assert out.endswith("pass")
+    assert out == "4 (predicted 4): pass"
+
+
+def test_pbw_lower_prints_integer_coefficients(capsys):
+    code, out, _ = run(
+        ["--p", "0", "--parities", "1,0,1,0", "pbw", "lower", "--i", "1", "--j", "4",
+         "--A", "2,3"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "1 * F[2,1] F[3,2] F[4,3]",
+        "-1 * F[2,1] F[4,2] H[1]",
+        "1 * F[2,1] F[4,2] H[3]",
+        "-1 * F[3,1] F[4,3]",
+        "1 * F[3,1] F[4,3] H[1]",
+        "1 * F[3,1] F[4,3] H[2]",
+        "-1 * F[4,1] H[1]",
+        "1 * F[4,1] H[1] H[2]",
+        "-1 * F[4,1] H[1] H[3]",
+        "1 * F[4,1] H[1]^2",
+        "-1 * F[4,1] H[2] H[3]",
+        "1 * F[4,1] H[3]",
+    ]
 
 
 def test_pbw_check_central(capsys):
@@ -214,3 +237,14 @@ def test_verify_json_failure_exits_1(monkeypatch, capsys):
     )
     assert code == 1
     assert json.loads(out) == _report_rows(failing)
+
+
+def test_verify_rejects_ranges_that_leave_no_checks(capsys):
+    for option in (["--max-r", "0"], ["--coeff-window", "-1"]):
+        code, out, err = run(
+            ["--p", "0", "--parities", "1,0", "verify", "verma-scalars",
+             "--max-rank", "2", "--processes", "1"] + option,
+            capsys,
+        )
+        assert code == 2 and out == "", option
+        assert err.startswith("error:"), option

@@ -26,6 +26,33 @@ def paper_ctx(p=3):
     return build_context(3, 2, PAPER_PARITIES, p)
 
 
+def exponential_z(ctx, lam, r):
+    """Z_r(lam) by its definition, the oracle of the closed form in z_scalar.
+
+    Sum over s = 1..r, index tuples k_1 < ... < k_s, and nonnegative
+    compositions a_1 + ... + a_s = r - s + 1 of
+    (-1)**(s-1) (-1)**(parity sum) r_{k_1}^{a_1} ... r_{k_s}^{a_s}.
+    """
+    res = residues(ctx, lam)
+    total = 0
+    for s in range(1, r + 1):
+        for combo in itertools.combinations(range(1, ctx.rank + 1), s):
+            base = (-1) ** (s - 1) * (-1) ** sum(ctx.parity(k) for k in combo)
+            for comp in _compositions(r - s + 1, s):
+                total += base * prod(res[k - 1] ** a for k, a in zip(combo, comp))
+    return total
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def test_z1_worked_example():
     # Z_1 = sum of signed residues: -1 - 4 + 3 + 8 + 5 = 11
     assert z_scalar(paper_ctx(), PAPER_LAM, 1) == 11
@@ -35,6 +62,16 @@ def test_z1_single_odd_index():
     ctx = build_context(0, 1, (1,), 0)
     for lam in ((0,), (3,), (-2,)):
         assert z_scalar(ctx, lam, 1) == -residues(ctx, lam)[0]
+
+
+def test_z_scalar_matches_the_exponential_sum_at_p_and_wide_weights():
+    # the closed form is a polynomial identity, so p and the size of lam
+    # do not matter
+    for p in (0, 3):
+        for r in range(1, 6):
+            for lam in (PAPER_LAM, (-7, 0, 6, -5, 2), (9, 9, -9, 0, 1)):
+                ctx = paper_ctx(p)
+                assert z_scalar(ctx, lam, r) == exponential_z(ctx, lam, r)
 
 
 def test_z_scalar_rejects_bad_r():
@@ -77,7 +114,7 @@ def test_g_series_vs_presented_u1_discrepancy():
 
 def test_z_scalar_is_the_g_series_coefficient_less_the_parity_term():
     # [u^{r+1}] G_lam = -Z_r(lam) - (-1)^r e_{r+1}(s), s_i = (-1)^{parity_i};
-    # the exponential sum in z_scalar is the oracle
+    # the exponential sum is the oracle of both the identity and z_scalar
     for rank in (2, 3, 4):
         for parities in itertools.product((0, 1), repeat=rank):
             m = parities.count(0)
@@ -90,6 +127,7 @@ def test_z_scalar_is_the_g_series_coefficient_less_the_parity_term():
                 g = g_series(ctx, lam, 5).coeffs
                 for r in range(1, 5):
                     want = -g[r + 1] - (-1) ** r * elementary[r + 1]
+                    assert exponential_z(ctx, lam, r) == want, (parities, lam, r)
                     assert z_scalar(ctx, lam, r) == want, (parities, lam, r)
 
 

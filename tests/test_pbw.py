@@ -1,6 +1,10 @@
 """Tests for the symbolic enveloping-algebra engine."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from test_linkage import exponential_z
 
 from supercrystals import pbw
 from supercrystals.crystal import b_scalar
@@ -140,11 +144,9 @@ def test_z_element_verma_scalar_matches_combinatorial_formula():
         for r in (1, 2):
             z = pbw.z_element(ctx, r).reduce_mod_J()
             for lam in iter_window(2, 2):
-                assert pbw.verma_scalar(z, lam) == z_scalar(ctx, lam, r), (
-                    parities,
-                    r,
-                    lam,
-                )
+                want = exponential_z(ctx, lam, r)
+                assert pbw.verma_scalar(z, lam) == want, (parities, r, lam)
+                assert z_scalar(ctx, lam, r) == want, (parities, r, lam)
 
 
 def test_verma_base_case():
@@ -183,3 +185,66 @@ def test_lowering_cache_keeps_characteristics_apart():
     # a cached lowering operator carries the context it was asked for
     for p in (0, 3, 0):
         assert pbw.s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p
+
+
+def _subsets(items):
+    items = list(items)
+    return [
+        frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)
+    ]
+
+
+def _all_parities(ranks):
+    return [par for rank in ranks for par in itertools.product((0, 1), repeat=rank)]
+
+
+def test_coefficients_are_plain_ints():
+    # every structure constant is +-1 and theta is integral, so no Fraction
+    # is ever built on the lowering and central paths
+    for parities in _all_parities((2, 3, 4)):
+        ctx = ctx_of(parities)
+        elts = [pbw.z_element(ctx, r).reduce_mod_J() for r in (1, 2)]
+        for i in range(1, ctx.rank):
+            for j in range(i + 1, ctx.rank + 1):
+                for a_set in _subsets(range(i + 1, j)):
+                    s_tilde, s = pbw.lowering(ctx, i, j, a_set)
+                    elts += [s_tilde, s, pbw.s_element(ctx, i, j, a_set)]
+        for elt in elts:
+            assert all(type(c) is int for c in elt.terms.values()), (parities, elt.dump())
+
+
+def test_verma_scalar_is_an_int():
+    ctx = ctx_of((1, 0, 1))
+    z = pbw.z_element(ctx, 2).reduce_mod_J()
+    elt = (SuperElt.gen(ctx, 1, 2) * SuperElt.gen(ctx, 2, 1)).reduce_mod_J()
+    for lam in iter_window(3, 1):
+        assert type(pbw.verma_scalar(z, lam)) is int
+        assert type(pbw.verma_scalar(elt, lam)) is int
+    assert type(pbw.verma_scalar(SuperElt.zero(ctx), (0, 0, 0))) is int
+
+
+def test_non_integer_scaling_stays_exact():
+    ctx = ctx_of((1, 0))
+    h = SuperElt.gen(ctx, 1, 1)
+    half = h.scale(Fraction(1, 2))
+    assert half.terms == {(((1, 1), 1),): Fraction(1, 2)}
+    assert (half + half) == h
+    assert (half * half).dump() == "1/4 * H[1]^2"
+    assert half.scale(2) == h
+    assert SuperElt.const(ctx, Fraction(2, 3)).dump() == "2/3 * 1"
+    assert pbw.verma_scalar(half, (3, 5)) == Fraction(3, 2)
+
+
+def test_z_element_shift_is_the_parity_combination_sum():
+    # Z_r - Z-tilde_r = -(-1)^r sum over (r+1)-subsets of (-1)^(parity sum)
+    for parities in _all_parities((2, 3, 4, 5)):
+        ctx = ctx_of(parities)
+        for r in range(1, 5):
+            shift = sum(
+                (-1) ** sum(ctx.parity(k) for k in combo)
+                for combo in itertools.combinations(range(1, ctx.rank + 1), r + 1)
+            )
+            z = pbw.z_element(ctx, r)
+            want = -((-1) ** r) * shift
+            assert z - pbw.z_tilde_element(ctx, r) == SuperElt.const(ctx, want)
+            assert z.terms.get((), 0) == want, (parities, r)

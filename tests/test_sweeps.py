@@ -41,3 +41,15 @@ def test_odd_reflection_and_linkage_check_counts():
         for suite in ("odd-reflection", "linkage")
     }
     assert counts == {"odd-reflection": [188288, 118120], "linkage": [11760, 15406]}
+
+
+def test_pbw_and_verma_check_counts():
+    # the integer coefficients and the closed-form Z_r must not drop checks
+    counts = {
+        suite: [rep.checks for rep in sweeps.run_suite(suite, max_rank=3, processes=1)]
+        for suite in ("pbw-identities", "verma-scalars")
+    }
+    assert counts == {
+        "pbw-identities": [712, 288, 288, 148, 8, 8, 48, 36, 36, 2136, 264],
+        "verma-scalars": [11760, 26388, 5400],
+    }
