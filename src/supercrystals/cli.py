@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage error.
+
+``main`` builds its argument parser once per process, on its first call, and
+reuses it for every later call; ``build_parser`` returns a fresh parser for a
+caller that wants to extend one.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ def _parse_index_set(text: str):
     if not text:
         return frozenset()
     return frozenset(int(x) for x in text.split(","))
+
+
+# the parser main() reuses; built on the first call, not at import
+_PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,9 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     vfy = sub.add_parser("verify", help="run a verification suite", parents=[common])
     vfy.add_argument("suite", choices=sweeps.SUITES + ("all",))
     vfy.add_argument("--max-rank", type=int, default=4)
-    vfy.add_argument("--max-r", type=int, default=4)
+    vfy.add_argument(
+        "--max-r",
+        type=int,
+        default=4,
+        help="largest r of the Z_r checks; the x-element brackets of"
+        " pbw-identities stop at min(max_r, 3)",
+    )
     vfy.add_argument("--coeff-window", type=int, default=4)
-    vfy.add_argument("--p-list", default="0,2,3,5")
+    vfy.add_argument(
+        "--p-list",
+        help="comma-separated characteristics (default 0,2,3,5); not allowed"
+        " with --pin-parities, which sweeps --p only",
+    )
     vfy.add_argument("--seed", type=int, default=0)
     vfy.add_argument("--processes", type=int, default=None)
     vfy.add_argument(
@@ -254,10 +272,17 @@ def cmd_pbw(ctx, args) -> int:
 
 
 def cmd_verify(ctx, args) -> int:
-    p_list = [int(x) for x in args.p_list.split(",")]
-    pin = ctx.parities if args.pin_parities else None
-    if pin is not None:
+    if args.pin_parities:
+        if args.p_list is not None:
+            raise ValueError(
+                "--p-list does not apply with --pin-parities, which sweeps --p only"
+            )
+        pin = ctx.parities
         p_list = [ctx.p]
+    else:
+        pin = None
+        text = "0,2,3,5" if args.p_list is None else args.p_list
+        p_list = [int(x) for x in text.split(",")]
     reports = sweeps.run_suite(
         args.suite,
         max_rank=args.max_rank,
@@ -303,8 +328,10 @@ def cmd_verify(ctx, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.format == "dot" and args.command != "graph":
             raise ValueError(f"--format dot applies only to graph, not {args.command}")

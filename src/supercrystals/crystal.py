@@ -9,7 +9,8 @@ once per weight: the residue vectors ``down``/``up`` of
 ``weights.residue_vectors``, the sign vector ``ctx.signs`` and the
 characteristic ``p``.  The kernels code a signature entry as +1/-1/0:
 ``reduced_entries`` (the reduced signature), ``star_moves`` (e*, f* and
-their counters), ``bc_positions``, ``matching_normal`` and
+their counters), ``signature_residues`` (the residues with a nonzero
+signature), ``bc_positions``, ``matching_normal`` and
 ``matching_good`` (the B-into-C criterion), ``downarrow`` and
 ``greedy_match`` (the matching itself) and ``odd_weight`` (odd
 reflections).  The sweeps call them directly; the functions taking a
@@ -111,6 +112,20 @@ def reduced_entries(
         else:
             red.append(0)
     return red
+
+
+def signature_residues(
+    p: int, down: Sequence[int], up: Sequence[int]
+) -> Tuple[int, ...]:
+    """Residues r whose r-signature is not identically zero, increasing.
+
+    These are the values of down and up, reduced mod p when p > 0.
+    """
+    values = set(down)
+    values.update(up)
+    if p:
+        values = {v % p for v in values}
+    return tuple(sorted(values))
 
 
 def star_moves(
@@ -282,7 +297,7 @@ def relevant_residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
     For p > 0 these are a subset of 0..p-1; for p = 0 finitely many integers.
     """
     down, up = residue_vectors(ctx, lam)
-    return tuple(sorted({ctx.reduce(v) for v in down + up}))
+    return signature_residues(ctx.p, down, up)
 
 
 def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClass:

@@ -6,8 +6,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .crystal import e_star, f_star, relevant_residues
-from .weights import ParityContext, Weight
+from .crystal import signature_residues, star_moves
+from .weights import ParityContext, Weight, check_weight, residue_vectors
 
 
 @dataclass
@@ -50,10 +50,16 @@ def crystal_component(
     when d is "e" and b = f*_r(a) when d is "f".  Each unordered pair and
     residue keeps only its first-discovered edge, so an e-edge is never
     repeated as the f-edge back.  Node order is discovery order, which is
-    deterministic.
+    deterministic: residues in increasing order, e before f.
+
+    Per node it calls ``weights.residue_vectors`` and
+    ``crystal.signature_residues`` once, and per residue one
+    ``crystal.star_moves``, which gives both moves.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
+    check_weight(ctx, lam)
+    p = ctx.p
     graph = CrystalGraph(nodes=[lam])
     seen: Dict[Weight, int] = {lam: 0}
     edge_set = set()
@@ -62,9 +68,10 @@ def crystal_component(
         w, dist = queue.popleft()
         if dist >= max_steps:
             continue
-        for r in relevant_residues(ctx, w):
-            for which, op in (("e", e_star), ("f", f_star)):
-                out = op(ctx, w, r)
+        down, up = residue_vectors(ctx, w)
+        for r in signature_residues(p, down, up):
+            e_w, f_w, _ = star_moves(p, w, down, up, r)
+            for which, out in (("e", e_w), ("f", f_w)):
                 if out is None:
                     continue
                 if out not in seen:
@@ -73,8 +80,8 @@ def crystal_component(
                     queue.append((out, dist + 1))
                 # one edge per unordered pair and residue; keep the
                 # first-discovered orientation and direction label
-                key = (min(w, out), max(w, out), ctx.reduce(r))
+                key = (min(w, out), max(w, out), r)
                 if key not in edge_set:
                     edge_set.add(key)
-                    graph.edges.append((w, out, ctx.reduce(r), which))
+                    graph.edges.append((w, out, r, which))
     return graph

@@ -514,22 +514,23 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     ctx = build_context(m, rank - m, parities, 0)
     basic = PropertyReport("brackets of generators with the x elements", 0, 0)
     central = PropertyReport("the summed x elements are central", 0, 0)
+    positions = range(1, rank + 1)
     for r in range(1, max_r + 1):
         zt = pbw.z_tilde_element(ctx, r)
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
+        x = {(k, l): pbw.x_element(ctx, k, l, r) for k in positions for l in positions}
+        for i in positions:
+            for j in positions:
                 g = pbw.SuperElt.gen(ctx, i, j)
                 central.checks += 1
                 if not g.bracket(zt).is_zero():
                     _fail(central, f"parities={parities} r={r} gen=({i},{j})")
-                for k in range(1, rank + 1):
-                    for l in range(1, rank + 1):
+                for k in positions:
+                    for l in positions:
                         basic.checks += 1
-                        x_kl = pbw.x_element(ctx, k, l, r)
-                        got = g.bracket(x_kl)
+                        got = g.bracket(x[k, l])
                         want = pbw.SuperElt.zero(ctx)
                         if j == k:
-                            want = want + pbw.x_element(ctx, i, l, r)
+                            want = want + x[i, l]
                         if i == l:
                             sgn = (
                                 -1
@@ -537,7 +538,7 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                                 and pbw.gen_parity(parities, (k, l))
                                 else 1
                             )
-                            want = want - pbw.x_element(ctx, k, j, r).scale(sgn)
+                            want = want - x[k, j].scale(sgn)
                         if got != want:
                             _fail(
                                 basic,
@@ -660,7 +661,9 @@ def run_suite(
 ) -> List[PropertyReport]:
     """Run one named verification suite (or 'all'); returns its reports.
 
-    Raises ValueError for a window or r range that would leave checks empty.
+    ``max_r`` is the largest r of the Z_r checks of verma-scalars; the
+    x-element brackets of pbw-identities run r = 1..min(max_r, 3).  Raises
+    ValueError for a window or r range that would leave checks empty.
     """
     if coeff_window < 0:
         raise ValueError(f"coeff_window must be >= 0, got {coeff_window}")
@@ -706,8 +709,12 @@ def run_suite(
         jobs = [(parities, seed) for parities in seqs]
         reports = _run_sharded(pbw_worker, jobs, processes)
         central_seqs = _parity_seqs(range(2, min(rank_cap, 3) + 1), parities_pin)
+        # the x elements grow fast in r; their brackets stop at r = 3
+        central_r = min(max_r, 3)
         reports += _run_sharded(
-            central_worker, [(parities, 3) for parities in central_seqs], processes
+            central_worker,
+            [(parities, central_r) for parities in central_seqs],
+            processes,
         )
         return reports
     if name == "verma-scalars":

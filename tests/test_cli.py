@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
-from supercrystals import sweeps
+from supercrystals import cli, sweeps
 from supercrystals.cli import main
 
 PAPER = ["--p", "3", "--parities", "1,1,0,0,0"]
@@ -248,3 +252,115 @@ def test_verify_rejects_ranges_that_leave_no_checks(capsys):
         )
         assert code == 2 and out == "", option
         assert err.startswith("error:"), option
+
+
+def test_verify_max_r_bounds_the_x_element_checks(capsys):
+    # the x-element brackets run r = 1..min(max_r, 3)
+    counts = {}
+    for max_r in ("1", "2", "4"):
+        code, out, _ = run(
+            ["--p", "0", "--parities", "1,0", "--format", "json", "verify",
+             "pbw-identities", "--max-rank", "2", "--processes", "1",
+             "--max-r", max_r],
+            capsys,
+        )
+        assert code == 0
+        counts[max_r] = [row["checks"] for row in json.loads(out)][-2:]
+    assert counts == {"1": [64, 16], "2": [128, 32], "4": [192, 48]}
+
+
+def test_verify_pin_parities_rejects_an_explicit_p_list(capsys):
+    code, out, err = run(
+        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
+         "--pin-parities", "--p-list", "3", "--processes", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--p-list" in err
+
+
+def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):
+    code, out, _ = run(
+        ["--p", "0", "--parities", "1,0", "--format", "json", "verify", "linkage",
+         "--max-rank", "2", "--processes", "1"],
+        capsys,
+    )
+    assert code == 0
+    want = sweeps.run_suite("linkage", max_rank=2, p_list=[0, 2, 3, 5], processes=1)
+    assert json.loads(out) == _report_rows(want)
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_matches_a_fresh_parser(monkeypatch, capsys):
+    weight = ["--weight", "1,-1,1,7,5"]
+    sequence = [
+        PAPER + ["--format", "json", "signature"] + weight,
+        PAPER + ["signature"] + weight + ["--format", "json"],
+        PAPER + ["signature"] + weight,
+        PAPER + ["apply", "--op", "fstar", "--r", "0"] + weight,
+        PAPER + ["apply", "--op", "sideways", "--r", "0"] + weight,
+        PAPER + ["classify", "--i", "1"] + weight,
+        PAPER + ["--format", "dot", "classify", "--i", "1"] + weight,
+        PAPER + ["graph", "--depth", "1"] + weight + ["--format", "dot"],
+        PAPER + ["graph", "--depth", "1"] + weight,
+        PAPER + ["--format", "json", "graph"] + weight,
+        ["--p", "3", "signature"] + weight,
+        PAPER + ["pbw", "lower", "--i", "1", "--j", "3", "--A", ""],
+        PAPER + ["--format", "dot", "apply", "--op", "estar", "--r", "1"] + weight,
+        PAPER + ["apply", "--op", "estar", "--r", "1"] + weight,
+    ]
+    reused = [_outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_outcome(argv, capsys))
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+    assert reused[0][1] == reused[1][1] and reused[0][1].startswith("[")
+    assert reused[2][1].startswith("r=0: ")
+    assert reused[6][2].startswith("error:") and reused[12][2].startswith("error:")
+
+
+def _src_env():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_main_builds_its_parser_once_and_not_at_import():
+    script = (
+        "import supercrystals.cli as cli\n"
+        "assert cli._PARSER is None\n"
+        "argv = ['--p', '3', '--parities', '1,1,0,0,0', 'apply', '--op', 'fstar',"
+        " '--r', '0', '--weight', '1,-1,1,7,5']\n"
+        "assert cli.main(argv) == 0\n"
+        "parser = cli._PARSER\n"
+        "assert parser is not None and cli.main(argv) == 0\n"
+        "assert cli._PARSER is parser and cli.build_parser() is not parser\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1,-1,1,7,6\n1,-1,1,7,6\n"
+
+
+def test_python_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "supercrystals", "--p", "3", "--parities",
+         "1,1,0,0,0", "apply", "--op", "fstar", "--r", "0", "--weight", "1,-1,1,7,5"],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1,-1,1,7,6\n"

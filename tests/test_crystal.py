@@ -1,5 +1,7 @@
 """Tests for signatures, star operators, classifications, odd reflections."""
 
+import itertools
+
 import pytest
 
 from supercrystals import crystal
@@ -25,6 +27,20 @@ def test_reduced_signatures_worked_example():
     assert str(crystal.reduced_signature(ctx, PAPER_LAM, 0)) == "++00+"
     assert str(crystal.reduced_signature(ctx, PAPER_LAM, 1)) == "-0000"
     assert str(crystal.reduced_signature(ctx, PAPER_LAM, 2)) == "000--"
+
+
+def test_relevant_residues_are_the_nonzero_signatures():
+    assert crystal.relevant_residues(paper_ctx(), PAPER_LAM) == (0, 1, 2)
+    for p in (0, 2, 3, 5):
+        ctx = build_context(2, 2, (0, 1, 1, 0), p)
+        for lam in itertools.product(range(-3, 4), repeat=4):
+            candidates = range(p) if p else range(-12, 13)
+            want = tuple(
+                r
+                for r in candidates
+                if not crystal.r_signature(ctx, lam, r).is_trivial()
+            )
+            assert crystal.relevant_residues(ctx, lam) == want, (p, lam)
 
 
 def test_reduce_signature_idempotent():

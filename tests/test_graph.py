@@ -1,9 +1,14 @@
 """Tests for crystal-component exploration and DOT/JSON export."""
 
+import itertools
+import json
+import random
+from collections import deque
+
 import pytest
 
-from supercrystals.crystal import e_star, f_star
-from supercrystals.graph import crystal_component
+from supercrystals.crystal import e_star, f_star, relevant_residues
+from supercrystals.graph import CrystalGraph, crystal_component
 from supercrystals.weights import build_context
 
 PAPER_PARITIES = (1, 1, 0, 0, 0)
@@ -65,3 +70,51 @@ def test_dot_is_deterministic_and_labeled():
     assert dot.startswith("digraph crystal {")
     assert 'label="1,-1,1,7,5"' in dot
     assert dot.count("->") == 3
+
+
+def bfs_oracle(ctx, lam, max_steps):
+    """The component by e_star/f_star calls, one per node, residue and move."""
+    graph = CrystalGraph(nodes=[lam])
+    seen = {lam}
+    edge_set = set()
+    queue = deque([(lam, 0)])
+    while queue:
+        w, dist = queue.popleft()
+        if dist >= max_steps:
+            continue
+        for r in relevant_residues(ctx, w):
+            for which, op in (("e", e_star), ("f", f_star)):
+                out = op(ctx, w, r)
+                if out is None:
+                    continue
+                if out not in seen:
+                    seen.add(out)
+                    graph.nodes.append(out)
+                    queue.append((out, dist + 1))
+                key = (min(w, out), max(w, out), r)
+                if key not in edge_set:
+                    edge_set.add(key)
+                    graph.edges.append((w, out, r, which))
+    return graph
+
+
+def test_component_matches_the_star_operator_bfs():
+    rng = random.Random(5)
+    for rank in range(1, 6):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5, 7):
+                ctx = build_context(m, rank - m, parities, p)
+                lam = tuple(rng.randint(-5, 5) for _ in range(rank))
+                for depth in range(4):
+                    got = crystal_component(ctx, lam, depth)
+                    want = bfs_oracle(ctx, lam, depth)
+                    assert got.nodes == want.nodes, (ctx, lam, depth)
+                    assert got.edges == want.edges, (ctx, lam, depth)
+                    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                    assert got.to_dot() == want.to_dot()
+
+
+def test_wrong_length_weight_rejected():
+    with pytest.raises(ValueError):
+        crystal_component(paper_ctx(), PAPER_LAM[:4], 0)

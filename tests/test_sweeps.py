@@ -53,3 +53,22 @@ def test_pbw_and_verma_check_counts():
         "pbw-identities": [712, 288, 288, 148, 8, 8, 48, 36, 36, 2136, 264],
         "verma-scalars": [11760, 26388, 5400],
     }
+
+
+def test_crystal_suite_check_counts():
+    # the one-kernel crystal routes must not drop checks
+    counts = {
+        suite: [rep.checks for rep in sweeps.run_suite(suite, max_rank=3, processes=1)]
+        for suite in ("oracle-equivalence", "crystal-axioms", "normal-criteria")
+    }
+    assert counts == {
+        "oracle-equivalence": [190340, 95170],
+        "crystal-axioms": [95170, 88032, 88032, 88032],
+        "normal-criteria": [72576, 72576, 72576, 145152],
+    }
+
+
+def test_central_worker_follows_max_r_up_to_3(monkeypatch):
+    for max_r, central_r in ((1, 1), (2, 2), (3, 3), (4, 3), (9, 3)):
+        jobs = planned_jobs(monkeypatch, "pbw-identities", max_r=max_r)
+        assert {job[1] for name, job in jobs if name == "central_worker"} == {central_r}
