@@ -12,7 +12,7 @@ Modules:
     cli        -- command-line interface
 """
 
-from .weights import ParityContext, ResidueClass, build_context
+from .weights import ParityContext, build_context
 from .affine import AffineWeight
 from .crystal import IndexClass, Signature
 
@@ -20,7 +20,6 @@ __all__ = [
     "AffineWeight",
     "IndexClass",
     "ParityContext",
-    "ResidueClass",
     "Signature",
     "build_context",
 ]

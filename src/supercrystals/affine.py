@@ -10,6 +10,7 @@ rational arithmetic.
 ``wt_key`` and ``ab_key`` are the kernels behind ``wt_of`` and
 ``ab_counts``: plain-int passes over the residue vectors ``down``/``up`` of
 ``weights.residue_vectors`` and the sign vector ``ctx.signs``.
+``alpha_pairing`` reads <wt, alpha_r> off a ``wt_key``.
 ``AffineWeight`` is the boundary type for JSON, the CLI and equality.
 """
 
@@ -207,13 +208,6 @@ def pair_P(x: AffineWeight, y: AffineWeight) -> Fraction:
     )
 
 
-def k_element(p: int) -> AffineWeight:
-    """The element K = -sum_r Lambda_r, which pairs with gamma_a to give a."""
-    if p <= 0:
-        raise ValueError("K is only defined for p > 0")
-    return AffineWeight(p=p, lambdas=(-1,) * p)
-
-
 def wt_key(p: int, signs: Sequence[int], down: Sequence[int]) -> tuple:
     """wt = sum_i signs_i * gamma_{b_i} over the letters b_i = down_i + [even].
 
@@ -236,6 +230,24 @@ def wt_key(p: int, signs: Sequence[int], down: Sequence[int]) -> tuple:
         b = d + 1 if s > 0 else d
         coeffs[b] = coeffs.get(b, 0) + s
     return tuple(sorted((b, c) for b, c in coeffs.items() if c))
+
+
+def alpha_pairing(p: int, key: tuple, r: int) -> int:
+    """<wt, alpha_r> for the weight whose ``wt_key`` form is key.
+
+    p > 0: the Lambda_r coefficient, entry 1 + r % p, since (delta,
+    Lambda_0..Lambda_{p-1}) and (Lambda_0, alpha_0..alpha_{p-1}) are dual
+    bases.  p = 0: coeff(gamma_r) - coeff(gamma_{r+1}).
+    """
+    if p:
+        return key[1 + r % p]
+    out = 0
+    for b, c in key:
+        if b == r:
+            out += c
+        elif b == r + 1:
+            out -= c
+    return out
 
 
 def wt_of(ctx: ParityContext, lam: Weight) -> AffineWeight:
@@ -270,12 +282,3 @@ def ab_counts(ctx: ParityContext, lam: Weight, r: int) -> Tuple[int, int]:
     a = sum(1 for v in up if ctx.congruent(v, r))
     b = sum(1 for v in down if ctx.congruent(v, r))
     return a, b
-
-
-@lru_cache(maxsize=None)
-def pair_gamma_alpha(p: int, b: int, r: int) -> int:
-    """<gamma_b, alpha_r> = [r = b] - [r = b-1] (indices mod p when p > 0)."""
-    val = pair_P(gamma_of(p, b), alpha_of(p, r))
-    if val.denominator != 1:
-        raise ArithmeticError("gamma/alpha pairing is not integral")
-    return int(val)

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 property-check failure, 2 usage error.
 
 ``main`` builds its argument parser once per process, on its first call, and
 reuses it for every later call; ``build_parser`` returns a fresh parser for a
-caller that wants to extend one.
+caller that wants to extend one.  Each subcommand's parser names its handler
+with ``set_defaults(handler=...)``, and ``main`` calls it.
 """
 
 from __future__ import annotations
@@ -65,28 +66,34 @@ def build_parser() -> argparse.ArgumentParser:
     sig = sub.add_parser("signature", help="raw and reduced r-signatures", parents=[common])
     sig.add_argument("--weight", required=True)
     sig.add_argument("--r", default="all")
+    sig.set_defaults(handler=cmd_signature)
 
     app = sub.add_parser("apply", help="apply a star operator", parents=[common])
     app.add_argument("--op", choices=("estar", "fstar"), required=True)
     app.add_argument("--r", type=int, required=True)
     app.add_argument("--weight", required=True)
+    app.set_defaults(handler=cmd_apply)
 
     cls = sub.add_parser("classify", help="normal/good/conormal/cogood at a position", parents=[common])
     cls.add_argument("--weight", required=True)
     cls.add_argument("--i", type=int, required=True)
     cls.add_argument("--r", type=int)
+    cls.set_defaults(handler=cmd_classify)
 
     gra = sub.add_parser("graph", help="explore the crystal component", parents=[common])
     gra.add_argument("--weight", required=True)
     gra.add_argument("--depth", type=int, default=1)
+    gra.set_defaults(handler=cmd_graph)
 
     blk = sub.add_parser("blocks", help="partition weights by their wt value", parents=[common])
     blk.add_argument(
         "--weights",
         help="path to a JSON array of weights (stdin when omitted)",
     )
+    blk.set_defaults(handler=cmd_blocks)
 
     pb = sub.add_parser("pbw", help="symbolic enveloping-algebra operations", parents=[common])
+    pb.set_defaults(handler=cmd_pbw)
     pbsub = pb.add_subparsers(dest="pbw_command", required=True)
 
     low = pbsub.add_parser("lower", help="the lowering operator S_{i,j}(A)", parents=[common])
@@ -136,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict the sweep to the context given by --parities",
     )
+    vfy.set_defaults(handler=cmd_verify)
     return top
 
 
@@ -335,22 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.format == "dot" and args.command != "graph":
             raise ValueError(f"--format dot applies only to graph, not {args.command}")
-        ctx = _context(args)
-        if args.command == "signature":
-            return cmd_signature(ctx, args)
-        if args.command == "apply":
-            return cmd_apply(ctx, args)
-        if args.command == "classify":
-            return cmd_classify(ctx, args)
-        if args.command == "graph":
-            return cmd_graph(ctx, args)
-        if args.command == "blocks":
-            return cmd_blocks(ctx, args)
-        if args.command == "pbw":
-            return cmd_pbw(ctx, args)
-        if args.command == "verify":
-            return cmd_verify(ctx, args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.handler(_context(args), args)
     except (ContextError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

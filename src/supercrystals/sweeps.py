@@ -3,7 +3,10 @@
 Each suite checks one family of identities over windows of weights, all
 parity sequences of the requested ranks, and a list of characteristics.
 Workers are top-level functions on picklable arguments so suites can be
-sharded across processes.
+sharded across processes.  One table, ``_SUITE_TABLE``, declares every
+suite as its ordered parts: a worker with the rank cap, characteristics and
+job plan of its shards.  ``run_suite`` loops over it, and ``_fail`` formats
+every counterexample from the context spec and the loop variables.
 
 The crystal, odd-reflection and linkage workers compute the residue vectors
 of each weight once and call the kernels of ``crystal``, ``tensorrule``,
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
-from .affine import ab_key, alpha_of, gamma_of, wt_key
+from .affine import ab_key, alpha_of, alpha_pairing, gamma_of, wt_key
 from .linkage import series_coeffs, z_scalar
 from .weights import (
     ParityContext,
@@ -39,8 +42,8 @@ CtxSpec = Tuple[int, int, Tuple[int, ...], int]  # (m, n, parities, p)
 @dataclass
 class PropertyReport:
     name: str
-    checks: int
-    failures: int
+    checks: int = 0
+    failures: int = 0
     counterexample: Optional[str] = None
 
     @property
@@ -72,10 +75,23 @@ def _ctx(spec: CtxSpec) -> ParityContext:
     return build_context(m, n, parities, p)
 
 
-def _fail(report: PropertyReport, message: str) -> None:
+def _p0_spec(parities: Tuple[int, ...]) -> CtxSpec:
+    """The p = 0 spec of a parity sequence; the PBW workers run at p = 0."""
+    m = parities.count(0)
+    return (m, len(parities) - m, parities, 0)
+
+
+def _fail(report: PropertyReport, spec: CtxSpec, label: str = "", **where) -> None:
+    """Count one failure of report; the first one becomes its counterexample.
+
+    The text names the context spec, then the loop variables ``where`` in
+    the order given, after the label of the comparison that failed when
+    the report makes more than one.
+    """
     report.failures += 1
     if report.counterexample is None:
-        report.counterexample = message
+        text = " ".join(f"{k}={v}" for k, v in dict(ctx=spec, **where).items())
+        report.counterexample = f"{label}: {text}" if label else text
 
 
 def _merge_reports(
@@ -105,28 +121,26 @@ def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[Pr
 
 
 def _residue_candidates(p: int, down: Sequence[int], up: Sequence[int]) -> List[int]:
-    """Residues whose signature can be nonzero, plus one vacuous representative.
+    """``crystal.signature_residues`` plus one vacuous representative.
 
     Both routes only see r through congruences against the fixed residue
     values of the weight, so all vacuous classes behave identically and one
-    representative covers them.
+    representative covers them: the least residue mod p left out, or two
+    above the largest value when p = 0.
     """
-    if p:
-        rel = {v % p for v in down} | {v % p for v in up}
-        out = sorted(rel)
-        if len(rel) < p:
-            out.append(min(set(range(p)) - rel))
-        return out
-    vals = sorted(set(down) | set(up))
-    vals.append(vals[-1] + 2)
-    return vals
+    out = list(crystal.signature_residues(p, down, up))
+    if not p:
+        out.append(out[-1] + 2)
+    elif len(out) < p:
+        out.append(min(set(range(p)).difference(out)))
+    return out
 
 
 def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    ops = PropertyReport("star operators match the tensor-rule oracle", 0, 0)
-    counts = PropertyReport("star counters match the tensor-rule oracle", 0, 0)
+    ops = PropertyReport("star operators match the tensor-rule oracle")
+    counts = PropertyReport("star counters match the tensor-rule oracle")
     p = ctx.p
     signs = ctx.signs
     for lam in iter_window(ctx.rank, window):
@@ -139,11 +153,11 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             got_e, got_f, got_counts = crystal.star_moves(p, lam, down, up, r)
             want_e, want_f, want_counts = tensorrule.dual_moves(p, signs, lam, neg, r)
             if got_e != want_e:
-                _fail(ops, f"e*: ctx={spec} lam={lam} r={r}: {got_e} vs {want_e}")
+                _fail(ops, spec, "e*", lam=lam, r=r, got=got_e, want=want_e)
             if got_f != want_f:
-                _fail(ops, f"f*: ctx={spec} lam={lam} r={r}: {got_f} vs {want_f}")
+                _fail(ops, spec, "f*", lam=lam, r=r, got=got_f, want=want_f)
             if got_counts != want_counts:
-                _fail(counts, f"counters: ctx={spec} lam={lam} r={r}")
+                _fail(counts, spec, lam=lam, r=r, got=got_counts, want=want_counts)
     return [ops, counts]
 
 
@@ -154,10 +168,10 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    c1 = PropertyReport("phi* - eps* equals the coroot pairing of wt", 0, 0)
-    c23 = PropertyReport("e*/f* shift the counters by one", 0, 0)
-    c4 = PropertyReport("e* and f* are mutually inverse where defined", 0, 0)
-    shift = PropertyReport("e*/f* shift wt by the simple root", 0, 0)
+    c1 = PropertyReport("phi* - eps* equals the coroot pairing of wt")
+    c23 = PropertyReport("e*/f* shift the counters by one")
+    c4 = PropertyReport("e* and f* are mutually inverse where defined")
+    shift = PropertyReport("e*/f* shift wt by the simple root")
     rank = ctx.rank
     p = ctx.p
     signs = ctx.signs
@@ -176,56 +190,35 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
+        w = wt_key(p, signs, down)
         for r in _residue_candidates(p, down, up):
             red = crystal.reduced_entries(p, down, up, r)
             e_cnt = red.count(-1)
             f_cnt = red.count(1)
-            if p:
-                a_r = sum(1 for v in up if (v - r) % p == 0)
-                b_r = sum(1 for v in down if (v - r) % p == 0)
-            else:
-                a_r = up.count(r)
-                b_r = down.count(r)
             c1.checks += 1
-            # <alpha_r, alpha_r> = 2, so the C1 pairing is A_r - B_r exactly
-            if f_cnt - e_cnt != a_r - b_r:
-                _fail(c1, f"C1: ctx={spec} lam={lam} r={r}")
-            if e_cnt:
-                q = red.index(-1)
-                mu = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
+            if f_cnt - e_cnt != alpha_pairing(p, w, r):
+                _fail(c1, spec, lam=lam, r=r)
+            # e* moves position q down one step, f* up one step
+            for op, step, cnt in (("e*", -1, e_cnt), ("f*", 1, f_cnt)):
+                if not cnt:
+                    continue
+                q = red.index(-1) if step < 0 else rank - 1 - red[::-1].index(1)
+                moved = lam[:q] + (lam[q] + step,) + lam[q + 1 :]
                 down2 = down[:]
-                down2[q] -= signs[q]
+                down2[q] += step * signs[q]
                 up2 = up[:]
-                up2[q] -= signs[q]
-                _, back, cnt2 = crystal.star_moves(p, mu, down2, up2, r)
+                up2[q] += step * signs[q]
+                e_back, f_back, cnt2 = crystal.star_moves(p, moved, down2, up2, r)
                 c4.checks += 1
-                if back != lam:
-                    _fail(c4, f"C4(ef): ctx={spec} lam={lam} r={r}")
+                if (f_back if step < 0 else e_back) != lam:
+                    _fail(c4, spec, op, lam=lam, r=r)
                 c23.checks += 1
-                if cnt2 != (e_cnt - 1, f_cnt + 1):
-                    _fail(c23, f"C2: ctx={spec} lam={lam} r={r}")
+                if cnt2 != (e_cnt + step, f_cnt - step):
+                    _fail(c23, spec, op, lam=lam, r=r)
                 shift.checks += 1
                 b_letter = down[q] + (1 if signs[q] > 0 else 0)
-                if not shift_matches(b_letter, signs[q], r, -1):
-                    _fail(shift, f"wt(e*): ctx={spec} lam={lam} r={r}")
-            if f_cnt:
-                q = rank - 1 - red[::-1].index(1)
-                nu = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
-                down2 = down[:]
-                down2[q] += signs[q]
-                up2 = up[:]
-                up2[q] += signs[q]
-                back, _, cnt2 = crystal.star_moves(p, nu, down2, up2, r)
-                c4.checks += 1
-                if back != lam:
-                    _fail(c4, f"C4(fe): ctx={spec} lam={lam} r={r}")
-                c23.checks += 1
-                if cnt2 != (e_cnt + 1, f_cnt - 1):
-                    _fail(c23, f"C3: ctx={spec} lam={lam} r={r}")
-                shift.checks += 1
-                b_letter = down[q] + (1 if signs[q] > 0 else 0)
-                if not shift_matches(b_letter, signs[q], r, 1):
-                    _fail(shift, f"wt(f*): ctx={spec} lam={lam} r={r}")
+                if not shift_matches(b_letter, signs[q], r, step):
+                    _fail(shift, spec, op, lam=lam, r=r)
     return [c1, c23, c4, shift]
 
 
@@ -236,10 +229,10 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    crit = PropertyReport("signature normality equals the matching criterion", 0, 0)
-    goodcrit = PropertyReport("signature goodness equals the matching criterion", 0, 0)
-    npc = PropertyReport("good equals normal plus conormal one step down", 0, 0)
-    flip = PropertyReport("normal maps to conormal through the flip", 0, 0)
+    crit = PropertyReport("signature normality equals the matching criterion")
+    goodcrit = PropertyReport("signature goodness equals the matching criterion")
+    npc = PropertyReport("good equals normal plus conormal one step down")
+    flip = PropertyReport("normal maps to conormal through the flip")
     rank = ctx.rank
     p = ctx.p
     signs = ctx.signs
@@ -262,10 +255,10 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             sig_good = sig_normal and red.index(-1) == i - 1
             crit.checks += 1
             if sig_normal != normal[i - 1]:
-                _fail(crit, f"normal: ctx={spec} lam={lam} i={i}")
+                _fail(crit, spec, lam=lam, i=i)
             goodcrit.checks += 1
             if sig_good != crystal.matching_good(p, down, normal, i):
-                _fail(goodcrit, f"good: ctx={spec} lam={lam} i={i}")
+                _fail(goodcrit, spec, lam=lam, i=i)
             npc.checks += 1
             down2 = down[:]
             down2[i - 1] -= signs[i - 1]
@@ -274,7 +267,7 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             red2 = crystal.reduced_entries(p, down2, up2, r)
             want_good = sig_normal and red2[i - 1] == 1
             if sig_good != want_good:
-                _fail(npc, f"good=normal+conormal: ctx={spec} lam={lam} i={i}")
+                _fail(npc, spec, lam=lam, i=i)
             # flipped residues are r_i(lam + eps_i) - (m - n), read backwards
             fr = r - fshift
             fkey = fr % p if p else fr
@@ -287,9 +280,9 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             f_cogood = f_conormal and 1 not in fred[fi + 1 :]
             flip.checks += 2
             if sig_normal != f_conormal:
-                _fail(flip, f"normal/conormal flip: ctx={spec} lam={lam} i={i}")
+                _fail(flip, spec, "normal/conormal", lam=lam, i=i)
             if sig_good != f_cogood:
-                _fail(flip, f"good/cogood flip: ctx={spec} lam={lam} i={i}")
+                _fail(flip, spec, "good/cogood", lam=lam, i=i)
     return [crit, goodcrit, npc, flip]
 
 
@@ -300,8 +293,8 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    commute = PropertyReport("odd reflections commute with the star operators", 0, 0)
-    stats = PropertyReport("odd reflections preserve the counters and wt", 0, 0)
+    commute = PropertyReport("odd reflections commute with the star operators")
+    stats = PropertyReport("odd reflections preserve the counters and wt")
     rank = ctx.rank
     p = ctx.p
     signs = ctx.signs
@@ -312,29 +305,28 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
+        candidates = _residue_candidates(p, down, up)
         for i in adjacents:
             octx = octxs[i]
             olam = crystal.odd_weight(p, signs, lam, i)
             odown, oup = residue_vectors(octx, olam)
             stats.checks += 1
             if w != wt_key(p, octx.signs, odown):
-                _fail(stats, f"wt: ctx={spec} lam={lam} i={i}")
-            rset = set(_residue_candidates(p, down, up))
-            rset.update(_residue_candidates(p, odown, oup))
-            for r in sorted(rset):
+                _fail(stats, spec, "wt", lam=lam, i=i)
+            for r in sorted(set(candidates).union(_residue_candidates(p, odown, oup))):
                 e1, f1, cnt1 = crystal.star_moves(p, lam, down, up, r)
                 e2, f2, cnt2 = crystal.star_moves(p, olam, odown, oup, r)
                 stats.checks += 1
                 if cnt1 != cnt2:
-                    _fail(stats, f"counters: ctx={spec} lam={lam} i={i} r={r}")
-                for src, dst in ((e1, e2), (f1, f2)):
+                    _fail(stats, spec, "counters", lam=lam, i=i, r=r)
+                for op, src, dst in (("e*", e1, e2), ("f*", f1, f2)):
                     commute.checks += 1
                     if src is None or dst is None:
-                        if src is not None or dst is not None:
-                            _fail(commute, f"ctx={spec} lam={lam} i={i} r={r}")
-                        continue
-                    if crystal.odd_weight(p, signs, src, i) != dst:
-                        _fail(commute, f"ctx={spec} lam={lam} i={i} r={r}")
+                        ok = src is dst
+                    else:
+                        ok = crystal.odd_weight(p, signs, src, i) == dst
+                    if not ok:
+                        _fail(commute, spec, op, lam=lam, i=i, r=r)
     return [commute, stats]
 
 
@@ -345,8 +337,8 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    iii_iv = PropertyReport("wt equality matches length plus A-B data", 0, 0)
-    ii_iii = PropertyReport("residue series equality matches the A-B data", 0, 0)
+    iii_iv = PropertyReport("wt equality matches length plus A-B data")
+    ii_iii = PropertyReport("residue series equality matches the A-B data")
     p = ctx.p
     signs = ctx.signs
     order = 2 * ctx.rank + 2
@@ -369,17 +361,17 @@ def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         if prev is None:
             ab_of_wt[w] = ab
         elif prev != ab:
-            _fail(iii_iv, f"wt equal, data differ: ctx={spec} lam={lam}")
+            _fail(iii_iv, spec, "wt equal, data differ", lam=lam)
         prev_w = wt_keys.get(ab)
         if prev_w is None:
             wt_keys[ab] = w
         elif prev_w != w:
-            _fail(iii_iv, f"data equal, wt differ: ctx={spec} lam={lam}")
+            _fail(iii_iv, spec, "data equal, wt differ", lam=lam)
         prev_s = series_of_ab.get(ab)
         if prev_s is None:
             series_of_ab[ab] = skey
         elif prev_s != skey:
-            _fail(ii_iii, f"data equal, series differ: ctx={spec} lam={lam}")
+            _fail(ii_iii, spec, "data equal, series differ", lam=lam)
     # series key must also separate distinct ab keys
     seen: Dict[tuple, tuple] = {}
     for ab, skey in series_of_ab.items():
@@ -387,7 +379,7 @@ def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         if prev is None:
             seen[skey] = ab
         elif prev != ab:
-            _fail(ii_iii, f"series equal, data differ: ctx={spec}")
+            _fail(ii_iii, spec, "series equal, data differ")
         ii_iii.checks += 1
     return [iii_iv, ii_iii]
 
@@ -403,26 +395,19 @@ def _subsets(universe: Sequence[int]):
 
 def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     parities, seed = job
-    rank = len(parities)
-    m = parities.count(0)
-    ctx = build_context(m, rank - m, parities, 0)
-    bracket_tab = PropertyReport("generator brackets match the defining relation", 0, 0)
-    jacobi = PropertyReport("super Jacobi identity on random triples", 0, 0)
-    assoc = PropertyReport("normal ordering is associative on random triples", 0, 0)
-    murphy = PropertyReport("the L elements commute pairwise and with H", 0, 0)
-    tech = PropertyReport("L reduction and annihilation identities mod J", 0, 0)
-    recur = PropertyReport("lowering-operator recurrence", 0, 0)
-    comm = PropertyReport("E_l commutation lemma, all four cases", 0, 0)
-    orderfree = PropertyReport("S is independent of the order within its class", 0, 0)
-    integral = PropertyReport("lowering operators have integer coefficients", 0, 0)
+    spec = _p0_spec(parities)
+    ctx = _ctx(spec)
+    rank = ctx.rank
+    bracket_tab = PropertyReport("generator brackets match the defining relation")
+    jacobi = PropertyReport("super Jacobi identity on random triples")
+    assoc = PropertyReport("normal ordering is associative on random triples")
+    murphy = PropertyReport("the L elements commute pairwise and with H")
+    tech = PropertyReport("L reduction and annihilation identities mod J")
+    recur = PropertyReport("lowering-operator recurrence")
+    comm = PropertyReport("E_l commutation lemma, all four cases")
+    orderfree = PropertyReport("S is independent of the order within its class")
+    integral = PropertyReport("lowering operators have integer coefficients")
     gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-
-    def sign_of(x, y):
-        return (
-            -1
-            if pbw.gen_parity(parities, x) and pbw.gen_parity(parities, y)
-            else 1
-        )
 
     for x in gens:
         for y in gens:
@@ -432,11 +417,12 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
             for c, g in pbw._bracket_gens(parities, x, y):
                 want = want + pbw.SuperElt.gen(ctx, *g).scale(c)
             if got != want.reorder(pbw.DEFAULT_ORDER):
-                _fail(bracket_tab, f"bracket: parities={parities} x={x} y={y}")
+                _fail(bracket_tab, spec, x=x, y=y)
 
     rng = random.Random(seed)
     for _ in range(24):
-        x, y, z = (pbw.SuperElt.gen(ctx, *rng.choice(gens)) for _ in range(3))
+        triple = [rng.choice(gens) for _ in range(3)]
+        x, y, z = (pbw.SuperElt.gen(ctx, *g) for g in triple)
         px, py, pz = (t.parity() for t in (x, y, z))
         jacobi.checks += 1
         lhs = x.bracket(y.bracket(z))
@@ -444,77 +430,60 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
             -1 if px and py else 1
         )
         if lhs != rhs:
-            _fail(jacobi, f"jacobi: parities={parities}")
+            _fail(jacobi, spec, gens=triple)
         assoc.checks += 1
         if (x * y) * z != x * (y * z):
-            _fail(assoc, f"assoc: parities={parities}")
+            _fail(assoc, spec, gens=triple)
 
     for a in range(1, rank + 1):
         la = pbw.murphy_element(ctx, a)
         for b in range(a, rank + 1):
             murphy.checks += 1
             if not la.bracket(pbw.murphy_element(ctx, b)).is_zero():
-                _fail(murphy, f"[L,L]: parities={parities} a={a} b={b}")
+                _fail(murphy, spec, "[L,L]", a=a, b=b)
         for k in range(1, rank + 1):
             murphy.checks += 1
             if not la.bracket(pbw.SuperElt.gen(ctx, k, k)).is_zero():
-                _fail(murphy, f"[L,H]: parities={parities} a={a} k={k}")
+                _fail(murphy, spec, "[L,H]", a=a, k=k)
 
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
             for t in range(i + 1, j):
                 tech.checks += 1
                 if not pbw.tech_lemma_check(ctx, i, t, j):
-                    _fail(tech, f"tech: parities={parities} ({i},{t},{j})")
+                    _fail(tech, spec, i=i, t=t, j=j)
             interval = list(range(i + 1, j))
             for a_set in _subsets(interval):
                 s_elt = pbw.s_element(ctx, i, j, a_set)
                 integral.checks += 1
                 if any(c.denominator != 1 for c in s_elt.terms.values()):
-                    _fail(integral, f"parities={parities} ({i},{j},{sorted(a_set)})")
+                    _fail(integral, spec, i=i, j=j, A=sorted(a_set))
                 alt = pbw.GeneratorOrder(kind="alt")
                 orderfree.checks += 1
                 s_alt = pbw.s_element(ctx, i, j, a_set, alt)
                 if s_alt.reorder(pbw.DEFAULT_ORDER) != s_elt:
-                    _fail(orderfree, f"parities={parities} ({i},{j},{sorted(a_set)})")
+                    _fail(orderfree, spec, i=i, j=j, A=sorted(a_set))
                 for k in sorted(a_set):
                     recur.checks += 1
                     if not pbw.recurrence_check(ctx, i, j, a_set, k):
-                        _fail(
-                            recur,
-                            f"parities={parities} ({i},{j},{sorted(a_set)},k={k})",
-                        )
+                        _fail(recur, spec, i=i, j=j, A=sorted(a_set), k=k)
                 for l in range(1, rank):
                     result = pbw.commutator_lemma_check(ctx, i, j, a_set, l)
                     if result is None:
                         continue
                     comm.checks += 1
                     if not result:
-                        _fail(
-                            comm,
-                            f"parities={parities} ({i},{j},{sorted(a_set)},l={l})",
-                        )
-    return [
-        bracket_tab,
-        jacobi,
-        assoc,
-        murphy,
-        tech,
-        recur,
-        comm,
-        orderfree,
-        integral,
-    ]
+                        _fail(comm, spec, i=i, j=j, A=sorted(a_set), l=l)
+    return [bracket_tab, jacobi, assoc, murphy, tech, recur, comm, orderfree, integral]
 
 
 def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     parities, max_r = job
-    rank = len(parities)
-    m = parities.count(0)
-    ctx = build_context(m, rank - m, parities, 0)
-    basic = PropertyReport("brackets of generators with the x elements", 0, 0)
-    central = PropertyReport("the summed x elements are central", 0, 0)
-    positions = range(1, rank + 1)
+    spec = _p0_spec(parities)
+    ctx = _ctx(spec)
+    basic = PropertyReport("brackets of generators with the x elements")
+    central = PropertyReport("the summed x elements are central")
+    positions = range(1, ctx.rank + 1)
     for r in range(1, max_r + 1):
         zt = pbw.z_tilde_element(ctx, r)
         x = {(k, l): pbw.x_element(ctx, k, l, r) for k in positions for l in positions}
@@ -523,7 +492,7 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                 g = pbw.SuperElt.gen(ctx, i, j)
                 central.checks += 1
                 if not g.bracket(zt).is_zero():
-                    _fail(central, f"parities={parities} r={r} gen=({i},{j})")
+                    _fail(central, spec, r=r, i=i, j=j)
                 for k in positions:
                     for l in positions:
                         basic.checks += 1
@@ -540,10 +509,7 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                             )
                             want = want - x[k, j].scale(sgn)
                         if got != want:
-                            _fail(
-                                basic,
-                                f"parities={parities} r={r} ({i},{j}),({k},{l})",
-                            )
+                            _fail(basic, spec, r=r, i=i, j=j, k=k, l=l)
     return [basic, central]
 
 
@@ -553,24 +519,23 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
 
 def verma_z_worker(job: Tuple[Tuple[int, ...], int, int]) -> List[PropertyReport]:
     parities, max_r, window = job
-    rank = len(parities)
-    m = parities.count(0)
-    ctx = build_context(m, rank - m, parities, 0)
-    rep = PropertyReport("central elements act on the Verma line by Z_r", 0, 0)
+    spec = _p0_spec(parities)
+    ctx = _ctx(spec)
+    rep = PropertyReport("central elements act on the Verma line by Z_r")
     for r in range(1, max_r + 1):
         z = pbw.z_element(ctx, r).reduce_mod_J()
-        for lam in iter_window(rank, window):
+        for lam in iter_window(ctx.rank, window):
             rep.checks += 1
             got = pbw.verma_scalar(z, lam)
             if got != z_scalar(ctx, lam, r):
-                _fail(rep, f"parities={parities} r={r} lam={lam}")
+                _fail(rep, spec, r=r, lam=lam)
     return [rep]
 
 
 def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    rep = PropertyReport("raised lowered vectors give the predicted scalar", 0, 0)
+    rep = PropertyReport("raised lowered vectors give the predicted scalar")
     rank = ctx.rank
     for i in range(1, rank):
         for j in range(i + 1, rank + 1):
@@ -599,9 +564,8 @@ def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                         pbw.lowering_scalar_check(ctx, i, j, a_set, b_set, lam)
                     except (AssertionError, ArithmeticError) as exc:
                         _fail(
-                            rep,
-                            f"ctx={spec} ({i},{j},{sorted(a_set)},{sorted(b_set)})"
-                            f" lam={lam}: {exc}",
+                            rep, spec, i=i, j=j, A=sorted(a_set), B=sorted(b_set),
+                            lam=lam, error=exc,
                         )
     return [rep]
 
@@ -609,7 +573,7 @@ def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
     ctx = _ctx(spec)
-    rep = PropertyReport("every normal index certifies a nonzero scalar", 0, 0)
+    rep = PropertyReport("every normal index certifies a nonzero scalar")
     rank = ctx.rank
     for lam in iter_window(rank, window):
         for i in range(1, rank):
@@ -619,7 +583,7 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             c_full, b_full = crystal.bc_sets(ctx, lam, i, rank)
             chosen = crystal.greedy_match(b_full, c_full)
             if chosen is None:
-                _fail(rep, f"no matching despite normality: ctx={spec} lam={lam} i={i}")
+                _fail(rep, spec, "no matching despite normality", lam=lam, i=i)
                 continue
             interval = set(range(i + 1, rank))
             a_set = interval - set(chosen)
@@ -628,25 +592,55 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             try:
                 scalar, _ = pbw.lowering_scalar_check(ctx, i, rank, a_set, b_set, lam)
             except (AssertionError, ArithmeticError, ValueError) as exc:
-                _fail(rep, f"ctx={spec} lam={lam} i={i}: {exc}")
+                _fail(rep, spec, lam=lam, i=i, error=exc)
                 continue
             if scalar == 0:
-                _fail(rep, f"vanishing witness: ctx={spec} lam={lam} i={i}")
+                _fail(rep, spec, "vanishing witness", lam=lam, i=i)
     return [rep]
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 
-SUITES = (
-    "crystal-axioms",
-    "oracle-equivalence",
-    "normal-criteria",
-    "odd-reflection",
-    "linkage",
-    "pbw-identities",
-    "verma-scalars",
-)
+
+def _windowed(cap: Optional[int] = None):
+    """The job plan (key, coeff_window), the window capped at cap."""
+    return lambda key, w, seed, r: (key, w if cap is None else min(w, cap))
+
+
+def _every_p(p_list: Sequence[int]) -> Sequence[int]:
+    return p_list
+
+
+def _positive_p(p_list: Sequence[int]) -> List[int]:
+    return [p for p in p_list if p] or [2, 3, 5]
+
+
+# suite -> its parts in run order: (worker, rank cap, characteristics, job).
+# A part covers the parity sequences of ranks 2..max_rank, capped at its
+# rank cap.  With characteristics, it runs one shard per context spec
+# (m, n, parities, p), p in characteristics(p_list); without, one shard per
+# parity sequence at p = 0.  job(key, coeff_window, seed, max_r) is the
+# shard's job.  The caps keep the exhaustive searches tractable; the x
+# elements grow fast in r, so their brackets stop at r = 3.
+_SUITE_TABLE = {
+    "crystal-axioms": [("axioms_worker", None, _every_p, _windowed())],
+    "oracle-equivalence": [("oracle_worker", None, _every_p, _windowed())],
+    "normal-criteria": [("normal_worker", None, _every_p, _windowed())],
+    "odd-reflection": [("oddrefl_worker", None, _every_p, _windowed())],
+    "linkage": [("linkage_worker", None, _every_p, _windowed(3))],
+    "pbw-identities": [
+        ("pbw_worker", 4, None, lambda seq, w, seed, r: (seq, seed)),
+        ("central_worker", 3, None, lambda seq, w, seed, r: (seq, min(r, 3))),
+    ],
+    "verma-scalars": [
+        ("verma_z_worker", 4, None, lambda seq, w, seed, r: (seq, r, min(w, 3))),
+        ("lowering_scalar_worker", 3, _positive_p, _windowed(3)),
+        ("witness_worker", 3, _every_p, _windowed(2)),
+    ],
+}
+
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(
@@ -661,95 +655,32 @@ def run_suite(
 ) -> List[PropertyReport]:
     """Run one named verification suite (or 'all'); returns its reports.
 
-    ``max_r`` is the largest r of the Z_r checks of verma-scalars; the
-    x-element brackets of pbw-identities run r = 1..min(max_r, 3).  Raises
-    ValueError for a window or r range that would leave checks empty.
+    Runs the parts ``_SUITE_TABLE`` lists for the suite, or for every suite
+    in ``SUITES`` order, each as one ``_run_sharded`` call.  ``max_r`` is
+    the largest r of the Z_r checks of verma-scalars; the x-element
+    brackets of pbw-identities run r = 1..min(max_r, 3).  Raises ValueError
+    for an unknown suite or a window or r range that would leave checks
+    empty.
     """
     if coeff_window < 0:
         raise ValueError(f"coeff_window must be >= 0, got {coeff_window}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
-    if name == "all":
-        reports = []
-        for suite in SUITES:
-            reports.extend(
-                run_suite(
-                    suite,
-                    max_rank,
-                    coeff_window,
-                    p_list,
-                    parities_pin,
-                    seed,
-                    processes,
-                    max_r,
-                )
-            )
-        return reports
-
-    ranks = list(range(2, max_rank + 1))
-    if name == "oracle-equivalence":
-        jobs = [(s, coeff_window) for s in context_specs(ranks, p_list, parities_pin)]
-        return _run_sharded(oracle_worker, jobs, processes)
-    if name == "crystal-axioms":
-        jobs = [(s, coeff_window) for s in context_specs(ranks, p_list, parities_pin)]
-        return _run_sharded(axioms_worker, jobs, processes)
-    if name == "normal-criteria":
-        jobs = [(s, coeff_window) for s in context_specs(ranks, p_list, parities_pin)]
-        return _run_sharded(normal_worker, jobs, processes)
-    if name == "odd-reflection":
-        jobs = [(s, coeff_window) for s in context_specs(ranks, p_list, parities_pin)]
-        return _run_sharded(oddrefl_worker, jobs, processes)
-    if name == "linkage":
-        window = min(coeff_window, 3)
-        jobs = [(s, window) for s in context_specs(ranks, p_list, parities_pin)]
-        return _run_sharded(linkage_worker, jobs, processes)
-    if name == "pbw-identities":
-        rank_cap = min(max_rank, 4)
-        seqs = _parity_seqs(range(2, rank_cap + 1), parities_pin)
-        jobs = [(parities, seed) for parities in seqs]
-        reports = _run_sharded(pbw_worker, jobs, processes)
-        central_seqs = _parity_seqs(range(2, min(rank_cap, 3) + 1), parities_pin)
-        # the x elements grow fast in r; their brackets stop at r = 3
-        central_r = min(max_r, 3)
-        reports += _run_sharded(
-            central_worker,
-            [(parities, central_r) for parities in central_seqs],
-            processes,
-        )
-        return reports
-    if name == "verma-scalars":
-        rank_cap = min(max_rank, 4)
-        seqs = _parity_seqs(range(2, rank_cap + 1), parities_pin)
-        # windows shrink with rank to keep the exhaustive searches tractable
-        reports = _run_sharded(
-            verma_z_worker,
-            [
-                (parities, max_r, min(coeff_window, 3 if len(parities) <= 4 else 2))
-                for parities in seqs
-            ],
-            processes,
-        )
-        scalar_specs = context_specs(
-            range(2, min(rank_cap, 3) + 1),
-            [p for p in p_list if p] or [2, 3, 5],
-            parities_pin,
-        )
-        reports += _run_sharded(
-            lowering_scalar_worker,
-            [
-                (s, min(coeff_window, 3 if s[0] + s[1] <= 3 else 1))
-                for s in scalar_specs
-            ],
-            processes,
-        )
-        witness_specs = context_specs(
-            range(2, min(rank_cap, 3) + 1), p_list, parities_pin
-        )
-        reports += _run_sharded(
-            witness_worker, [(s, min(coeff_window, 2)) for s in witness_specs], processes
-        )
-        return reports
-    raise ValueError(f"unknown suite {name!r}")
+    if name != "all" and name not in _SUITE_TABLE:
+        raise ValueError(f"unknown suite {name!r}")
+    reports: List[PropertyReport] = []
+    for suite in SUITES if name == "all" else (name,):
+        for worker, rank_cap, characteristics, job in _SUITE_TABLE[suite]:
+            top = max_rank if rank_cap is None else min(max_rank, rank_cap)
+            ranks = range(2, top + 1)
+            if characteristics is None:
+                keys = _parity_seqs(ranks, parities_pin)
+            else:
+                keys = context_specs(ranks, characteristics(p_list), parities_pin)
+            jobs = [job(key, coeff_window, seed, max_r) for key in keys]
+            # looked up at call time, so a wrapper bound in the worker's place runs
+            reports += _run_sharded(globals()[worker], jobs, processes)
+    return reports
 
 
 def _parity_seqs(

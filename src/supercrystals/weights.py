@@ -76,24 +76,6 @@ class ParityContext:
         return {"p": self.p, "parities": list(self.parities)}
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """Integer residue; canonical in [0, p) when p > 0, plain integer at p=0."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p:
-            object.__setattr__(self, "value", self.value % self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def shift(self, delta: int) -> "ResidueClass":
-        return ResidueClass(self.value + delta, self.p)
-
-
 def build_context(m: int, n: int, parities: Sequence[int], p: int) -> ParityContext:
     """Build the context for the parity sequence; validates counts and p.
 
@@ -148,10 +130,6 @@ def eps(ctx: ParityContext, i: int) -> Weight:
     return tuple(1 if j == i - 1 else 0 for j in range(ctx.rank))
 
 
-def zero_weight(ctx: ParityContext) -> Weight:
-    return (0,) * ctx.rank
-
-
 def weight_add(lam: Weight, mu: Weight) -> Weight:
     return tuple(a + b for a, b in zip(lam, mu))
 
@@ -178,11 +156,6 @@ def residue_int(ctx: ParityContext, lam: Weight, j: int) -> int:
     if not 1 <= j <= ctx.rank:
         raise IndexError(f"position {j} out of range 1..{ctx.rank}")
     return ctx.sign(j) * (lam[j - 1] + ctx.theta[j - 1])
-
-
-def residue(ctx: ParityContext, lam: Weight, j: int) -> ResidueClass:
-    """The j-residue of lam, reduced mod p."""
-    return ResidueClass(residue_int(ctx, lam, j), ctx.p)
 
 
 def residue_vectors(ctx: ParityContext, lam: Weight) -> Tuple[List[int], List[int]]:

@@ -1,19 +1,22 @@
 """Tests for the affine lattice: wt values, pairings, A/B counts."""
 
+import itertools
 from fractions import Fraction
 
 from supercrystals.affine import (
     AffineWeight,
     ab_counts,
     alpha_of,
+    alpha_pairing,
     delta_of,
     gamma_of,
     gram_matrix,
     lambda_of,
     pair_P,
+    wt_key,
     wt_of,
 )
-from supercrystals.weights import build_context, iter_window
+from supercrystals.weights import build_context, iter_window, residue_vectors
 
 PAPER_PARITIES = (1, 1, 0, 0, 0)
 PAPER_LAM = (1, -1, 1, 7, 5)
@@ -103,3 +106,20 @@ def test_wt_pairing_equals_ab_difference():
             coroot = pair_P(w, a) * Fraction(2) / pair_P(a, a)
             aa, bb = ab_counts(ctx, lam, r)
             assert coroot == aa - bb, (lam, r)
+
+
+def test_alpha_pairing_reads_the_form_off_wt_key():
+    # the Gram matrix behind pair_P is the oracle for the int kernel
+    for rank in (2, 3):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, 1):
+                    down, _ = residue_vectors(ctx, lam)
+                    key = wt_key(p, ctx.signs, down)
+                    w = wt_of(ctx, lam)
+                    rs = range(-1, p + 1) if p else range(min(down) - 2, max(down) + 3)
+                    for r in rs:
+                        want = pair_P(w, alpha_of(p, r))
+                        assert alpha_pairing(p, key, r) == want, (parities, p, lam, r)

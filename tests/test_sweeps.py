@@ -1,8 +1,11 @@
-"""Job plans of the verification suites."""
+"""Job plans, check counts and the failure path of the verification suites."""
 
+import hashlib
 import itertools
 
-from supercrystals import sweeps
+from supercrystals import crystal, sweeps
+from supercrystals.cli import main
+from supercrystals.weights import build_context, residue_vectors
 
 ACCEPTANCE = dict(max_rank=4, coeff_window=4, p_list=(0, 2, 3, 5), processes=1)
 
@@ -32,6 +35,14 @@ def test_pinned_runs_stay_inside_the_gate(monkeypatch):
                         monkeypatch, suite, parities_pin=pin, p_list=p_list
                     )
                     assert set(pinned) <= gate, (suite, pin, p_list)
+
+
+def test_job_plans_are_pinned(monkeypatch):
+    # the suite table must hand _run_sharded the same shards, in the same order
+    text = "".join(
+        repr(planned_jobs(monkeypatch, name)) for name in sweeps.SUITES + ("all",)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1c47aeb76c7bf9e4"
 
 
 def test_odd_reflection_and_linkage_check_counts():
@@ -72,3 +83,29 @@ def test_central_worker_follows_max_r_up_to_3(monkeypatch):
     for max_r, central_r in ((1, 1), (2, 2), (3, 3), (4, 3), (9, 3)):
         jobs = planned_jobs(monkeypatch, "pbw-identities", max_r=max_r)
         assert {job[1] for name, job in jobs if name == "central_worker"} == {central_r}
+
+
+def test_a_wrong_star_kernel_fails_the_oracle_suite(monkeypatch, capsys):
+    bad = (0, 0)
+    real = crystal.star_moves
+
+    def star_moves(p, lam, down, up, r):
+        e, f, (e_cnt, f_cnt) = real(p, lam, down, up, r)
+        return (f, e, (e_cnt + 1, f_cnt)) if lam == bad else (e, f, (e_cnt, f_cnt))
+
+    monkeypatch.setattr(crystal, "star_moves", star_moves)
+    spec = (1, 1, (1, 0), 0)
+    down, up = residue_vectors(build_context(*spec), bad)
+    r = sweeps._residue_candidates(0, down, up)[0]
+    ops, counts = sweeps.oracle_worker((spec, 1))
+    assert ops.failures > 0 and counts.failures > 0
+    assert counts.counterexample.startswith(f"ctx={spec} lam={bad} r={r} ")
+    assert ops.counterexample.startswith(f"e*: ctx={spec} lam={bad} r={r} ")
+
+    code = main(
+        ["--p", "0", "--parities", "1,0", "verify", "oracle-equivalence",
+         "--max-rank", "2", "--coeff-window", "1", "--pin-parities", "--processes", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"first counterexample: ctx={spec} lam={bad} r={r} " in out
