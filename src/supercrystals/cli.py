@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 property-check failure, 2 usage error.
 
 ``main`` builds its argument parser once per process, on its first call, and
 reuses it for every later call; ``build_parser`` returns a fresh parser for a
-caller that wants to extend one.  Each subcommand's parser names its handler
-with ``set_defaults(handler=...)``, and ``main`` calls it.
+caller that wants to extend one.  Each subcommand's parser, down to the
+``pbw`` subcommands, names its handler with ``set_defaults(handler=...)``,
+and ``main`` calls it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from . import crystal, graph, linkage, pbw, sweeps
-from .weights import ContextError, build_context, parse_weight
+from .weights import ContextError, build_context, parse_weight, residue_int
 
 
 def _parse_parities(text: str):
@@ -93,32 +94,36 @@ def build_parser() -> argparse.ArgumentParser:
     blk.set_defaults(handler=cmd_blocks)
 
     pb = sub.add_parser("pbw", help="symbolic enveloping-algebra operations", parents=[common])
-    pb.set_defaults(handler=cmd_pbw)
     pbsub = pb.add_subparsers(dest="pbw_command", required=True)
 
     low = pbsub.add_parser("lower", help="the lowering operator S_{i,j}(A)", parents=[common])
     low.add_argument("--i", type=int, required=True)
     low.add_argument("--j", type=int, required=True)
     low.add_argument("--A", default="")
+    low.set_defaults(handler=cmd_pbw_lower)
 
     rec = pbsub.add_parser("check-recurrence", parents=[common])
     rec.add_argument("--i", type=int, required=True)
     rec.add_argument("--j", type=int, required=True)
     rec.add_argument("--A", required=True)
     rec.add_argument("--k", type=int, required=True)
+    rec.set_defaults(handler=cmd_pbw_recurrence)
 
     com = pbsub.add_parser("check-commutator", parents=[common])
     com.add_argument("--i", type=int, required=True)
     com.add_argument("--j", type=int, required=True)
     com.add_argument("--A", default="")
     com.add_argument("--l", type=int, required=True)
+    com.set_defaults(handler=cmd_pbw_commutator)
 
     cen = pbsub.add_parser("check-central", parents=[common])
     cen.add_argument("--r", type=int, required=True)
+    cen.set_defaults(handler=cmd_pbw_central)
 
     ver = pbsub.add_parser("verma-scalar", parents=[common])
     ver.add_argument("--weight", required=True)
     ver.add_argument("--r", type=int, required=True)
+    ver.set_defaults(handler=cmd_pbw_verma)
 
     vfy = sub.add_parser("verify", help="run a verification suite", parents=[common])
     vfy.add_argument("suite", choices=sweeps.SUITES + ("all",))
@@ -198,8 +203,6 @@ def cmd_apply(ctx, args) -> int:
 
 def cmd_classify(ctx, args) -> int:
     lam = parse_weight(args.weight, ctx)
-    from .weights import residue_int
-
     r = args.r if args.r is not None else residue_int(ctx, lam, args.i)
     cls = crystal.classify_index(ctx, lam, args.i, r)
     if args.format == "json":
@@ -242,41 +245,47 @@ def cmd_blocks(ctx, args) -> int:
     return 0
 
 
-def cmd_pbw(ctx, args) -> int:
-    if args.pbw_command == "lower":
-        a_set = _parse_index_set(args.A)
-        _emit(args, pbw.s_element(ctx, args.i, args.j, a_set).dump())
-        return 0
-    if args.pbw_command == "check-recurrence":
-        ok = pbw.recurrence_check(ctx, args.i, args.j, _parse_index_set(args.A), args.k)
-        _emit(args, "pass" if ok else "FAIL")
-        return 0 if ok else 1
-    if args.pbw_command == "check-commutator":
-        result = pbw.commutator_lemma_check(
-            ctx, args.i, args.j, _parse_index_set(args.A), args.l
-        )
-        if result is None:
-            raise ValueError("input is outside the four cases of the lemma")
-        _emit(args, "pass" if result else "FAIL")
-        return 0 if result else 1
-    if args.pbw_command == "check-central":
-        zt = pbw.z_tilde_element(ctx, args.r)
-        bad = []
-        for i in range(1, ctx.rank + 1):
-            for j in range(1, ctx.rank + 1):
-                if not pbw.SuperElt.gen(ctx, i, j).bracket(zt).is_zero():
-                    bad.append((i, j))
-        _emit(args, "pass" if not bad else f"FAIL at generators {bad}")
-        return 0 if not bad else 1
-    if args.pbw_command == "verma-scalar":
-        lam = parse_weight(args.weight, ctx)
-        z = pbw.z_element(ctx, args.r).reduce_mod_J()
-        got = pbw.verma_scalar(z, lam)
-        want = linkage.z_scalar(ctx, lam, args.r)
-        status = "pass" if got == want else "FAIL"
-        _emit(args, f"{got} (predicted {want}): {status}")
-        return 0 if got == want else 1
-    raise ValueError(f"unknown pbw subcommand {args.pbw_command!r}")
+def cmd_pbw_lower(ctx, args) -> int:
+    a_set = _parse_index_set(args.A)
+    _emit(args, pbw.s_element(ctx, args.i, args.j, a_set).dump())
+    return 0
+
+
+def cmd_pbw_recurrence(ctx, args) -> int:
+    ok = pbw.recurrence_check(ctx, args.i, args.j, _parse_index_set(args.A), args.k)
+    _emit(args, "pass" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def cmd_pbw_commutator(ctx, args) -> int:
+    result = pbw.commutator_lemma_check(
+        ctx, args.i, args.j, _parse_index_set(args.A), args.l
+    )
+    if result is None:
+        raise ValueError("input is outside the four cases of the lemma")
+    _emit(args, "pass" if result else "FAIL")
+    return 0 if result else 1
+
+
+def cmd_pbw_central(ctx, args) -> int:
+    zt = pbw.z_tilde_element(ctx, args.r)
+    bad = []
+    for i in range(1, ctx.rank + 1):
+        for j in range(1, ctx.rank + 1):
+            if not pbw.SuperElt.gen(ctx, i, j).bracket(zt).is_zero():
+                bad.append((i, j))
+    _emit(args, "pass" if not bad else f"FAIL at generators {bad}")
+    return 0 if not bad else 1
+
+
+def cmd_pbw_verma(ctx, args) -> int:
+    lam = parse_weight(args.weight, ctx)
+    z = pbw.z_element(ctx, args.r).reduce_mod_J()
+    got = pbw.verma_scalar(z, lam)
+    want = linkage.z_scalar(ctx, lam, args.r)
+    status = "pass" if got == want else "FAIL"
+    _emit(args, f"{got} (predicted {want}): {status}")
+    return 0 if got == want else 1
 
 
 def cmd_verify(ctx, args) -> int:

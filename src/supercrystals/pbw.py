@@ -13,6 +13,8 @@ square to zero.  The default order puts all F = e_{j,i} (i<j) first, then the
 diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
 generated by the E's is a per-monomial predicate; the E_l-last variant makes
 membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
+Sums add into plain dicts and drop zeros once, in ``SuperElt.__init__`` or
+at the end of ``normalize_word`` and ``verma_apply``, which return dicts.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from .crystal import bc_positions, downarrow
 from .linkage import series_coeffs
-from .weights import ParityContext, Weight
+from .weights import ParityContext, Weight, residue_vectors
 
 Gen = Tuple[int, int]
 Monomial = Tuple[Tuple[Gen, int], ...]
@@ -114,11 +117,7 @@ def normalize_word(
         if swap_at is None:
             mono = _collapse(parities, w)
             if mono is not None:
-                acc = out.get(mono, 0) + coeff
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
+                out[mono] = out.get(mono, 0) + coeff
             continue
         x, y = w[swap_at], w[swap_at + 1]
         sign = -1 if gen_parity(parities, x) and gen_parity(parities, y) else 1
@@ -127,6 +126,8 @@ def normalize_word(
         )
         for bc, g in _bracket_gens(parities, x, y):
             stack.append((coeff * bc, w[:swap_at] + (g,) + w[swap_at + 2 :]))
+    if 0 in out.values():
+        out = {mono: c for mono, c in out.items() if c}
     _NORMALIZE_CACHE[cache_key] = out
     return out
 
@@ -159,8 +160,7 @@ class SuperElt:
     def const(
         ctx: ParityContext, c, order: GeneratorOrder = DEFAULT_ORDER
     ) -> "SuperElt":
-        c = c if isinstance(c, int) else Fraction(c)
-        return SuperElt(ctx, {(): c}, order)
+        return SuperElt(ctx, {(): 1}, order).scale(c)
 
     @staticmethod
     def gen(
@@ -194,19 +194,7 @@ class SuperElt:
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
-        parities = self.ctx.parities
-        out: Dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            w1 = _expand(m1)
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for mono, c in normalize_word(parities, self.order, w1 + _expand(m2)).items():
-                    acc = out.get(mono, 0) + c12 * c
-                    if acc:
-                        out[mono] = acc
-                    elif mono in out:
-                        del out[mono]
-        return SuperElt(self.ctx, out, self.order)
+        return _product(self.ctx, self.order, self.terms, other.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -243,16 +231,7 @@ class SuperElt:
     def reorder(self, order: GeneratorOrder) -> "SuperElt":
         if order == self.order:
             return self
-        parities = self.ctx.parities
-        out: Dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            for mono, c2 in normalize_word(parities, order, _expand(m)).items():
-                acc = out.get(mono, 0) + c * c2
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        return SuperElt(self.ctx, out, order)
+        return _product(self.ctx, order, self.terms, {(): 1})
 
     def reduce_mod_J(self) -> "SuperElt":
         """Drop monomials with a nonempty E-part (left ideal of all E's)."""
@@ -295,6 +274,18 @@ class SuperElt:
         return "\n".join(lines)
 
 
+def _product(ctx: ParityContext, order: GeneratorOrder, left: Dict, right: Dict) -> SuperElt:
+    """The sum of c1 c2 m1 m2 over the terms of left and right, normal-ordered in order."""
+    out: Dict[Monomial, Coeff] = {}
+    for m1, c1 in left.items():
+        w1 = _expand(m1)
+        for m2, c2 in right.items():
+            c12 = c1 * c2
+            for mono, c in normalize_word(ctx.parities, order, w1 + _expand(m2)).items():
+                out[mono] = out.get(mono, 0) + c12 * c
+    return SuperElt(ctx, out, order)
+
+
 # ---------------------------------------------------------------------------
 # named elements
 
@@ -328,14 +319,22 @@ def c_tilde_element(
 def b_element(
     ctx: ParityContext, i: int, k: int, order: GeneratorOrder = DEFAULT_ORDER
 ) -> SuperElt:
-    """b_{i,k} = si*H_i - s_{k+1}*H_{k+1} + si*theta_i - s_k*theta_k."""
-    si, sk1 = ctx.sign(i), ctx.sign(k + 1)
-    out = SuperElt.gen(ctx, i, i, order).scale(si) - SuperElt.gen(
-        ctx, k + 1, k + 1, order
-    ).scale(sk1)
-    return out + SuperElt.const(
-        ctx, si * ctx.theta[i - 1] - ctx.sign(k) * ctx.theta[k - 1], order
-    )
+    """b_{i,k} = si*H_i - s_{k+1}*H_{k+1} + si*theta_i - s_k*theta_k.
+
+    s_k*theta_k = s_{k+1} + s_{k+1}*theta_{k+1}, so b_{i,k} = c_{i,k+1} - s_{k+1}.
+    """
+    return c_element(ctx, i, k + 1, order) - SuperElt.const(ctx, ctx.sign(k + 1), order)
+
+
+def _lowering_factor(ctx: ParityContext, i: int, t: int, order: GeneratorOrder) -> SuperElt:
+    """The factor c~_{i,t} - L_{i+1} - ... - L_t of a lowering operator."""
+    factor = c_tilde_element(ctx, i, t, order)
+    for u in range(i + 1, t + 1):
+        factor = factor - murphy_element(ctx, u, order)
+    return factor
+
+
+_LOWERING_CACHE: Dict[tuple, Tuple[SuperElt, SuperElt]] = {}
 
 
 def lowering(
@@ -350,40 +349,24 @@ def lowering(
     S-tilde = (prod over t in A of (c-tilde_{i,t} - L_{i+1} - ... - L_t)) F_{i,j};
     S is its component with empty E-part.  The factors commute, so the
     ascending product order is a free choice.  By convention i = j gives the
-    identity (empty product, no F factor).
+    identity (empty product, no F factor).  Cached per (parities, p, i, j,
+    A, order); the products drop zeros only in ``SuperElt.__init__``.
     """
-    return _lowering_cached(ctx, i, j, frozenset(a_set), order)
-
-
-_LOWERING_CACHE: Dict[tuple, Tuple[SuperElt, SuperElt]] = {}
-
-
-def _lowering_cached(
-    ctx: ParityContext,
-    i: int,
-    j: int,
-    a_set: FrozenSet[int],
-    order: GeneratorOrder,
-) -> Tuple[SuperElt, SuperElt]:
+    a_set = frozenset(a_set)
     key = (ctx.parities, ctx.p, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit
     if i == j and not a_set:
-        one = SuperElt.const(ctx, 1, order)
-        result = (one, one)
-        _LOWERING_CACHE[key] = result
-        return result
-    if not 1 <= i < j <= ctx.rank:
-        raise IndexError(f"need 1 <= i < j <= {ctx.rank}, got ({i}, {j})")
-    if not all(i < t < j for t in a_set):
-        raise IndexError(f"A = {sorted(a_set)} not inside ({i}..{j})")
-    s_tilde = SuperElt.gen(ctx, j, i, order)
-    for t in sorted(a_set, reverse=True):
-        factor = c_tilde_element(ctx, i, t, order)
-        for u in range(i + 1, t + 1):
-            factor = factor - murphy_element(ctx, u, order)
-        s_tilde = factor * s_tilde
+        s_tilde = SuperElt.const(ctx, 1, order)
+    else:
+        if not 1 <= i < j <= ctx.rank:
+            raise IndexError(f"need 1 <= i < j <= {ctx.rank}, got ({i}, {j})")
+        if not all(i < t < j for t in a_set):
+            raise IndexError(f"A = {sorted(a_set)} not inside ({i}..{j})")
+        s_tilde = SuperElt.gen(ctx, j, i, order)
+        for t in sorted(a_set, reverse=True):
+            s_tilde = _lowering_factor(ctx, i, t, order) * s_tilde
     result = (s_tilde, s_tilde.reduce_mod_J())
     _LOWERING_CACHE[key] = result
     return result
@@ -468,12 +451,8 @@ def verma_apply(u: SuperElt, lam: Weight) -> Dict[Monomial, Coeff]:
                 f_part.append(((i, j), e))
         else:
             key = tuple(f_part)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
@@ -483,14 +462,20 @@ def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
     Raises if the image has a component outside the highest-weight line.
     """
     vec = verma_apply(u, lam)
-    extra = [m for m in vec if m]
-    if extra:
-        raise ArithmeticError(f"image leaves the highest-weight line: {extra[:3]}")
-    return vec.get((), 0)
+    scalar = vec.pop((), 0)
+    if vec:
+        raise ArithmeticError(f"image leaves the highest-weight line: {list(vec)[:3]}")
+    return scalar
 
 
 # ---------------------------------------------------------------------------
 # lemma checkers
+
+
+def _lemma_sign(ctx: ParityContext, i: int, k: int, j: int) -> int:
+    """(-1)^{p_i + (p_i + p_k)(p_i + p_j)}, the sign of F_{i,k} F_{k,j} in the lemmas."""
+    pi = ctx.parity(i)
+    return (-1) ** (pi + (pi + ctx.parity(k)) * (pi + ctx.parity(j)))
 
 
 def tech_lemma_check(ctx: ParityContext, i: int, t: int, j: int) -> bool:
@@ -499,14 +484,9 @@ def tech_lemma_check(ctx: ParityContext, i: int, t: int, j: int) -> bool:
         raise IndexError("need i < t < j")
     f_ij = SuperElt.gen(ctx, j, i)
     lhs1 = (murphy_element(ctx, t) * f_ij).reduce_mod_J()
-    a = (-1) ** (
-        ctx.parity(i)
-        + (ctx.parity(i) + ctx.parity(t)) * (ctx.parity(i) + ctx.parity(j))
-    )
+    a = _lemma_sign(ctx, i, t, j)
     rhs1 = (SuperElt.gen(ctx, t, i) * SuperElt.gen(ctx, j, t)).scale(-a)
-    factor = c_tilde_element(ctx, i, t)
-    for u in range(i + 1, t + 1):
-        factor = factor - murphy_element(ctx, u)
+    factor = _lowering_factor(ctx, i, t, DEFAULT_ORDER)
     lhs2 = (factor * murphy_element(ctx, t) * f_ij).reduce_mod_J()
     return lhs1 == rhs1 and lhs2.is_zero()
 
@@ -523,13 +503,9 @@ def recurrence_check(
     rhs = (s_element(ctx, i, j, a_set - {k}) * c_element(ctx, h, k)).reduce_mod_J()
     if h != i:
         rhs = rhs + s_element(ctx, i, j, (a_set - {k}) | {h})
-    a = (-1) ** (
-        ctx.parity(i)
-        + (ctx.parity(i) + ctx.parity(k)) * (ctx.parity(i) + ctx.parity(j))
-    )
     left = s_element(ctx, i, k, {t for t in a_set if i < t < k})
     right = s_element(ctx, k, j, {t for t in a_set if k < t < j})
-    rhs = rhs + (left * right).reduce_mod_J().scale(a)
+    rhs = rhs + (left * right).reduce_mod_J().scale(_lemma_sign(ctx, i, k, j))
     return lhs == rhs.reduce_mod_J()
 
 
@@ -569,16 +545,8 @@ def commutator_lemma_check(
     if case in ("i(a)", "i(b)"):
         return lhs.is_zero()
     if case == "ii":
-        if l == i:
-            b = (-1) ** (
-                (ctx.parity(i) + ctx.parity(i + 1)) * (ctx.parity(i) + ctx.parity(j))
-            )
-        else:
-            b = (-1) ** (
-                ctx.parity(i)
-                + (ctx.parity(i) + ctx.parity(l + 1))
-                * (ctx.parity(i) + ctx.parity(j))
-            )
+        # at l = i the sign lacks the (-1)^{p_i} factor
+        b = _lemma_sign(ctx, i, l + 1, j) * (ctx.sign(i) if l == i else 1)
         left = s_element(ctx, i, l, {t for t in a_set if i < t < l}, order)
         right = s_element(ctx, l + 1, j, {t for t in a_set if l + 1 < t < j}, order)
         rhs = (left * right).scale(-b)
@@ -608,27 +576,30 @@ def lowering_scalar_check(
     highest-weight line, and checks |scalar| = |prod over t in {i} u B of
     b_{i,t}(lam)| in the scalar domain (mod p when p > 0).  Returns the
     scalar (reduced mod p) and the sign, or None when the product vanishes.
-    """
-    from .crystal import b_scalar, c_scalar, downarrow
 
+    The preconditions c_{i,h}(lam) = 0 off A and b_{i,h}(lam) = 0 off B
+    (ValueError if not) read ``crystal.bc_positions`` of one
+    ``residue_vectors`` pass, and so does each b_{i,t} = down_i - up_{t+1}.
+    """
     a_set, b_set = frozenset(a_set), frozenset(b_set)
     if len(a_set) != len(b_set) or not downarrow(a_set, b_set):
         raise ValueError("need |A| = |B| with A matching down into B")
+    down, up = residue_vectors(ctx, lam)
+    c_zero, b_zero = bc_positions(ctx.p, down, up, i, j)
     for h in range(i + 1, j):
-        if h not in a_set and not ctx.congruent(c_scalar(ctx, lam, i, h), 0):
+        if h not in a_set and h not in c_zero:
             raise ValueError(f"c_{{{i},{h}}}(lam) not 0 mod p")
-        if h not in b_set and not ctx.congruent(b_scalar(ctx, lam, i, h), 0):
+        if h not in b_set and h not in b_zero:
             raise ValueError(f"b_{{{i},{h}}}(lam) not 0 mod p")
     elt = s_element(ctx, i, j, a_set)
     for t in range(j - 1, i - 1, -1):
         elt = SuperElt.gen(ctx, t, t + 1) * elt
     scalar = verma_scalar(elt, lam)
-    if scalar.denominator != 1:
-        raise ArithmeticError("non-integral Verma scalar")
     predicted = 1
-    for t in sorted({i} | b_set):
-        predicted *= b_scalar(ctx, lam, i, t)
-    lhs, rhs = ctx.reduce(int(scalar)), ctx.reduce(predicted)
+    for t in {i} | b_set:
+        # r_i - r_{t+1} at lam + eps_{t+1}; r_i moves only at t = i - 1
+        predicted *= (up if t == i - 1 else down)[i - 1] - up[t]
+    lhs, rhs = ctx.reduce(scalar), ctx.reduce(predicted)
     if rhs == 0:
         if lhs != 0:
             raise AssertionError(

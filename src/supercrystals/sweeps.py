@@ -306,6 +306,7 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
         candidates = _residue_candidates(p, down, up)
+        moves = {}  # r -> star_moves of lam, shared by every adjacent position
         for i in adjacents:
             octx = octxs[i]
             olam = crystal.odd_weight(p, signs, lam, i)
@@ -314,7 +315,9 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if w != wt_key(p, octx.signs, odown):
                 _fail(stats, spec, "wt", lam=lam, i=i)
             for r in sorted(set(candidates).union(_residue_candidates(p, odown, oup))):
-                e1, f1, cnt1 = crystal.star_moves(p, lam, down, up, r)
+                if r not in moves:
+                    moves[r] = crystal.star_moves(p, lam, down, up, r)
+                e1, f1, cnt1 = moves[r]
                 e2, f2, cnt2 = crystal.star_moves(p, olam, odown, oup, r)
                 stats.checks += 1
                 if cnt1 != cnt2:
@@ -537,27 +540,21 @@ def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     ctx = _ctx(spec)
     rep = PropertyReport("raised lowered vectors give the predicted scalar")
     rank = ctx.rank
+    vectors = [(lam, residue_vectors(ctx, lam)) for lam in iter_window(rank, window)]
     for i in range(1, rank):
         for j in range(i + 1, rank + 1):
-            interval = list(range(i + 1, j))
+            interval = frozenset(range(i + 1, j))
             pairs = [
                 (a_set, b_set)
-                for a_set in _subsets(interval)
-                for b_set in _subsets(interval)
+                for a_set in _subsets(sorted(interval))
+                for b_set in _subsets(sorted(interval))
                 if len(a_set) == len(b_set) and crystal.downarrow(a_set, b_set)
             ]
-            for lam in iter_window(rank, window):
+            for lam, (down, up) in vectors:
+                # lowering_scalar_check's preconditions: c_{i,h} = 0 off A, b_{i,h} = 0 off B
+                c_zero, b_zero = crystal.bc_positions(ctx.p, down, up, i, j)
                 for a_set, b_set in pairs:
-                    ok = all(
-                        ctx.congruent(crystal.c_scalar(ctx, lam, i, h), 0)
-                        for h in interval
-                        if h not in a_set
-                    ) and all(
-                        ctx.congruent(crystal.b_scalar(ctx, lam, i, h), 0)
-                        for h in interval
-                        if h not in b_set
-                    )
-                    if not ok:
+                    if not (interval - a_set <= c_zero and interval - b_set <= b_zero):
                         continue
                     rep.checks += 1
                     try:

@@ -150,6 +150,33 @@ def test_pbw_check_central(capsys):
     assert out == "pass"
 
 
+PBW3 = ["--p", "0", "--parities", "1,0,1", "pbw"]
+
+
+def test_pbw_check_recurrence(capsys):
+    code, out, err = run(
+        PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"], capsys
+    )
+    assert (code, out, err) == (0, "pass", "")
+    code, out, err = run(
+        PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "1"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: k = 1 is not in A = [2]"
+
+
+def test_pbw_check_commutator(capsys):
+    for a_set, l in (("2", "1"), ("", "2"), ("2", "2")):
+        code, out, err = run(
+            PBW3 + ["check-commutator", "--i", "1", "--j", "3", "--A", a_set, "--l", l], capsys
+        )
+        assert (code, out, err) == (0, "pass", ""), (a_set, l)
+    # (i, j, A, l) = (1, 2, {}, 1) falls in none of the lemma's four cases
+    code, out, err = run(PBW3 + ["check-commutator", "--i", "1", "--j", "2", "--l", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: input is outside the four cases of the lemma"
+
+
 def test_malformed_weight_exits_2(capsys):
     code, _, err = run(PAPER + ["signature", "--weight", "1,x,3,4,5"], capsys)
     assert code == 2

@@ -5,7 +5,14 @@ import itertools
 import pytest
 
 from supercrystals import crystal
-from supercrystals.weights import build_context, eps, weight_add, weight_sub
+from supercrystals.weights import (
+    build_context,
+    eps,
+    iter_window,
+    residue_vectors,
+    weight_add,
+    weight_sub,
+)
 
 PAPER_PARITIES = (1, 1, 0, 0, 0)
 PAPER_LAM = (1, -1, 1, 7, 5)
@@ -144,3 +151,26 @@ def test_conormal_via_flip_agrees_with_classify():
         for r in range(3):
             direct = crystal.classify_index(ctx, PAPER_LAM, i, r).is_conormal
             assert crystal.conormal_via_flip(ctx, PAPER_LAM, i, r) == direct
+
+
+def test_bc_positions_match_the_scalar_definitions():
+    # the kernel against the weight-arithmetic reference c_scalar / b_scalar
+    for rank in (2, 3, 4):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, 2):
+                    down, up = residue_vectors(ctx, lam)
+                    for i in range(1, rank):
+                        for j in range(i + 1, rank + 1):
+                            c_want = {
+                                h for h in range(i + 1, j + 1)
+                                if ctx.congruent(crystal.c_scalar(ctx, lam, i, h), 0)
+                            }
+                            b_want = {
+                                h for h in range(i, j)
+                                if ctx.congruent(crystal.b_scalar(ctx, lam, i, h), 0)
+                            }
+                            got = crystal.bc_positions(p, down, up, i, j)
+                            assert got == (c_want, b_want), (parities, p, lam, i, j)

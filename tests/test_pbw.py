@@ -248,3 +248,66 @@ def test_z_element_shift_is_the_parity_combination_sum():
             want = -((-1) ** r) * shift
             assert z - pbw.z_tilde_element(ctx, r) == SuperElt.const(ctx, want)
             assert z.terms.get((), 0) == want, (parities, r)
+
+
+def _nonzero(terms):
+    return all(c != 0 for c in terms.values())
+
+
+def test_zero_coefficients_are_dropped_everywhere():
+    # SuperElt.__init__ is the one place zeros are dropped; every operation
+    # below can cancel a term and must still leave none behind
+    for parities in ((1, 0), (0, 0), (1, 0, 1), (0, 1, 0)):
+        ctx = ctx_of(parities)
+        rank = ctx.rank
+        gens = [SuperElt.gen(ctx, i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        for x in gens:
+            for y in gens:
+                xy = x * y
+                built = [
+                    xy,
+                    xy - xy,
+                    xy + (-xy),
+                    xy.scale(0),
+                    x.bracket(y),
+                    xy.reorder(GeneratorOrder(kind="alt")),
+                    xy.reduce_mod_J(),
+                    xy * y,
+                ]
+                for elt in built:
+                    assert _nonzero(elt.terms), (parities, x.dump(), y.dump(), elt.terms)
+                assert (xy - xy).terms == {}
+    ctx = ctx_of((1, 0))
+    h1, h2 = SuperElt.gen(ctx, 1, 1), SuperElt.gen(ctx, 2, 2)
+    assert h1.bracket(h2).terms == {}
+    e = SuperElt.gen(ctx, 1, 2)
+    assert (e * e).terms == {}  # an odd generator squares to zero
+
+
+def test_normalize_word_and_verma_apply_return_no_zeros():
+    # e_{1,2} e_{1,2} e_{2,1} cancels while it is normal-ordered: e_{1,2} is odd
+    assert pbw.normalize_word((1, 0), DEFAULT_ORDER, ((1, 2), (1, 2), (2, 1))) == {}
+    for parities in ((1, 0), (0, 1, 0), (1, 0, 1)):
+        rank = len(parities)
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        for word in itertools.product(gens, repeat=3):
+            assert _nonzero(pbw.normalize_word(parities, DEFAULT_ORDER, word)), word
+    ctx = ctx_of((1, 0))
+    h = SuperElt.gen(ctx, 1, 1) - SuperElt.gen(ctx, 2, 2)
+    assert pbw.verma_apply(h, (1, 1)) == {}
+    assert pbw.verma_apply(h, (2, 1)) == {(): 1}
+    assert pbw.verma_scalar(h, (1, 1)) == 0
+
+
+def test_lowering_scalar_check_reports_the_failed_precondition():
+    # parities (0,0,0), p=0: theta = (2,1,0), so c_{1,2} = lam_1 - lam_2 + 1
+    # and b_{1,2} = lam_1 - lam_3 + 1
+    ctx = ctx_of((0, 0, 0))
+    with pytest.raises(ValueError) as exc:
+        pbw.lowering_scalar_check(ctx, 1, 3, set(), set(), (0, 0, 0))
+    assert str(exc.value) == "c_{1,2}(lam) not 0 mod p"
+    with pytest.raises(ValueError) as exc:
+        pbw.lowering_scalar_check(ctx, 1, 3, set(), set(), (0, 1, 0))
+    assert str(exc.value) == "b_{1,2}(lam) not 0 mod p"
+    # both preconditions hold at (0, 1, 1): the check runs and passes
+    assert pbw.lowering_scalar_check(ctx, 1, 3, set(), set(), (0, 1, 1)) is not None
