@@ -62,6 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "dot"), default=argparse.SUPPRESS
     )
     common.add_argument("--out", default=argparse.SUPPRESS)
+    # the positions i < j of the lowering-operator commands
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair.add_argument("--i", type=int, required=True)
+    pair.add_argument("--j", type=int, required=True)
     sub = top.add_subparsers(dest="command", required=True)
 
     sig = sub.add_parser("signature", help="raw and reduced r-signatures", parents=[common])
@@ -96,22 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("pbw", help="symbolic enveloping-algebra operations", parents=[common])
     pbsub = pb.add_subparsers(dest="pbw_command", required=True)
 
-    low = pbsub.add_parser("lower", help="the lowering operator S_{i,j}(A)", parents=[common])
-    low.add_argument("--i", type=int, required=True)
-    low.add_argument("--j", type=int, required=True)
+    low = pbsub.add_parser("lower", help="the lowering operator S_{i,j}(A)", parents=[pair])
     low.add_argument("--A", default="")
     low.set_defaults(handler=cmd_pbw_lower)
 
-    rec = pbsub.add_parser("check-recurrence", parents=[common])
-    rec.add_argument("--i", type=int, required=True)
-    rec.add_argument("--j", type=int, required=True)
+    rec = pbsub.add_parser("check-recurrence", parents=[pair])
     rec.add_argument("--A", required=True)
     rec.add_argument("--k", type=int, required=True)
     rec.set_defaults(handler=cmd_pbw_recurrence)
 
-    com = pbsub.add_parser("check-commutator", parents=[common])
-    com.add_argument("--i", type=int, required=True)
-    com.add_argument("--j", type=int, required=True)
+    com = pbsub.add_parser("check-commutator", parents=[pair])
     com.add_argument("--A", default="")
     com.add_argument("--l", type=int, required=True)
     com.set_defaults(handler=cmd_pbw_commutator)
@@ -229,9 +227,6 @@ def cmd_blocks(ctx, args) -> int:
     else:
         data = json.load(sys.stdin)
     weights = [tuple(int(c) for c in w) for w in data]
-    for w in weights:
-        if len(w) != ctx.rank:
-            raise ValueError(f"weight {list(w)} has wrong length for the context")
     blocks = linkage.partition_blocks(ctx, weights)
     _emit(
         args,
@@ -352,6 +347,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.format == "dot" and args.command != "graph":
             raise ValueError(f"--format dot applies only to graph, not {args.command}")
+        if args.format == "json" and args.command == "pbw":
+            raise ValueError(f"--format json does not apply to pbw {args.pbw_command}")
         return args.handler(_context(args), args)
     except (ContextError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

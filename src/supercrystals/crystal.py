@@ -7,14 +7,14 @@ matching certificate, and odd reflections between adjacent parity contexts.
 Each object has one implementation, a kernel over values the caller computes
 once per weight: the residue vectors ``down``/``up`` of
 ``weights.residue_vectors``, the sign vector ``ctx.signs`` and the
-characteristic ``p``.  The kernels code a signature entry as +1/-1/0:
-``reduced_entries`` (the reduced signature), ``star_moves`` (e*, f* and
-their counters), ``signature_residues`` (the residues with a nonzero
-signature), ``bc_positions``, ``matching_normal`` and
+characteristic ``p``.  ``reduced_positions`` gives the uncanceled -/+
+positions of a reduced r-signature; ``star_moves`` (e*, f*, their counters)
+and ``index_kind`` (normal/good/conormal/cogood) read off them.  The others
+are ``signature_residues``, ``bc_positions``, ``matching_normal`` and
 ``matching_good`` (the B-into-C criterion), ``downarrow`` and
-``greedy_match`` (the matching itself) and ``odd_weight`` (odd
-reflections).  The sweeps call them directly; the functions taking a
-context validate their input, compute the residues once and call them.
+``greedy_match`` (the matching) and ``odd_weight`` (odd reflections).  The
+sweeps call the kernels; the functions taking a context validate their
+input, compute the residues once and call them.
 ``Signature``, with its "+"/"-"/"0" entries, is the boundary type.
 """
 
@@ -38,11 +38,6 @@ from .weights import (
 PLUS = "+"
 MINUS = "-"
 ZERO = "0"
-
-# entry symbols indexed by their int code; code -1 picks the last one
-_SYMBOLS = (ZERO, PLUS, MINUS)
-# (down, up) residues whose 0-signature at p = 0 is the given entry
-_ENTRY_RESIDUES = {PLUS: (1, 0), MINUS: (0, 1), ZERO: (1, 1)}
 
 NOT_CLASSIFIED = "not-classified"
 NORMAL = "normal"
@@ -88,30 +83,42 @@ class IndexClass:
 # kernels over residue vectors
 
 
-def reduced_entries(
+def reduced_positions(
     p: int, down: Sequence[int], up: Sequence[int], r: int
-) -> List[int]:
-    """The reduced r-signature as +1/-1/0 from the residue vectors.
+) -> Tuple[List[int], List[int]]:
+    """(minus, plus): the uncanceled - and + positions of the reduced r-signature.
 
-    The r-signature has +1 where up_i = r, else -1 where down_i = r (mod p),
-    else 0.  Read left to right, each +1 cancels the nearest uncanceled -1
-    to its left, and both become 0.
+    The r-signature has + at position i where up_i = r, else - where
+    down_i = r (mod p), else 0.  Read left to right, each + cancels the
+    nearest uncanceled - to its left.  Both lists are 0-based and increasing,
+    and every plus lies left of every minus: minus[0] is the good position,
+    where e* acts, and plus[-1] the cogood one, where f* acts.
     """
-    red = []
-    minus = []  # indices of the uncanceled -1 entries so far
-    for d, u in zip(down, up):
-        if (u - r) % p == 0 if p else u == r:
+    minus = []
+    plus = []
+    for i in range(len(down)):
+        if (up[i] - r) % p == 0 if p else up[i] == r:
             if minus:
-                red[minus.pop()] = 0
-                red.append(0)
+                minus.pop()
             else:
-                red.append(1)
-        elif (d - r) % p == 0 if p else d == r:
-            minus.append(len(red))
-            red.append(-1)
-        else:
-            red.append(0)
-    return red
+                plus.append(i)
+        elif (down[i] - r) % p == 0 if p else down[i] == r:
+            minus.append(i)
+    return minus, plus
+
+
+def index_kind(minus: Sequence[int], plus: Sequence[int], q: int) -> str:
+    """The class of 0-based position q, given the pair of ``reduced_positions``.
+
+    normal: q carries an uncanceled -; good: the leftmost such.  conormal: q
+    carries an uncanceled +; cogood: the rightmost such.  Otherwise q is
+    not classified.
+    """
+    if q in minus:
+        return GOOD if q == minus[0] else NORMAL
+    if q in plus:
+        return COGOOD if q == plus[-1] else CONORMAL
+    return NOT_CLASSIFIED
 
 
 def signature_residues(
@@ -133,21 +140,19 @@ def star_moves(
 ) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
     """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) from the residue vectors of lam.
 
-    e* removes eps_q at the leftmost -1 of the reduced signature and f* adds
-    eps_q at its rightmost +1; a move without such an entry is None.  The
-    counters count the -1 and +1 entries.
+    e* removes eps_q at the good position minus[0] of ``reduced_positions``
+    and f* adds eps_q at the cogood position plus[-1]; a move without such a
+    position is None.  The counters are the lengths of minus and plus.
     """
-    red = reduced_entries(p, down, up, r)
-    e_cnt = red.count(-1)
-    f_cnt = red.count(1)
+    minus, plus = reduced_positions(p, down, up, r)
     e_w = f_w = None
-    if e_cnt:
-        q = red.index(-1)
+    if minus:
+        q = minus[0]
         e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
-    if f_cnt:
-        q = len(red) - 1 - red[::-1].index(1)
+    if plus:
+        q = plus[-1]
         f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
-    return e_w, f_w, (e_cnt, f_cnt)
+    return e_w, f_w, (len(minus), len(plus))
 
 
 def bc_positions(
@@ -245,8 +250,14 @@ def odd_weight(p: int, signs: Sequence[int], lam: Weight, i: int) -> Weight:
 # public functions on a context
 
 
-def _signature(entries: List[int], reduced: bool) -> Signature:
-    return Signature(tuple([_SYMBOLS[e] for e in entries]), reduced)
+def _reduced(p: int, down: Sequence[int], up: Sequence[int], r: int) -> Signature:
+    minus, plus = reduced_positions(p, down, up, r)
+    entries = [ZERO] * len(down)
+    for q in minus:
+        entries[q] = MINUS
+    for q in plus:
+        entries[q] = PLUS
+    return Signature(tuple(entries), reduced=True)
 
 
 def r_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:
@@ -262,14 +273,15 @@ def r_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:
 
 def reduce_signature(sig: Signature) -> Signature:
     """Cancel -+ pairs: each + cancels the nearest unmatched - to its left."""
-    down = [_ENTRY_RESIDUES[e][0] for e in sig.entries]
-    up = [_ENTRY_RESIDUES[e][1] for e in sig.entries]
-    return _signature(reduced_entries(0, down, up, 0), reduced=True)
+    # residues whose 0-signature at p = 0 is the entry: + is up = 0, - is down = 0
+    down = [int(e != MINUS) for e in sig.entries]
+    up = [int(e != PLUS) for e in sig.entries]
+    return _reduced(0, down, up, 0)
 
 
 def reduced_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:
     down, up = residue_vectors(ctx, lam)
-    return _signature(reduced_entries(ctx.p, down, up, r), reduced=True)
+    return _reduced(ctx.p, down, up, r)
 
 
 def e_star(ctx: ParityContext, lam: Weight, r: int) -> Optional[Weight]:
@@ -287,8 +299,8 @@ def f_star(ctx: ParityContext, lam: Weight, r: int) -> Optional[Weight]:
 def eps_phi_star(ctx: ParityContext, lam: Weight, r: int) -> Tuple[int, int]:
     """(eps*_r, phi*_r): counts of - and + in the reduced signature."""
     down, up = residue_vectors(ctx, lam)
-    red = reduced_entries(ctx.p, down, up, r)
-    return red.count(-1), red.count(1)
+    minus, plus = reduced_positions(ctx.p, down, up, r)
+    return len(minus), len(plus)
 
 
 def relevant_residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
@@ -301,23 +313,12 @@ def relevant_residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
 
 
 def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClass:
-    """Classify position i in the reduced r-signature.
-
-    normal: i carries a -; good: the leftmost such.  conormal: i carries
-    a +; cogood: the rightmost such.  A 0-entry is not classified.
-    """
+    """Classify position i (1-based) in the reduced r-signature; see ``index_kind``."""
     if not 1 <= i <= ctx.rank:
         raise IndexError(f"position {i} out of range 1..{ctx.rank}")
     down, up = residue_vectors(ctx, lam)
-    red = reduced_entries(ctx.p, down, up, r)
-    entry = red[i - 1]
-    if entry == -1:
-        kind = GOOD if red.index(-1) == i - 1 else NORMAL
-    elif entry == 1:
-        kind = CONORMAL if 1 in red[i:] else COGOOD
-    else:
-        kind = NOT_CLASSIFIED
-    return IndexClass(kind=kind, r=ctx.reduce(r))
+    minus, plus = reduced_positions(ctx.p, down, up, r)
+    return IndexClass(kind=index_kind(minus, plus, i - 1), r=ctx.reduce(r))
 
 
 def c_scalar(ctx: ParityContext, lam: Weight, i: int, j: int) -> int:

@@ -135,18 +135,9 @@ def same_block(ctx: ParityContext, lam: Weight, mu: Weight) -> bool:
 def partition_blocks(
     ctx: ParityContext, weights: Sequence[Weight]
 ) -> List[Tuple[AffineWeight, List[Weight]]]:
-    """Group weights by wt value; block order follows first occurrence."""
+    """Group weights by wt value, each weight once; blocks and the weights in
+    them keep first-occurrence order, the insertion order of the dicts."""
     blocks: Dict[AffineWeight, List[Weight]] = {}
-    order: List[AffineWeight] = []
-    seen = set()
-    for w in weights:
-        w = tuple(w)
-        if w in seen:
-            continue
-        seen.add(w)
-        key = wt_of(ctx, w)
-        if key not in blocks:
-            blocks[key] = []
-            order.append(key)
-        blocks[key].append(w)
-    return [(key, blocks[key]) for key in order]
+    for w in dict.fromkeys(tuple(w) for w in weights):
+        blocks.setdefault(wt_of(ctx, w), []).append(w)
+    return list(blocks.items())

@@ -290,15 +290,21 @@ def _product(ctx: ParityContext, order: GeneratorOrder, left: Dict, right: Dict)
 # named elements
 
 
+def _row_sum(
+    ctx: ParityContext, k: int, column: List[SuperElt], order: GeneratorOrder
+) -> SuperElt:
+    """sum_s (-1)**p_s e_{k,s} column[s-1], s running over the column."""
+    out = SuperElt.zero(ctx, order)
+    for s, elt in enumerate(column, 1):
+        out = out + (SuperElt.gen(ctx, k, s, order) * elt).scale(ctx.sign(s))
+    return out
+
+
 def murphy_element(
     ctx: ParityContext, j: int, order: GeneratorOrder = DEFAULT_ORDER
 ) -> SuperElt:
     """L_j = sum_{i<j} (-1)**parity_i F_{i,j} E_{i,j}."""
-    out = SuperElt.zero(ctx, order)
-    for i in range(1, j):
-        term = SuperElt.gen(ctx, j, i, order) * SuperElt.gen(ctx, i, j, order)
-        out = out + term.scale(ctx.sign(i))
-    return out
+    return _row_sum(ctx, j, [SuperElt.gen(ctx, i, j, order) for i in range(1, j)], order)
 
 
 def c_element(
@@ -382,29 +388,34 @@ def s_element(
     return lowering(ctx, i, j, a_set, order)[1]
 
 
+def x_column(
+    ctx: ParityContext, l: int, r: int, order: GeneratorOrder = DEFAULT_ORDER
+) -> List[SuperElt]:
+    """[x^[r]_{1,l}, ..., x^[r]_{rank,l}], each level built once from the one below."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    positions = range(1, ctx.rank + 1)
+    column = [SuperElt.gen(ctx, k, l, order) for k in positions]
+    for _ in range(r - 1):
+        column = [_row_sum(ctx, k, column, order) for k in positions]
+    return column
+
+
 def x_element(
     ctx: ParityContext, k: int, l: int, r: int, order: GeneratorOrder = DEFAULT_ORDER
 ) -> SuperElt:
-    """x^[r]_{k,l}: x^[1] = e_{k,l}; x^[r] = sum_s (-1)**p_s e_{k,s} x^[r-1]_{s,l}."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    """x^[1]_{k,l} = e_{k,l}; x^[r]_{k,l} = sum_s (-1)**p_s e_{k,s} x^[r-1]_{s,l}."""
     if r == 1:
         return SuperElt.gen(ctx, k, l, order)
-    out = SuperElt.zero(ctx, order)
-    for s in range(1, ctx.rank + 1):
-        term = SuperElt.gen(ctx, k, s, order) * x_element(ctx, s, l, r - 1, order)
-        out = out + term.scale(ctx.sign(s))
-    return out
+    return _row_sum(ctx, k, x_column(ctx, l, r - 1, order), order)
 
 
 def z_tilde_element(
     ctx: ParityContext, r: int, order: GeneratorOrder = DEFAULT_ORDER
 ) -> SuperElt:
     """The central element sum_k x^[r]_{k,k}."""
-    out = SuperElt.zero(ctx, order)
-    for k in range(1, ctx.rank + 1):
-        out = out + x_element(ctx, k, k, r, order)
-    return out
+    diagonal = (x_element(ctx, k, k, r, order) for k in range(1, ctx.rank + 1))
+    return sum(diagonal, SuperElt.zero(ctx, order))
 
 
 def z_element(
@@ -576,11 +587,14 @@ def lowering_scalar_check(
     highest-weight line, and checks |scalar| = |prod over t in {i} u B of
     b_{i,t}(lam)| in the scalar domain (mod p when p > 0).  Returns the
     scalar (reduced mod p) and the sign, or None when the product vanishes.
+    IndexError unless 1 <= i < j <= rank.
 
     The preconditions c_{i,h}(lam) = 0 off A and b_{i,h}(lam) = 0 off B
     (ValueError if not) read ``crystal.bc_positions`` of one
     ``residue_vectors`` pass, and so does each b_{i,t} = down_i - up_{t+1}.
     """
+    if not 1 <= i < j <= ctx.rank:
+        raise IndexError(f"need 1 <= i < j <= {ctx.rank}, got ({i}, {j})")
     a_set, b_set = frozenset(a_set), frozenset(b_set)
     if len(a_set) != len(b_set) or not downarrow(a_set, b_set):
         raise ValueError("need |A| = |B| with A matching down into B")
@@ -597,8 +611,7 @@ def lowering_scalar_check(
     scalar = verma_scalar(elt, lam)
     predicted = 1
     for t in {i} | b_set:
-        # r_i - r_{t+1} at lam + eps_{t+1}; r_i moves only at t = i - 1
-        predicted *= (up if t == i - 1 else down)[i - 1] - up[t]
+        predicted *= down[i - 1] - up[t]
     lhs, rhs = ctx.reduce(scalar), ctx.reduce(predicted)
     if rhs == 0:
         if lhs != 0:

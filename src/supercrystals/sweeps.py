@@ -71,8 +71,7 @@ def context_specs(
 
 
 def _ctx(spec: CtxSpec) -> ParityContext:
-    m, n, parities, p = spec
-    return build_context(m, n, parities, p)
+    return build_context(*spec)
 
 
 def _p0_spec(parities: Tuple[int, ...]) -> CtxSpec:
@@ -192,17 +191,15 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
         for r in _residue_candidates(p, down, up):
-            red = crystal.reduced_entries(p, down, up, r)
-            e_cnt = red.count(-1)
-            f_cnt = red.count(1)
+            minus, plus = crystal.reduced_positions(p, down, up, r)
             c1.checks += 1
-            if f_cnt - e_cnt != alpha_pairing(p, w, r):
+            if len(plus) - len(minus) != alpha_pairing(p, w, r):
                 _fail(c1, spec, lam=lam, r=r)
-            # e* moves position q down one step, f* up one step
-            for op, step, cnt in (("e*", -1, e_cnt), ("f*", 1, f_cnt)):
-                if not cnt:
+            # e* moves the good position down one step, f* the cogood one up
+            for op, step, ends in (("e*", -1, minus), ("f*", 1, plus)):
+                if not ends:
                     continue
-                q = red.index(-1) if step < 0 else rank - 1 - red[::-1].index(1)
+                q = minus[0] if step < 0 else plus[-1]
                 moved = lam[:q] + (lam[q] + step,) + lam[q + 1 :]
                 down2 = down[:]
                 down2[q] += step * signs[q]
@@ -213,7 +210,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if (f_back if step < 0 else e_back) != lam:
                     _fail(c4, spec, op, lam=lam, r=r)
                 c23.checks += 1
-                if cnt2 != (e_cnt + step, f_cnt - step):
+                if cnt2 != (len(minus) + step, len(plus) - step):
                     _fail(c23, spec, op, lam=lam, r=r)
                 shift.checks += 1
                 b_letter = down[q] + (1 if signs[q] > 0 else 0)
@@ -235,24 +232,29 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     flip = PropertyReport("normal maps to conormal through the flip")
     rank = ctx.rank
     p = ctx.p
-    signs = ctx.signs
     fctx = flip_map(ctx, (0,) * rank)[0]
     fshift = ctx.m - ctx.n
+    normal_kinds = (crystal.NORMAL, crystal.GOOD)
+    conormal_kinds = (crystal.CONORMAL, crystal.COGOOD)
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         fdown, fup = residue_vectors(fctx, flip_weight(lam))
         normal = [crystal.matching_normal(p, down, up, i) for i in range(1, rank + 1)]
-        red_cache: Dict[int, List[int]] = {}
-        fred_cache: Dict[int, List[int]] = {}
+        # residue class -> reduced_positions of lam and of the flipped weight,
+        # whose residues are r_i(lam + eps_i) - (m - n), read backwards
+        classes: Dict[int, tuple] = {}
         for i in range(1, rank + 1):
             r = down[i - 1]
             key = r % p if p else r
-            red = red_cache.get(key)
-            if red is None:
-                red = crystal.reduced_entries(p, down, up, r)
-                red_cache[key] = red
-            sig_normal = red[i - 1] == -1
-            sig_good = sig_normal and red.index(-1) == i - 1
+            if key not in classes:
+                classes[key] = (
+                    crystal.reduced_positions(p, down, up, r),
+                    crystal.reduced_positions(p, fdown, fup, r - fshift),
+                )
+            (minus, plus), (fminus, fplus) = classes[key]
+            kind = crystal.index_kind(minus, plus, i - 1)
+            sig_normal = kind in normal_kinds
+            sig_good = kind == crystal.GOOD
             crit.checks += 1
             if sig_normal != normal[i - 1]:
                 _fail(crit, spec, lam=lam, i=i)
@@ -260,28 +262,22 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if sig_good != crystal.matching_good(p, down, normal, i):
                 _fail(goodcrit, spec, lam=lam, i=i)
             npc.checks += 1
-            down2 = down[:]
-            down2[i - 1] -= signs[i - 1]
-            up2 = up[:]
-            up2[i - 1] -= signs[i - 1]
-            red2 = crystal.reduced_entries(p, down2, up2, r)
-            want_good = sig_normal and red2[i - 1] == 1
-            if sig_good != want_good:
+            # position i of lam - eps_i, read only when i is normal for lam
+            conormal_below = False
+            if sig_normal:
+                down2 = down[:]
+                down2[i - 1] -= ctx.signs[i - 1]
+                up2 = up[:]
+                up2[i - 1] -= ctx.signs[i - 1]
+                minus2, plus2 = crystal.reduced_positions(p, down2, up2, r)
+                conormal_below = crystal.index_kind(minus2, plus2, i - 1) in conormal_kinds
+            if sig_good != conormal_below:
                 _fail(npc, spec, lam=lam, i=i)
-            # flipped residues are r_i(lam + eps_i) - (m - n), read backwards
-            fr = r - fshift
-            fkey = fr % p if p else fr
-            fred = fred_cache.get(fkey)
-            if fred is None:
-                fred = crystal.reduced_entries(p, fdown, fup, fr)
-                fred_cache[fkey] = fred
-            fi = rank - i  # 0-based index of the flipped position
-            f_conormal = fred[fi] == 1
-            f_cogood = f_conormal and 1 not in fred[fi + 1 :]
+            fkind = crystal.index_kind(fminus, fplus, rank - i)
             flip.checks += 2
-            if sig_normal != f_conormal:
+            if sig_normal != (fkind in conormal_kinds):
                 _fail(flip, spec, "normal/conormal", lam=lam, i=i)
-            if sig_good != f_cogood:
+            if sig_good != (fkind == crystal.COGOOD):
                 _fail(flip, spec, "good/cogood", lam=lam, i=i)
     return [crit, goodcrit, npc, flip]
 
@@ -488,8 +484,8 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     central = PropertyReport("the summed x elements are central")
     positions = range(1, ctx.rank + 1)
     for r in range(1, max_r + 1):
-        zt = pbw.z_tilde_element(ctx, r)
-        x = {(k, l): pbw.x_element(ctx, k, l, r) for k in positions for l in positions}
+        x = {(k, l): e for l in positions for k, e in enumerate(pbw.x_column(ctx, l, r), 1)}
+        zt = sum((x[k, k] for k in positions), pbw.SuperElt.zero(ctx))
         for i in positions:
             for j in positions:
                 g = pbw.SuperElt.gen(ctx, i, j)

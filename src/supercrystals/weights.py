@@ -8,9 +8,10 @@ integer tuples (coefficients on epsilon_1..epsilon_{m+n}); all positions are
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 
@@ -141,7 +142,7 @@ def weight_sub(lam: Weight, mu: Weight) -> Weight:
 def check_weight(ctx: ParityContext, lam: Weight) -> None:
     """Raise ValueError unless lam has one coefficient per position."""
     if len(lam) != ctx.rank:
-        raise ValueError("weight length does not match the context rank")
+        raise ValueError(f"weight {list(lam)} has length {len(lam)}, expected {ctx.rank}")
 
 
 def form_pair(ctx: ParityContext, lam: Weight, mu: Weight) -> int:
@@ -227,8 +228,8 @@ def parse_weight(text: str, ctx: ParityContext = None) -> Weight:
     return w
 
 
-def iter_window(rank: int, bound: int) -> Iterable[Weight]:
-    """All weights with |coeff| <= bound, ordered by (max-norm, lexicographic)."""
-    window = list(itertools.product(range(-bound, bound + 1), repeat=rank))
-    window.sort(key=lambda w: (max((abs(c) for c in w), default=0), w))
-    return window
+@functools.lru_cache(maxsize=None)
+def iter_window(rank: int, bound: int) -> Tuple[Weight, ...]:
+    """All weights with |coeff| <= bound, by (max-norm, lexicographic); built once."""
+    window = itertools.product(range(-bound, bound + 1), repeat=rank)
+    return tuple(sorted(window, key=lambda w: (max(map(abs, w), default=0), w)))

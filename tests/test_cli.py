@@ -391,3 +391,30 @@ def test_python_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1,-1,1,7,6\n"
+
+
+def test_json_format_on_pbw_commands_exits_2(capsys):
+    for argv in (
+        ["lower", "--i", "1", "--j", "2"],
+        ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"],
+        ["check-commutator", "--i", "1", "--j", "3", "--A", "2", "--l", "1"],
+        ["check-central", "--r", "2"],
+        ["verma-scalar", "--weight", "2,3,1", "--r", "1"],
+    ):
+        for args in (
+            ["--format", "json", "pbw"] + argv,
+            ["pbw"] + argv + ["--format", "json"],
+        ):
+            code, out, err = run(["--p", "0", "--parities", "1,0,1"] + args, capsys)
+            assert code == 2 and out == "", args
+            assert err == f"error: --format json does not apply to pbw {argv[0]}"
+
+
+def test_blocks_with_a_weight_of_the_wrong_length_exits_2(tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text("[[0, 1], [0, 1, 2]]")
+    code, out, err = run(
+        ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: weight [0, 1, 2] has length 3, expected 2"

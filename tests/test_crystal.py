@@ -174,3 +174,57 @@ def test_bc_positions_match_the_scalar_definitions():
                             }
                             got = crystal.bc_positions(p, down, up, i, j)
                             assert got == (c_want, b_want), (parities, p, lam, i, j)
+
+
+def _cancel_oracle(word):
+    """(minus, plus) of a +/-/0 word: drop the zeros, then adjacent -+ pairs."""
+    rest = [(q, e) for q, e in enumerate(word) if e != "0"]
+    dropped = True
+    while dropped:
+        dropped = False
+        for t in range(len(rest) - 1):
+            if rest[t][1] == "-" and rest[t + 1][1] == "+":
+                del rest[t : t + 2]
+                dropped = True
+                break
+    return [q for q, e in rest if e == "-"], [q for q, e in rest if e == "+"]
+
+
+def test_reduced_positions_match_the_cancellation_oracle():
+    # at residue r, + is up = r and - is down = r; other values are off r
+    for k in range(8):
+        for word in itertools.product("+-0", repeat=k):
+            minus, plus = _cancel_oracle(word)
+            for p, r, off in ((0, 0, 1), (3, 2, 4), (5, 1, 13)):
+                down = [r + p * q if e == "-" else off for q, e in enumerate(word)]
+                up = [r - p * q if e == "+" else off for q, e in enumerate(word)]
+                got = crystal.reduced_positions(p, down, up, r)
+                assert got == (minus, plus), (word, p)
+            assert all(a < b for a in plus for b in minus), word
+            assert minus == sorted(minus) and plus == sorted(plus)
+
+
+def test_classify_index_marks_where_the_star_operators_act():
+    # good is the one position e* lowers, cogood the one f* raises
+    for rank in range(1, 5):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, 1):
+                    residues = list(crystal.relevant_residues(ctx, lam))
+                    # plus one residue whose signature is all zero
+                    vacuous = [r for r in range(p) if r not in residues] if p else []
+                    for r in residues + (vacuous[:1] if p else [residues[-1] + 2]):
+                        kinds = [
+                            crystal.classify_index(ctx, lam, i, r).kind
+                            for i in range(1, rank + 1)
+                        ]
+                        for kind, op in (
+                            (crystal.GOOD, crystal.e_star),
+                            (crystal.COGOOD, crystal.f_star),
+                        ):
+                            moved = op(ctx, lam, r) or lam
+                            want = [q for q in range(rank) if moved[q] != lam[q]]
+                            got = [q for q in range(rank) if kinds[q] == kind]
+                            assert got == want, (parities, p, lam, r, kind)

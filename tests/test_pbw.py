@@ -311,3 +311,30 @@ def test_lowering_scalar_check_reports_the_failed_precondition():
     assert str(exc.value) == "b_{1,2}(lam) not 0 mod p"
     # both preconditions hold at (0, 1, 1): the check runs and passes
     assert pbw.lowering_scalar_check(ctx, 1, 3, set(), set(), (0, 1, 1)) is not None
+
+
+def test_lowering_scalar_check_rejects_positions_outside_1_le_i_lt_j_le_rank():
+    ctx = ctx_of((1, 0, 1, 0))
+    for i, j in ((2, 2), (4, 4), (1, 5)):
+        with pytest.raises(IndexError) as exc:
+            pbw.lowering_scalar_check(ctx, i, j, set(), set(), (1, 2, 0, 3))
+        assert str(exc.value) == f"need 1 <= i < j <= 4, got ({i}, {j})"
+
+
+def test_x_column_builds_each_level_once(monkeypatch):
+    ctx = ctx_of((1, 0, 1))
+    for r in (1, 2, 3, 4):
+        want = [pbw.x_element(ctx, k, 2, r) for k in (1, 2, 3)]
+        assert pbw.x_column(ctx, 2, r) == want
+    calls = []
+    real = SuperElt.__mul__
+    monkeypatch.setattr(SuperElt, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    # a column level costs rank^2 products; Z~_r builds each diagonal entry
+    # from its column one level down, rank products per entry on top
+    for r, column_muls, z_muls in ((1, 0, 0), (2, 9, 9), (3, 18, 36), (4, 27, 63)):
+        calls.clear()
+        pbw.x_column(ctx, 2, r)
+        assert len(calls) == column_muls
+        calls.clear()
+        pbw.z_tilde_element(ctx, r)
+        assert len(calls) == z_muls

@@ -109,3 +109,34 @@ def test_a_wrong_star_kernel_fails_the_oracle_suite(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert f"first counterexample: ctx={spec} lam={bad} r={r} " in out
+
+
+def test_a_wrong_reduction_kernel_fails_the_axioms_and_normality_suites(
+    monkeypatch, capsys
+):
+    spec = (1, 1, (1, 0), 0)
+    bad = (0, 0)
+    down, up = residue_vectors(build_context(*spec), bad)
+    real = crystal.reduced_positions
+
+    def reduced_positions(p, d, u, r):
+        # at the one weight bad, the - and + positions trade places
+        minus, plus = real(p, d, u, r)
+        return (plus, minus) if (list(d), list(u)) == (down, up) else (minus, plus)
+
+    monkeypatch.setattr(crystal, "reduced_positions", reduced_positions)
+    for suite, worker, var in (
+        ("crystal-axioms", sweeps.axioms_worker, "r"),
+        ("normal-criteria", sweeps.normal_worker, "i"),
+    ):
+        # a check that steps down onto bad fails at a neighbour of bad
+        cexs = [rep.counterexample for rep in worker((spec, 1)) if rep.failures]
+        assert any(f"ctx={spec} lam={bad} {var}=" in cex for cex in cexs), suite
+        code = main(
+            ["--p", "0", "--parities", "1,0", "verify", suite, "--max-rank", "2",
+             "--coeff-window", "1", "--pin-parities", "--processes", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "first counterexample: " in out
+        assert f"ctx={spec} lam={bad} {var}=" in out

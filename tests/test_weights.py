@@ -120,3 +120,6 @@ def test_iter_window_order_and_size():
     assert window[0] == (0, 0)  # max-norm 0 first
     norms = [max(abs(c) for c in w) if w else 0 for w in window]
     assert norms == sorted(norms)
+    # built once per (rank, bound) and shared as an immutable tuple
+    assert isinstance(iter_window(2, 1), tuple)
+    assert iter_window(2, 1) is iter_window(2, 1)
