@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--parities", required=True, help="comma-separated 0/1 parity sequence"
     )
-    top.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    # unset (None) reads as text, except for graph and blocks, which print
+    # JSON and reject an explicit --format text
+    top.add_argument("--format", choices=("text", "json", "dot"), default=None)
     top.add_argument("--out", help="write output to this file instead of stdout")
     # accept --format/--out before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -349,6 +351,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ValueError(f"--format dot applies only to graph, not {args.command}")
         if args.format == "json" and args.command == "pbw":
             raise ValueError(f"--format json does not apply to pbw {args.pbw_command}")
+        if args.format == "text" and args.command in ("graph", "blocks"):
+            raise ValueError(
+                f"--format text does not apply to {args.command}, which prints JSON"
+            )
         return args.handler(_context(args), args)
     except (ContextError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,20 +8,27 @@ Each object has one implementation, a kernel over values the caller computes
 once per weight: the residue vectors ``down``/``up`` of
 ``weights.residue_vectors``, the sign vector ``ctx.signs`` and the
 characteristic ``p``.  ``reduced_positions`` gives the uncanceled -/+
-positions of a reduced r-signature; ``star_moves`` (e*, f*, their counters)
-and ``index_kind`` (normal/good/conormal/cogood) read off them.  The others
-are ``signature_residues``, ``bc_positions``, ``matching_normal`` and
+positions of a reduced r-signature, and ``reduced_table`` gives them for
+every residue class in one pass; ``read_moves`` (e*, f*, their counters)
+and ``index_kind`` (normal/good/conormal/cogood) read off such a pair.  The
+others are ``signature_residues``, ``bc_positions``, ``matching_normal`` and
 ``matching_good`` (the B-into-C criterion), ``downarrow`` and
-``greedy_match`` (the matching) and ``odd_weight`` (odd reflections).  The
-sweeps call the kernels; the functions taking a context validate their
-input, compute the residues once and call them.
+``greedy_match`` (the matching) and ``odd_weight`` (odd reflections).
+
+The sweeps and ``graph.crystal_component`` read every residue of a weight
+off one ``reduced_table``.  A call that needs one r only keeps the
+per-residue pass, which is cheaper than a table: ``star_moves``, the public
+single-r functions (``e_star``, ``f_star``, ``reduced_signature``,
+``eps_phi_star``, ``classify_index``) and the sweep checks that read one r
+of a moved weight.  The functions taking a context validate their input,
+compute the residues once and call the kernels.
 ``Signature``, with its "+"/"-"/"0" entries, is the boundary type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .weights import (
     ParityContext,
@@ -107,6 +114,45 @@ def reduced_positions(
     return minus, plus
 
 
+# the (minus, plus) pair of a residue class that is not a key of reduced_table
+VACUOUS: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
+
+
+def reduced_table(
+    p: int, down: Sequence[int], up: Sequence[int]
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """``reduced_positions`` for every residue class at once, in one pass.
+
+    Maps each class of ``signature_residues`` (the values of down and up,
+    reduced mod p when p > 0) to the pair (minus, plus) that
+    ``reduced_positions`` gives for it; every other class has the pair
+    ``VACUOUS``.  Position i touches two classes only: it cancels into the
+    bucket of up_i and adds a - to the bucket of down_i.  These differ, as
+    up_i - down_i = +-1 and p is 0 or prime.
+    """
+    table: Dict[int, Tuple[List[int], List[int]]] = {}
+    for i in range(len(down)):
+        if p:
+            u = up[i] % p
+            d = down[i] % p
+        else:
+            u = up[i]
+            d = down[i]
+        if u in table:
+            minus, plus = table[u]
+            if minus:
+                minus.pop()
+            else:
+                plus.append(i)
+        else:
+            table[u] = ([], [i])
+        if d in table:
+            table[d][0].append(i)
+        else:
+            table[d] = ([i], [])
+    return table
+
+
 def index_kind(minus: Sequence[int], plus: Sequence[int], q: int) -> str:
     """The class of 0-based position q, given the pair of ``reduced_positions``.
 
@@ -135,16 +181,15 @@ def signature_residues(
     return tuple(sorted(values))
 
 
-def star_moves(
-    p: int, lam: Weight, down: Sequence[int], up: Sequence[int], r: int
+def read_moves(
+    lam: Weight, minus: Sequence[int], plus: Sequence[int]
 ) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
-    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) from the residue vectors of lam.
+    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) read off the pair (minus, plus) of r.
 
-    e* removes eps_q at the good position minus[0] of ``reduced_positions``
-    and f* adds eps_q at the cogood position plus[-1]; a move without such a
-    position is None.  The counters are the lengths of minus and plus.
+    e* removes eps_q at the good position minus[0] and f* adds eps_q at the
+    cogood position plus[-1]; a move without such a position is None.  The
+    counters are the lengths of minus and plus.
     """
-    minus, plus = reduced_positions(p, down, up, r)
     e_w = f_w = None
     if minus:
         q = minus[0]
@@ -153,6 +198,17 @@ def star_moves(
         q = plus[-1]
         f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
     return e_w, f_w, (len(minus), len(plus))
+
+
+def star_moves(
+    p: int, lam: Weight, down: Sequence[int], up: Sequence[int], r: int
+) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
+    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) from the residue vectors of lam.
+
+    One ``reduced_positions`` pass for r, read by ``read_moves``.
+    """
+    minus, plus = reduced_positions(p, down, up, r)
+    return read_moves(lam, minus, plus)
 
 
 def bc_positions(

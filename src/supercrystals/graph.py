@@ -1,4 +1,8 @@
-"""Crystal-graph exploration and DOT/JSON export."""
+"""Crystal-graph exploration and DOT/JSON export.
+
+``crystal_component`` reads both star moves of every residue of a node off
+one ``crystal.reduced_table``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .crystal import signature_residues, star_moves
+from .crystal import read_moves, reduced_table
 from .weights import ParityContext, Weight, check_weight, residue_vectors
 
 
@@ -53,8 +57,8 @@ def crystal_component(
     deterministic: residues in increasing order, e before f.
 
     Per node it calls ``weights.residue_vectors`` and
-    ``crystal.signature_residues`` once, and per residue one
-    ``crystal.star_moves``, which gives both moves.
+    ``crystal.reduced_table`` once, and reads both moves of each residue of
+    the table off it with ``crystal.read_moves``.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -69,8 +73,10 @@ def crystal_component(
         if dist >= max_steps:
             continue
         down, up = residue_vectors(ctx, w)
-        for r in signature_residues(p, down, up):
-            e_w, f_w, _ = star_moves(p, w, down, up, r)
+        table = reduced_table(p, down, up)
+        for r in sorted(table):
+            minus, plus = table[r]
+            e_w, f_w, _ = read_moves(w, minus, plus)
             for which, out in (("e", e_w), ("f", f_w)):
                 if out is None:
                     continue

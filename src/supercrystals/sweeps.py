@@ -11,7 +11,11 @@ every counterexample from the context spec and the loop variables.
 The crystal, odd-reflection and linkage workers compute the residue vectors
 of each weight once and call the kernels of ``crystal``, ``tensorrule``,
 ``affine`` and ``linkage`` on them, the same kernels the public functions
-wrap, so every check runs library code.
+wrap, so every check runs library code.  The crystal workers (C2-C5) read
+every residue of a weight off one table: ``crystal.reduced_table`` for the
+signature rule and ``tensorrule.dual_table`` for the tensor rule.  A check
+that reads one r of a moved weight (the e*/f* round trip of the axioms, the
+one-step-down check of normality) keeps the per-residue kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
 from .affine import ab_key, alpha_of, alpha_pairing, gamma_of, wt_key
@@ -118,20 +122,33 @@ def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[Pr
 # ---------------------------------------------------------------------------
 # oracle equivalence
 
+# the moves and counters of a vacuous residue class: no move, both counters 0
+_NO_MOVES = (None, None, (0, 0))
 
-def _residue_candidates(p: int, down: Sequence[int], up: Sequence[int]) -> List[int]:
-    """``crystal.signature_residues`` plus one vacuous representative.
 
-    Both routes only see r through congruences against the fixed residue
-    values of the weight, so all vacuous classes behave identically and one
-    representative covers them: the least residue mod p left out, or two
-    above the largest value when p = 0.
+def _vacuous(p: int, residues: Collection[int]) -> Optional[int]:
+    """One residue class outside ``residues``, or None when there is none.
+
+    ``residues`` are the keys of a table, the classes of
+    ``crystal.signature_residues``.  Both routes only see r through
+    congruences against the fixed residue values of the weight, so all
+    vacuous classes behave identically and one representative covers them:
+    the least residue mod p left out, or two above the largest value when
+    p = 0.
     """
-    out = list(crystal.signature_residues(p, down, up))
     if not p:
-        out.append(out[-1] + 2)
-    elif len(out) < p:
-        out.append(min(set(range(p)).difference(out)))
+        return max(residues) + 2
+    if len(residues) < p:
+        return next(r for r in range(p) if r not in residues)
+    return None
+
+
+def _residue_candidates(p: int, residues: Collection[int]) -> List[int]:
+    """The classes ``residues``, increasing, then the ``_vacuous`` one if any."""
+    out = sorted(residues)
+    vacuous = _vacuous(p, residues)
+    if vacuous is not None:
+        out.append(vacuous)
     return out
 
 
@@ -146,11 +163,15 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         down, up = residue_vectors(ctx, lam)
         # the negated letters -b_i; b_i = down_i + 1 at even positions
         neg = [-(d + 1) if s > 0 else -d for d, s in zip(down, signs)]
-        for r in _residue_candidates(p, down, up):
+        table = crystal.reduced_table(p, down, up)
+        dual = tensorrule.dual_table(p, signs, lam, neg)
+        # a class only one route sees is checked too, as vacuous on the other
+        for r in _residue_candidates(p, table.keys() | dual.keys()):
             ops.checks += 2
             counts.checks += 1
-            got_e, got_f, got_counts = crystal.star_moves(p, lam, down, up, r)
-            want_e, want_f, want_counts = tensorrule.dual_moves(p, signs, lam, neg, r)
+            minus, plus = table.get(r, crystal.VACUOUS)
+            got_e, got_f, got_counts = crystal.read_moves(lam, minus, plus)
+            want_e, want_f, want_counts = dual.get(r, _NO_MOVES)
             if got_e != want_e:
                 _fail(ops, spec, "e*", lam=lam, r=r, got=got_e, want=want_e)
             if got_f != want_f:
@@ -190,8 +211,9 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
-        for r in _residue_candidates(p, down, up):
-            minus, plus = crystal.reduced_positions(p, down, up, r)
+        table = crystal.reduced_table(p, down, up)
+        for r in _residue_candidates(p, table):
+            minus, plus = table.get(r, crystal.VACUOUS)
             c1.checks += 1
             if len(plus) - len(minus) != alpha_pairing(p, w, r):
                 _fail(c1, spec, lam=lam, r=r)
@@ -240,18 +262,15 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         down, up = residue_vectors(ctx, lam)
         fdown, fup = residue_vectors(fctx, flip_weight(lam))
         normal = [crystal.matching_normal(p, down, up, i) for i in range(1, rank + 1)]
-        # residue class -> reduced_positions of lam and of the flipped weight,
-        # whose residues are r_i(lam + eps_i) - (m - n), read backwards
-        classes: Dict[int, tuple] = {}
+        # the flipped weight has residues r_i(lam + eps_i) - (m - n), read
+        # backwards, so class r of lam is class r - (m - n) of the flip
+        table = crystal.reduced_table(p, down, up)
+        ftable = crystal.reduced_table(p, fdown, fup)
         for i in range(1, rank + 1):
             r = down[i - 1]
-            key = r % p if p else r
-            if key not in classes:
-                classes[key] = (
-                    crystal.reduced_positions(p, down, up, r),
-                    crystal.reduced_positions(p, fdown, fup, r - fshift),
-                )
-            (minus, plus), (fminus, fplus) = classes[key]
+            minus, plus = table[r % p if p else r]
+            fr = r - fshift
+            fminus, fplus = ftable.get(fr % p if p else fr, crystal.VACUOUS)
             kind = crystal.index_kind(minus, plus, i - 1)
             sig_normal = kind in normal_kinds
             sig_good = kind == crystal.GOOD
@@ -301,8 +320,13 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
-        candidates = _residue_candidates(p, down, up)
-        moves = {}  # r -> star_moves of lam, shared by every adjacent position
+        table = crystal.reduced_table(p, down, up)
+        vacuous = _vacuous(p, table)
+        # r -> the moves of lam, shared by every adjacent position
+        moves = {
+            r: crystal.read_moves(lam, minus, plus)
+            for r, (minus, plus) in table.items()
+        }
         for i in adjacents:
             octx = octxs[i]
             olam = crystal.odd_weight(p, signs, lam, i)
@@ -310,22 +334,33 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             stats.checks += 1
             if w != wt_key(p, octx.signs, odown):
                 _fail(stats, spec, "wt", lam=lam, i=i)
-            for r in sorted(set(candidates).union(_residue_candidates(p, odown, oup))):
-                if r not in moves:
-                    moves[r] = crystal.star_moves(p, lam, down, up, r)
-                e1, f1, cnt1 = moves[r]
-                e2, f2, cnt2 = crystal.star_moves(p, olam, odown, oup, r)
-                stats.checks += 1
+            otable = crystal.reduced_table(p, odown, oup)
+            omoves = {
+                r: crystal.read_moves(olam, minus, plus)
+                for r, (minus, plus) in otable.items()
+            }
+            # the candidates of lam and of olam, as _residue_candidates makes them
+            rs = {vacuous, _vacuous(p, otable), *table, *otable}
+            rs.discard(None)
+            # per r: one counters check, and one commute check each for e*, f*
+            stats.checks += len(rs)
+            commute.checks += 2 * len(rs)
+            for r in sorted(rs):
+                e1, f1, cnt1 = moves.get(r, _NO_MOVES)
+                e2, f2, cnt2 = omoves.get(r, _NO_MOVES)
                 if cnt1 != cnt2:
                     _fail(stats, spec, "counters", lam=lam, i=i, r=r)
-                for op, src, dst in (("e*", e1, e2), ("f*", f1, f2)):
-                    commute.checks += 1
-                    if src is None or dst is None:
-                        ok = src is dst
-                    else:
-                        ok = crystal.odd_weight(p, signs, src, i) == dst
-                    if not ok:
-                        _fail(commute, spec, op, lam=lam, i=i, r=r)
+                # s_i e* = e* s_i and s_i f* = f* s_i, undefined on both sides or neither
+                if e1 is None or e2 is None:
+                    if e1 is not e2:
+                        _fail(commute, spec, "e*", lam=lam, i=i, r=r)
+                elif crystal.odd_weight(p, signs, e1, i) != e2:
+                    _fail(commute, spec, "e*", lam=lam, i=i, r=r)
+                if f1 is None or f2 is None:
+                    if f1 is not f2:
+                        _fail(commute, spec, "f*", lam=lam, i=i, r=r)
+                elif crystal.odd_weight(p, signs, f1, i) != f2:
+                    _fail(commute, spec, "f*", lam=lam, i=i, r=r)
     return [commute, stats]
 
 

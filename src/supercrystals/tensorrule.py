@@ -9,14 +9,17 @@ position, even or odd by the context parity).  The dual operators are
 where -x negates every letter and e/f act by the recursive Kashiwara tensor
 rule.  None of the signature machinery is used here.
 
-The rule is one kernel, ``dual_moves``, over the negated letter word that the
-caller computes once per weight.  ``dual_oracle`` and ``dual_eps_phi`` are
-thin wrappers over it, and the oracle sweep calls it directly.
+The rule is one fold, ``_fold``, over the letters of the negated word that
+are nontrivial for one residue; the caller computes the word once per
+weight.  ``dual_moves`` builds the bucket of one residue and folds it, and
+``dual_table`` buckets every letter in one pass and folds every bucket.
+``dual_oracle`` and ``dual_eps_phi`` are thin wrappers over ``dual_moves``;
+the oracle sweep reads ``dual_table``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .weights import ParityContext, Weight, check_weight
 
@@ -42,59 +45,95 @@ def dual_moves(
     With r' = -1-r, a one-letter crystal c at an even position (signs 1) has
     eps_r' = [r'+1 = c] and phi_r' = [r' = c]; e_r' sends c to c-1 and f_r'
     sends c to c+1 where defined.  At an odd position r' and r'+1 trade
-    places and e, f move c the other way.  Folding (((x1 x2) x3) ...) with
-    the Kashiwara rule gives, for the prefix of length j,
-        eps = max(eps_prev, eps_j - h_sum_prev)
-        phi = max(phi_j, phi_prev + h_j)
-    where h = phi - eps per letter and h_sum is its running total.  The twist
-    swaps eps and phi, so (eps*, phi*) = (phi, eps) of the whole word.
+    places and e, f move c the other way.  A letter with eps and phi both 0
+    is the trivial crystal and leaves the tensor product unchanged, so only
+    the letters c = r' and c = r'+1 go into the bucket that ``_fold`` reads.
     """
     r2 = -1 - r
-    rank = len(neg)
-    eps_loc = []
-    phi_loc = []
-    for s, c in zip(signs, neg):
+    bucket = []
+    for q in range(len(neg)):
+        c = neg[q]
         if p:
             at_r = 1 if (c - r2) % p == 0 else 0
             at_r1 = 1 if (c - r2 - 1) % p == 0 else 0
         else:
             at_r = 1 if c == r2 else 0
             at_r1 = 1 if c == r2 + 1 else 0
-        if s > 0:
-            eps_loc.append(at_r1)
-            phi_loc.append(at_r)
-        else:
-            eps_loc.append(at_r)
-            phi_loc.append(at_r1)
-    eps_pre = [NEG_INF] * (rank + 1)  # the empty prefix: nothing to raise
-    phi_pre = [NEG_INF] * (rank + 1)
+        if at_r or at_r1:
+            bucket.append((q, at_r1, at_r) if signs[q] > 0 else (q, at_r, at_r1))
+    return _fold(lam, bucket)
+
+
+def dual_table(
+    p: int, signs: Sequence[int], lam: Weight, neg: Sequence[int]
+) -> Dict[int, Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]]:
+    """``dual_moves`` for every residue class at once, in one pass over neg.
+
+    Letter c is nontrivial for r' = c (r = -1-c) and for r' = c-1 (r = -c)
+    only, so one pass puts each letter into those two buckets, keyed by r
+    mod p when p > 0, and ``_fold`` reads each bucket.  A class that is not
+    a key has no nontrivial letter: both moves are None and both counters 0.
+    """
+    buckets: Dict[int, list] = {}
+    for q in range(len(neg)):
+        c = neg[q]
+        even = signs[q] > 0
+        # at_r = [r' = c], and then [r'+1 = c] = 1 - at_r
+        for r, at_r in ((-1 - c, 1), (-c, 0)):
+            if p:
+                r %= p
+            entry = (q, 1 - at_r, at_r) if even else (q, at_r, 1 - at_r)
+            bucket = buckets.get(r)
+            if bucket is None:
+                buckets[r] = [entry]
+            else:
+                bucket.append(entry)
+    return {r: _fold(lam, bucket) for r, bucket in buckets.items()}
+
+
+def _fold(
+    lam: Weight, bucket: Sequence[Tuple[int, int, int]]
+) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
+    """The tensor rule on the letters (q, eps_q, phi_q) of one r', q increasing.
+
+    Folding (((x1 x2) x3) ...) with the Kashiwara rule gives, for the prefix
+    of length j,
+        eps = max(eps_prev, eps_j - h_sum_prev)
+        phi = max(phi_j, phi_prev + h_j)
+    where h = phi - eps per letter and h_sum is its running total.  The twist
+    swaps eps and phi, so (eps*, phi*) = (phi, eps) of the whole word.
+    """
+    eps_all = phi_all = NEG_INF  # the empty prefix: nothing to raise
+    phi_before = []  # phi of the prefix before each letter
     h_sum = 0
-    for j in range(rank):
-        e, f = eps_loc[j], phi_loc[j]
-        eps_pre[j + 1] = max(eps_pre[j], e - h_sum)
-        phi_pre[j + 1] = max(f, phi_pre[j] + (f - e))
+    for _, e, f in bucket:
+        phi_before.append(phi_all)
+        eps_all = max(eps_all, e - h_sum)
+        phi_all = max(f, phi_all + (f - e))
         h_sum += f - e
     # lam_q = -sign_q * c_q - rho_q, and the letter c_q moves by sign_q under
     # f_r' and by -sign_q under e_r', so lam_q moves by -1 resp. +1
     # e*_r(x) = -f_r'(-x): f acts on the last letter q whose eps is at least
     # the phi of the prefix before it
     e_w = None
-    if phi_pre[rank] > 0:
-        q = rank - 1
-        while q > 0 and phi_pre[q] > eps_loc[q]:
-            q -= 1
-        if phi_loc[q]:
+    if phi_all > 0:
+        k = len(bucket) - 1
+        while k > 0 and phi_before[k] > bucket[k][1]:
+            k -= 1
+        q, _, f = bucket[k]
+        if f:
             e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
     # f*_r(x) = -e_r'(-x): e acts on the last letter q whose eps exceeds the
     # phi of the prefix before it
     f_w = None
-    if eps_pre[rank] > 0:
-        q = rank - 1
-        while q > 0 and phi_pre[q] >= eps_loc[q]:
-            q -= 1
-        if eps_loc[q]:
+    if eps_all > 0:
+        k = len(bucket) - 1
+        while k > 0 and phi_before[k] >= bucket[k][1]:
+            k -= 1
+        q, e, _ = bucket[k]
+        if e:
             f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
-    return e_w, f_w, (max(0, phi_pre[rank]), max(0, eps_pre[rank]))
+    return e_w, f_w, (max(0, phi_all), max(0, eps_all))
 
 
 def _moves(ctx: ParityContext, lam: Weight, r: int):

@@ -6,8 +6,9 @@ import pathlib
 import subprocess
 import sys
 
-from supercrystals import cli, sweeps
+from supercrystals import cli, graph, linkage, sweeps
 from supercrystals.cli import main
+from supercrystals.weights import build_context
 
 PAPER = ["--p", "3", "--parities", "1,1,0,0,0"]
 
@@ -418,3 +419,36 @@ def test_blocks_with_a_weight_of_the_wrong_length_exits_2(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: weight [0, 1, 2] has length 3, expected 2"
+
+
+def test_text_format_on_graph_and_blocks_exits_2(tmp_path, capsys):
+    # both print JSON only, so an explicit --format text is an error
+    weights = tmp_path / "w.json"
+    weights.write_text("[[0, 0], [1, 0]]")
+    for argv in (
+        ["graph", "--weight", "0,0", "--depth", "1"],
+        ["blocks", "--weights", str(weights)],
+    ):
+        for args in (["--format", "text"] + argv, argv + ["--format", "text"]):
+            code, out, err = run(["--p", "0", "--parities", "1,0"] + args, capsys)
+            assert code == 2 and out == "", args
+            assert err == f"error: --format text does not apply to {argv[0]}, which prints JSON"
+
+
+def test_graph_and_blocks_print_json_without_a_format(tmp_path, capsys):
+    ctx = build_context(3, 2, (1, 1, 0, 0, 0), 3)
+    lam = (1, -1, 1, 7, 5)
+    want = json.dumps(graph.crystal_component(ctx, lam, 2).to_json())
+    argv = ["graph", "--weight", "1,-1,1,7,5", "--depth", "2"]
+    assert run(PAPER + argv, capsys) == (0, want, "")
+    assert run(PAPER + ["--format", "json"] + argv, capsys) == (0, want, "")
+    weights = tmp_path / "w.json"
+    weights.write_text("[[0, 0], [1, -1], [1, 0]]")
+    ctx = build_context(1, 1, (0, 1), 2)
+    blocks = linkage.partition_blocks(ctx, [(0, 0), (1, -1), (1, 0)])
+    want = json.dumps(
+        [{"wt": key.to_json(), "weights": [list(w) for w in ws]} for key, ws in blocks]
+    )
+    argv = ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)]
+    assert run(argv, capsys) == (0, want, "")
+    assert run(argv + ["--format", "json"], capsys) == (0, want, "")

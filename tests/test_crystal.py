@@ -228,3 +228,32 @@ def test_classify_index_marks_where_the_star_operators_act():
                             want = [q for q in range(rank) if moved[q] != lam[q]]
                             got = [q for q in range(rank) if kinds[q] == kind]
                             assert got == want, (parities, p, lam, r, kind)
+
+
+def _residue_classes(p, keys):
+    """Every class mod p > 0; at p = 0 the keys, their neighbours and a far value."""
+    if p:
+        return range(p)
+    return sorted({k + d for k in keys for d in (-1, 0, 1)} | {max(keys) + 5})
+
+
+def test_reduced_table_matches_reduced_positions_at_every_residue():
+    # one pass gives every class; a class that is not a key is the vacuous pair
+    for rank in range(1, 6):
+        window = 1 if rank == 5 else 2
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5, 7):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, window):
+                    down, up = residue_vectors(ctx, lam)
+                    table = crystal.reduced_table(p, down, up)
+                    keys = crystal.signature_residues(p, down, up)
+                    assert sorted(table) == list(keys), (parities, p, lam)
+                    for r in _residue_classes(p, keys):
+                        minus, plus = table.get(r, crystal.VACUOUS)
+                        want = crystal.reduced_positions(p, down, up, r)
+                        assert (list(minus), list(plus)) == want, (parities, p, lam, r)
+                        assert crystal.read_moves(lam, minus, plus) == crystal.star_moves(
+                            p, lam, down, up, r
+                        ), (parities, p, lam, r)

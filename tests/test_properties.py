@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercrystals import crystal
+from supercrystals import crystal, tensorrule
 from supercrystals.affine import (
     AffineWeight,
     ab_counts,
@@ -236,3 +236,28 @@ def test_kernels_agree_with_independent_routes_on_a_small_window():
                 ctx = build_context(m, rank - m, parities, p)
                 for lam in iter_window(rank, window):
                     _check_kernels(ctx, lam)
+
+
+@st.composite
+def table_inputs(draw):
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=7)))
+    m = parities.count(0)
+    ctx = build_context(m, len(parities) - m, parities, draw(st.sampled_from((7, 11))))
+    lam = tuple(draw(st.integers(-12, 12)) for _ in parities)
+    return ctx, lam
+
+
+@given(table_inputs())
+@settings(max_examples=200)
+def test_residue_tables_agree_with_the_per_residue_kernels(cw):
+    ctx, lam = cw
+    p = ctx.p
+    down, up = residue_vectors(ctx, lam)
+    neg = [-b for b in tensorrule.letters_of(ctx, lam)]
+    table = crystal.reduced_table(p, down, up)
+    dual = tensorrule.dual_table(p, ctx.signs, lam, neg)
+    for r in range(p):
+        minus, plus = table.get(r, crystal.VACUOUS)
+        assert (list(minus), list(plus)) == crystal.reduced_positions(p, down, up, r), r
+        want = tensorrule.dual_moves(p, ctx.signs, lam, neg, r)
+        assert dual.get(r, (None, None, (0, 0))) == want, r

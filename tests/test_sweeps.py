@@ -87,16 +87,16 @@ def test_central_worker_follows_max_r_up_to_3(monkeypatch):
 
 def test_a_wrong_star_kernel_fails_the_oracle_suite(monkeypatch, capsys):
     bad = (0, 0)
-    real = crystal.star_moves
+    real = crystal.read_moves
 
-    def star_moves(p, lam, down, up, r):
-        e, f, (e_cnt, f_cnt) = real(p, lam, down, up, r)
+    def read_moves(lam, minus, plus):
+        e, f, (e_cnt, f_cnt) = real(lam, minus, plus)
         return (f, e, (e_cnt + 1, f_cnt)) if lam == bad else (e, f, (e_cnt, f_cnt))
 
-    monkeypatch.setattr(crystal, "star_moves", star_moves)
+    monkeypatch.setattr(crystal, "read_moves", read_moves)
     spec = (1, 1, (1, 0), 0)
     down, up = residue_vectors(build_context(*spec), bad)
-    r = sweeps._residue_candidates(0, down, up)[0]
+    r = sweeps._residue_candidates(0, crystal.reduced_table(0, down, up))[0]
     ops, counts = sweeps.oracle_worker((spec, 1))
     assert ops.failures > 0 and counts.failures > 0
     assert counts.counterexample.startswith(f"ctx={spec} lam={bad} r={r} ")
@@ -117,14 +117,16 @@ def test_a_wrong_reduction_kernel_fails_the_axioms_and_normality_suites(
     spec = (1, 1, (1, 0), 0)
     bad = (0, 0)
     down, up = residue_vectors(build_context(*spec), bad)
-    real = crystal.reduced_positions
+    real = crystal.reduced_table
 
-    def reduced_positions(p, d, u, r):
+    def reduced_table(p, d, u):
         # at the one weight bad, the - and + positions trade places
-        minus, plus = real(p, d, u, r)
-        return (plus, minus) if (list(d), list(u)) == (down, up) else (minus, plus)
+        table = real(p, d, u)
+        if (list(d), list(u)) == (down, up):
+            return {r: (plus, minus) for r, (minus, plus) in table.items()}
+        return table
 
-    monkeypatch.setattr(crystal, "reduced_positions", reduced_positions)
+    monkeypatch.setattr(crystal, "reduced_table", reduced_table)
     for suite, worker, var in (
         ("crystal-axioms", sweeps.axioms_worker, "r"),
         ("normal-criteria", sweeps.normal_worker, "i"),

@@ -1,7 +1,9 @@
 """Tests for the tensor-product rule and the dual operator oracle."""
 
+import itertools
+
 from supercrystals import crystal, tensorrule
-from supercrystals.weights import build_context, iter_window
+from supercrystals.weights import build_context, iter_window, residue_vectors
 
 PAPER_PARITIES = (1, 1, 0, 0, 0)
 PAPER_LAM = (1, -1, 1, 7, 5)
@@ -53,3 +55,30 @@ def test_undefined_moves_agree():
     # residue 2: no raising on the dual side either
     assert tensorrule.dual_oracle(ctx, PAPER_LAM, 2, "f") is None
     assert tensorrule.dual_oracle(ctx, PAPER_LAM, 0, "e") is None
+
+
+def _residue_classes(p, keys):
+    """Every class mod p > 0; at p = 0 the keys, their neighbours and a far value."""
+    if p:
+        return range(p)
+    return sorted({k + d for k in keys for d in (-1, 0, 1)} | {max(keys) + 5})
+
+
+def test_dual_table_matches_dual_moves_at_every_residue():
+    # one pass gives every class; a class that is not a key has no move
+    for rank in range(1, 6):
+        window = 1 if rank == 5 else 2
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5, 7):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, window):
+                    neg = [-b for b in tensorrule.letters_of(ctx, lam)]
+                    table = tensorrule.dual_table(p, ctx.signs, lam, neg)
+                    # the letters see the classes the signatures see
+                    keys = crystal.signature_residues(p, *residue_vectors(ctx, lam))
+                    assert sorted(table) == list(keys), (parities, p, lam)
+                    for r in _residue_classes(p, keys):
+                        got = table.get(r, (None, None, (0, 0)))
+                        want = tensorrule.dual_moves(p, ctx.signs, lam, neg, r)
+                        assert got == want, (parities, p, lam, r)
