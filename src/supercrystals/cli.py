@@ -228,7 +228,12 @@ def cmd_blocks(ctx, args) -> int:
             data = json.load(fh)
     else:
         data = json.load(sys.stdin)
-    weights = [tuple(int(c) for c in w) for w in data]
+    # bool is an int subclass, but JSON true/false is no coefficient
+    if not isinstance(data, list) or not all(
+        isinstance(w, list) and all(type(c) is int for c in w) for w in data
+    ):
+        raise ValueError("blocks takes a JSON array of integer arrays")
+    weights = [tuple(w) for w in data]
     blocks = linkage.partition_blocks(ctx, weights)
     _emit(
         args,

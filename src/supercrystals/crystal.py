@@ -12,8 +12,9 @@ positions of a reduced r-signature, and ``reduced_table`` gives them for
 every residue class in one pass; ``read_moves`` (e*, f*, their counters)
 and ``index_kind`` (normal/good/conormal/cogood) read off such a pair.  The
 others are ``signature_residues``, ``bc_positions``, ``matching_normal`` and
-``matching_good`` (the B-into-C criterion), ``downarrow`` and
-``greedy_match`` (the matching) and ``odd_weight`` (odd reflections).
+``matching_good`` (the B-into-C criterion at one position), ``matching_flags``
+(at every position: one matching pass per weight, no signature code),
+``downarrow`` and ``greedy_match`` (the matching) and ``odd_weight``.
 
 The sweeps and ``graph.crystal_component`` read every residue of a weight
 off one ``reduced_table``.  A call that needs one r only keeps the
@@ -288,6 +289,39 @@ def matching_good(p: int, down: Sequence[int], normal: Sequence[bool], i: int) -
     if p:
         return not any(normal[j] and (down[j] - d) % p == 0 for j in range(i - 1))
     return not any(normal[j] and down[j] == d for j in range(i - 1))
+
+
+def matching_flags(
+    p: int, down: Sequence[int], up: Sequence[int]
+) -> Tuple[List[bool], List[bool]]:
+    """(normal, good): ``matching_normal`` and ``matching_good`` at every position.
+
+    Right to left, ``debt[c]`` is minus the least partial sum, clamped at 0,
+    of the walk from x that steps +1 where down_x = c and -1 where
+    up_{x+1} = c; position x touches only the classes down_x and up_{x+1}.
+    Position i is normal iff up_{i+1} is not d = down_i and d owes nothing
+    from i+1; the last position always is.  Left to right, good is normal in
+    a class with no normal position before.  Classes are reduced mod p > 0.
+    """
+    k = len(down)
+    cls = [v % p for v in down] if p else list(down)
+    normal = [True] * k
+    debt: Dict[int, int] = {}
+    for x in range(k - 2, -1, -1):
+        d = cls[x]
+        u = up[x + 1] % p if p else up[x + 1]
+        normal[x] = u != d and not debt.get(d)
+        # the -1 first: when u = d the two steps cancel
+        debt[u] = debt.get(u, 0) + 1
+        if debt.get(d):
+            debt[d] -= 1
+    good = []
+    seen: Set[int] = set()
+    for d, flag in zip(cls, normal):
+        good.append(flag and d not in seen)
+        if flag:
+            seen.add(d)
+    return normal, good
 
 
 def odd_weight(p: int, signs: Sequence[int], lam: Weight, i: int) -> Weight:

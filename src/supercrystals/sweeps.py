@@ -15,7 +15,9 @@ wrap, so every check runs library code.  The crystal workers (C2-C5) read
 every residue of a weight off one table: ``crystal.reduced_table`` for the
 signature rule and ``tensorrule.dual_table`` for the tensor rule.  A check
 that reads one r of a moved weight (the e*/f* round trip of the axioms, the
-one-step-down check of normality) keeps the per-residue kernel.
+one-step-down check of normality) keeps the per-residue kernel.  C4 reads
+the matching criterion for normality and goodness at every position off
+one ``crystal.matching_flags`` pass per weight.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _merge_reports(
 
 
 def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[PropertyReport]:
-    if processes is not None and processes <= 1:
+    if processes == 1:
         return _merge_reports(worker(job) for job in jobs)
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return _merge_reports(pool.map(worker, jobs))
@@ -261,7 +263,7 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         fdown, fup = residue_vectors(fctx, flip_weight(lam))
-        normal = [crystal.matching_normal(p, down, up, i) for i in range(1, rank + 1)]
+        normal, good = crystal.matching_flags(p, down, up)
         # the flipped weight has residues r_i(lam + eps_i) - (m - n), read
         # backwards, so class r of lam is class r - (m - n) of the flip
         table = crystal.reduced_table(p, down, up)
@@ -278,7 +280,7 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if sig_normal != normal[i - 1]:
                 _fail(crit, spec, lam=lam, i=i)
             goodcrit.checks += 1
-            if sig_good != crystal.matching_good(p, down, normal, i):
+            if sig_good != good[i - 1]:
                 _fail(goodcrit, spec, lam=lam, i=i)
             npc.checks += 1
             # position i of lam - eps_i, read only when i is normal for lam
@@ -686,10 +688,13 @@ def run_suite(
     Runs the parts ``_SUITE_TABLE`` lists for the suite, or for every suite
     in ``SUITES`` order, each as one ``_run_sharded`` call.  ``max_r`` is
     the largest r of the Z_r checks of verma-scalars; the x-element
-    brackets of pbw-identities run r = 1..min(max_r, 3).  Raises ValueError
-    for an unknown suite or a window or r range that would leave checks
-    empty.
+    brackets of pbw-identities run r = 1..min(max_r, 3).  ``processes``
+    None is the pool default and 1 runs in this process.  Raises ValueError
+    for an unknown suite, processes < 1, or a window or r range that would
+    leave checks empty.
     """
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
     if coeff_window < 0:
         raise ValueError(f"coeff_window must be >= 0, got {coeff_window}")
     if max_r < 1:

@@ -452,3 +452,26 @@ def test_graph_and_blocks_print_json_without_a_format(tmp_path, capsys):
     argv = ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)]
     assert run(argv, capsys) == (0, want, "")
     assert run(argv + ["--format", "json"], capsys) == (0, want, "")
+
+
+def test_blocks_input_that_is_not_an_array_of_integer_arrays_exits_2(tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    for text in ("5", "[5]", "[null]", "[true,false]", "[[1.5,2]]", "[[true,0]]",
+                 '"12"', '{"1":2}'):
+        weights.write_text(text)
+        code, out, err = run(
+            ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)], capsys
+        )
+        assert (code, out) == (2, ""), text
+        assert err == "error: blocks takes a JSON array of integer arrays", text
+
+
+def test_verify_with_fewer_than_one_process_exits_2(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(
+            ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
+             "--processes", n],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: processes must be >= 1, got {n}"

@@ -257,3 +257,21 @@ def test_reduced_table_matches_reduced_positions_at_every_residue():
                         assert crystal.read_moves(lam, minus, plus) == crystal.star_moves(
                             p, lam, down, up, r
                         ), (parities, p, lam, r)
+
+
+def test_matching_flags_match_the_per_position_routes():
+    # one pass gives matching_normal and matching_good at every position
+    for rank in range(1, 6):
+        window = 1 if rank == 5 else 2
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 2, 3, 5, 7):
+                ctx = build_context(m, rank - m, parities, p)
+                for lam in iter_window(rank, window):
+                    down, up = residue_vectors(ctx, lam)
+                    positions = range(1, rank + 1)
+                    normal = [crystal.matching_normal(p, down, up, i) for i in positions]
+                    good = [crystal.matching_good(p, down, normal, i) for i in positions]
+                    assert crystal.matching_flags(p, down, up) == (normal, good), (
+                        parities, p, lam
+                    )

@@ -261,3 +261,20 @@ def test_residue_tables_agree_with_the_per_residue_kernels(cw):
         assert (list(minus), list(plus)) == crystal.reduced_positions(p, down, up, r), r
         want = tensorrule.dual_moves(p, ctx.signs, lam, neg, r)
         assert dual.get(r, (None, None, (0, 0))) == want, r
+
+
+@st.composite
+def residue_inputs(draw):
+    # residue vectors: up_i - down_i = +-1 at every position
+    down = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8))
+    up = [d + draw(st.sampled_from((-1, 1))) for d in down]
+    return draw(st.sampled_from(KERNEL_PRIMES)), down, up
+
+
+@given(residue_inputs())
+@settings(max_examples=300)
+def test_matching_flags_agree_with_the_per_position_routes(pdu):
+    p, down, up = pdu
+    normal = [crystal.matching_normal(p, down, up, i) for i in range(1, len(down) + 1)]
+    good = [crystal.matching_good(p, down, normal, i) for i in range(1, len(down) + 1)]
+    assert crystal.matching_flags(p, down, up) == (normal, good)

@@ -142,3 +142,33 @@ def test_a_wrong_reduction_kernel_fails_the_axioms_and_normality_suites(
         assert code == 1
         assert "first counterexample: " in out
         assert f"ctx={spec} lam={bad} {var}=" in out
+
+
+def test_a_wrong_matching_pass_fails_the_normality_suite(monkeypatch, capsys):
+    spec = (1, 1, (1, 0), 0)
+    bad = (0, 0)
+    down, up = residue_vectors(build_context(*spec), bad)
+    real = crystal.matching_flags
+
+    def matching_flags(p, d, u):
+        # at the one weight bad, every normal and good flag is inverted
+        normal, good = real(p, d, u)
+        if (list(d), list(u)) == (down, up):
+            return [not f for f in normal], [not g for g in good]
+        return normal, good
+
+    monkeypatch.setattr(crystal, "matching_flags", matching_flags)
+    crit, goodcrit, npc, flip = sweeps.normal_worker((spec, 1))
+    cex = f"ctx={spec} lam={bad} i=1"
+    assert crit.counterexample == goodcrit.counterexample == cex
+    assert crit.failures == goodcrit.failures == 2
+    assert npc.failures == flip.failures == 0
+    code = main(
+        ["--p", "0", "--parities", "1,0", "verify", "normal-criteria", "--max-rank", "2",
+         "--coeff-window", "1", "--pin-parities", "--processes", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] signature normality equals the matching criterion" in out
+    assert "[FAIL] signature goodness equals the matching criterion" in out
+    assert out.count(f"first counterexample: {cex}") == 2
