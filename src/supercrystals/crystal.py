@@ -14,7 +14,8 @@ and ``index_kind`` (normal/good/conormal/cogood) read off such a pair.  The
 others are ``signature_residues``, ``bc_positions``, ``matching_normal`` and
 ``matching_good`` (the B-into-C criterion at one position), ``matching_flags``
 (at every position: one matching pass per weight, no signature code),
-``downarrow`` and ``greedy_match`` (the matching) and ``odd_weight``.
+``greedy_match`` (the one decider of "X injects down into Y", which also
+returns the injection) and ``odd_weight``.
 
 The sweeps and ``graph.crystal_component`` read every residue of a weight
 off one ``reduced_table``.  A call that needs one r only keeps the
@@ -231,27 +232,13 @@ def bc_positions(
     return c_set, b_set
 
 
-def downarrow(a: Set[int], b: Set[int]) -> bool:
-    """True iff there is an injection from a into b sending x to some y <= x.
-
-    a and b hold positive integers.  Decided by the prefix counts
-    |a cap [1..k]| <= |b cap [1..k]| for all k; ``greedy_match`` builds the
-    injection itself.
-    """
-    ca = cb = 0
-    for k in range(1, max(a, default=0) + 1):
-        ca += k in a
-        cb += k in b
-        if ca > cb:
-            return False
-    return True
-
-
 def greedy_match(sources: Set[int], targets: Set[int]) -> Optional[List[int]]:
-    """An injection witnessing downarrow(sources, targets), or None.
+    """An injection from sources into targets sending x to some y <= x, or None.
 
-    Takes each source x in increasing order to the largest free target
-    y <= x and returns these picks in that order.
+    The one decider of "sources inject down into targets": it is None
+    exactly when no such injection exists.  Takes each source x in
+    increasing order to the largest free target y <= x and returns these
+    picks in that order.
     """
     avail = sorted(targets)
     picks = []
@@ -274,7 +261,7 @@ def matching_normal(p: int, down: Sequence[int], up: Sequence[int], i: int) -> b
     if i == k:
         return True
     c_set, b_set = bc_positions(p, down, up, i, k)
-    return downarrow(b_set, c_set)
+    return greedy_match(b_set, c_set) is not None
 
 
 def matching_good(p: int, down: Sequence[int], normal: Sequence[bool], i: int) -> bool:

@@ -63,6 +63,7 @@ def crystal_component(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     check_weight(ctx, lam)
+    lam = tuple(lam)
     p = ctx.p
     graph = CrystalGraph(nodes=[lam])
     seen: Dict[Weight, int] = {lam: 0}

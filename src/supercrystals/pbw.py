@@ -15,6 +15,7 @@ generated by the E's is a per-monomial predicate; the E_l-last variant makes
 membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
 Sums add into plain dicts and drop zeros once, in ``SuperElt.__init__`` or
 at the end of ``normalize_word`` and ``verma_apply``, which return dicts.
+``s_element`` and ``raised_s_element`` are the cached lowering elements.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .crystal import bc_positions, downarrow
+from .crystal import bc_positions, greedy_match
 from .linkage import series_coeffs
 from .weights import ParityContext, Weight, residue_vectors
 
@@ -340,23 +341,24 @@ def _lowering_factor(ctx: ParityContext, i: int, t: int, order: GeneratorOrder) 
     return factor
 
 
-_LOWERING_CACHE: Dict[tuple, Tuple[SuperElt, SuperElt]] = {}
+_LOWERING_CACHE: Dict[tuple, SuperElt] = {}
+_RAISED_CACHE: Dict[tuple, SuperElt] = {}
 
 
-def lowering(
+def s_element(
     ctx: ParityContext,
     i: int,
     j: int,
     a_set: Iterable[int],
     order: GeneratorOrder = DEFAULT_ORDER,
-) -> Tuple[SuperElt, SuperElt]:
-    """(S-tilde, S) for the lowering operator of (i, j, A).
+) -> SuperElt:
+    """The lowering operator S_{i,j}(A): S-tilde mod J, where S-tilde =
+    (prod over t in A of (c-tilde_{i,t} - L_{i+1} - ... - L_t)) F_{i,j}.
 
-    S-tilde = (prod over t in A of (c-tilde_{i,t} - L_{i+1} - ... - L_t)) F_{i,j};
-    S is its component with empty E-part.  The factors commute, so the
-    ascending product order is a free choice.  By convention i = j gives the
-    identity (empty product, no F factor).  Cached per (parities, p, i, j,
-    A, order); the products drop zeros only in ``SuperElt.__init__``.
+    The factors commute, so the ascending product order is a free choice.
+    By convention i = j gives the identity (empty product, no F factor).
+    Only S is cached, per (parities, p, i, j, A, order); the products drop
+    zeros only in ``SuperElt.__init__``.
     """
     a_set = frozenset(a_set)
     key = (ctx.parities, ctx.p, i, j, a_set, order)
@@ -373,54 +375,52 @@ def lowering(
         s_tilde = SuperElt.gen(ctx, j, i, order)
         for t in sorted(a_set, reverse=True):
             s_tilde = _lowering_factor(ctx, i, t, order) * s_tilde
-    result = (s_tilde, s_tilde.reduce_mod_J())
-    _LOWERING_CACHE[key] = result
-    return result
+    _LOWERING_CACHE[key] = s_tilde.reduce_mod_J()
+    return _LOWERING_CACHE[key]
 
 
-def s_element(
-    ctx: ParityContext,
-    i: int,
-    j: int,
-    a_set: Iterable[int],
-    order: GeneratorOrder = DEFAULT_ORDER,
-) -> SuperElt:
-    return lowering(ctx, i, j, a_set, order)[1]
+def raised_s_element(ctx: ParityContext, i: int, j: int, a_set: Iterable[int]) -> SuperElt:
+    """E_i ... E_{j-1} S_{i,j}(A) mod J, cached per (parities, p, i, j, A).
+
+    J is a left ideal, so each partial product is reduced mod J.  The
+    element has weight 0: mod J it is a polynomial in the H's.
+    """
+    a_set = frozenset(a_set)
+    key = (ctx.parities, ctx.p, i, j, a_set)
+    elt = _RAISED_CACHE.get(key)
+    if elt is None:
+        elt = s_element(ctx, i, j, a_set)
+        for t in range(j - 1, i - 1, -1):
+            elt = (SuperElt.gen(ctx, t, t + 1) * elt).reduce_mod_J()
+        _RAISED_CACHE[key] = elt
+    return elt
 
 
-def x_column(
-    ctx: ParityContext, l: int, r: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> List[SuperElt]:
+def x_column(ctx: ParityContext, l: int, r: int) -> List[SuperElt]:
     """[x^[r]_{1,l}, ..., x^[r]_{rank,l}], each level built once from the one below."""
     if r < 1:
         raise ValueError("r must be >= 1")
     positions = range(1, ctx.rank + 1)
-    column = [SuperElt.gen(ctx, k, l, order) for k in positions]
+    column = [SuperElt.gen(ctx, k, l) for k in positions]
     for _ in range(r - 1):
-        column = [_row_sum(ctx, k, column, order) for k in positions]
+        column = [_row_sum(ctx, k, column, DEFAULT_ORDER) for k in positions]
     return column
 
 
-def x_element(
-    ctx: ParityContext, k: int, l: int, r: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def x_element(ctx: ParityContext, k: int, l: int, r: int) -> SuperElt:
     """x^[1]_{k,l} = e_{k,l}; x^[r]_{k,l} = sum_s (-1)**p_s e_{k,s} x^[r-1]_{s,l}."""
     if r == 1:
-        return SuperElt.gen(ctx, k, l, order)
-    return _row_sum(ctx, k, x_column(ctx, l, r - 1, order), order)
+        return SuperElt.gen(ctx, k, l)
+    return _row_sum(ctx, k, x_column(ctx, l, r - 1), DEFAULT_ORDER)
 
 
-def z_tilde_element(
-    ctx: ParityContext, r: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def z_tilde_element(ctx: ParityContext, r: int) -> SuperElt:
     """The central element sum_k x^[r]_{k,k}."""
-    diagonal = (x_element(ctx, k, k, r, order) for k in range(1, ctx.rank + 1))
-    return sum(diagonal, SuperElt.zero(ctx, order))
+    diagonal = (x_element(ctx, k, k, r) for k in range(1, ctx.rank + 1))
+    return sum(diagonal, SuperElt.zero(ctx))
 
 
-def z_element(
-    ctx: ParityContext, r: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def z_element(ctx: ParityContext, r: int) -> SuperElt:
     """Z_r: the tilde version shifted by an explicit scalar.
 
     Z_r = Z-tilde_r - (-1)**r * sum over k_1 < ... < k_{r+1} of
@@ -433,7 +433,7 @@ def z_element(
     if r < 1:
         raise ValueError("r must be >= 1")
     shift = series_coeffs([0] * ctx.rank, ctx.signs, r + 1)[r + 1]
-    return z_tilde_element(ctx, r, order) + SuperElt.const(ctx, shift, order)
+    return z_tilde_element(ctx, r) + SuperElt.const(ctx, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +583,8 @@ def lowering_scalar_check(
 ) -> Tuple[int, Optional[int]]:
     """Raise the lowered vector and compare with the predicted product.
 
-    Computes E_i ... E_{j-1} S_{i,j}(A) . v_lam, which lies on the
-    highest-weight line, and checks |scalar| = |prod over t in {i} u B of
+    Evaluates ``raised_s_element`` at lam: E_i ... E_{j-1} S_{i,j}(A) . v_lam
+    lies on the highest-weight line.  Checks |scalar| = |prod over t in {i} u B of
     b_{i,t}(lam)| in the scalar domain (mod p when p > 0).  Returns the
     scalar (reduced mod p) and the sign, or None when the product vanishes.
     IndexError unless 1 <= i < j <= rank.
@@ -596,7 +596,7 @@ def lowering_scalar_check(
     if not 1 <= i < j <= ctx.rank:
         raise IndexError(f"need 1 <= i < j <= {ctx.rank}, got ({i}, {j})")
     a_set, b_set = frozenset(a_set), frozenset(b_set)
-    if len(a_set) != len(b_set) or not downarrow(a_set, b_set):
+    if len(a_set) != len(b_set) or greedy_match(a_set, b_set) is None:
         raise ValueError("need |A| = |B| with A matching down into B")
     down, up = residue_vectors(ctx, lam)
     c_zero, b_zero = bc_positions(ctx.p, down, up, i, j)
@@ -605,10 +605,7 @@ def lowering_scalar_check(
             raise ValueError(f"c_{{{i},{h}}}(lam) not 0 mod p")
         if h not in b_set and h not in b_zero:
             raise ValueError(f"b_{{{i},{h}}}(lam) not 0 mod p")
-    elt = s_element(ctx, i, j, a_set)
-    for t in range(j - 1, i - 1, -1):
-        elt = SuperElt.gen(ctx, t, t + 1) * elt
-    scalar = verma_scalar(elt, lam)
+    scalar = verma_scalar(raised_s_element(ctx, i, j, a_set), lam)
     predicted = 1
     for t in {i} | b_set:
         predicted *= down[i - 1] - up[t]

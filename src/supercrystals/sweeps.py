@@ -13,11 +13,12 @@ of each weight once and call the kernels of ``crystal``, ``tensorrule``,
 ``affine`` and ``linkage`` on them, the same kernels the public functions
 wrap, so every check runs library code.  The crystal workers (C2-C5) read
 every residue of a weight off one table: ``crystal.reduced_table`` for the
-signature rule and ``tensorrule.dual_table`` for the tensor rule.  A check
-that reads one r of a moved weight (the e*/f* round trip of the axioms, the
-one-step-down check of normality) keeps the per-residue kernel.  C4 reads
-the matching criterion for normality and goodness at every position off
-one ``crystal.matching_flags`` pass per weight.
+signature rule and ``tensorrule.dual_table`` of ``letters_of`` for the
+tensor rule.  A check that reads one r of a moved weight (the e*/f* round
+trip of the axioms, the one-step-down check of normality) keeps the
+per-residue kernel.  C4 reads the matching criterion for normality and
+goodness at every position off one ``crystal.matching_flags`` pass per
+weight.  C8/C9 evaluate one cached ``pbw.raised_s_element`` per (i, j, A).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
 from .affine import ab_key, alpha_of, alpha_pairing, gamma_of, wt_key
-from .linkage import series_coeffs, z_scalar
+from .linkage import default_order, series_coeffs, z_scalar
 from .weights import (
     ParityContext,
     build_context,
@@ -163,10 +164,9 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     signs = ctx.signs
     for lam in iter_window(ctx.rank, window):
         down, up = residue_vectors(ctx, lam)
-        # the negated letters -b_i; b_i = down_i + 1 at even positions
-        neg = [-(d + 1) if s > 0 else -d for d, s in zip(down, signs)]
         table = crystal.reduced_table(p, down, up)
-        dual = tensorrule.dual_table(p, signs, lam, neg)
+        # the tensor rule reads its own letter word, not the residues
+        dual = tensorrule.dual_table(p, signs, lam, tensorrule.letters_of(ctx, lam))
         # a class only one route sees is checked too, as vacuous on the other
         for r in _residue_candidates(p, table.keys() | dual.keys()):
             ops.checks += 2
@@ -377,7 +377,7 @@ def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     ii_iii = PropertyReport("residue series equality matches the A-B data")
     p = ctx.p
     signs = ctx.signs
-    order = 2 * ctx.rank + 2
+    order = default_order(ctx)
     wt_keys: Dict[tuple, tuple] = {}
     ab_of_wt: Dict[tuple, tuple] = {}
     series_of_ab: Dict[tuple, tuple] = {}
@@ -581,7 +581,7 @@ def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 (a_set, b_set)
                 for a_set in _subsets(sorted(interval))
                 for b_set in _subsets(sorted(interval))
-                if len(a_set) == len(b_set) and crystal.downarrow(a_set, b_set)
+                if len(a_set) == len(b_set) and crystal.greedy_match(a_set, b_set) is not None
             ]
             for lam, (down, up) in vectors:
                 # lowering_scalar_check's preconditions: c_{i,h} = 0 off A, b_{i,h} = 0 off B
@@ -690,11 +690,13 @@ def run_suite(
     the largest r of the Z_r checks of verma-scalars; the x-element
     brackets of pbw-identities run r = 1..min(max_r, 3).  ``processes``
     None is the pool default and 1 runs in this process.  Raises ValueError
-    for an unknown suite, processes < 1, or a window or r range that would
-    leave checks empty.
+    for an unknown suite, processes < 1, a characteristic listed twice, or a
+    window or r range that would leave checks empty.
     """
     if processes is not None and processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
+    if len(set(p_list)) != len(p_list):
+        raise ValueError(f"characteristic listed twice in {list(p_list)}")
     if coeff_window < 0:
         raise ValueError(f"coeff_window must be >= 0, got {coeff_window}")
     if max_r < 1:

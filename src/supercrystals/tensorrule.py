@@ -10,76 +10,76 @@ where -x negates every letter and e/f act by the recursive Kashiwara tensor
 rule.  None of the signature machinery is used here.
 
 The rule is one fold, ``_fold``, over the letters of the negated word that
-are nontrivial for one residue; the caller computes the word once per
-weight.  ``dual_moves`` builds the bucket of one residue and folds it, and
-``dual_table`` buckets every letter in one pass and folds every bucket.
+are nontrivial for one residue; the caller computes the word b once per
+weight with ``letters_of``.  ``dual_moves`` builds the bucket of one
+residue and folds it, and ``dual_table`` buckets every letter in one pass
+and folds every bucket.
 ``dual_oracle`` and ``dual_eps_phi`` are thin wrappers over ``dual_moves``;
 the oracle sweep reads ``dual_table``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .weights import ParityContext, Weight, check_weight
 
 NEG_INF = float("-inf")
 
 
-def letters_of(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
+def letters_of(ctx: ParityContext, lam: Weight) -> List[int]:
     """The letter word b_i = (lam+rho, eps_i) = sign_i * (lam_i + rho_i)."""
     check_weight(ctx, lam)
-    return tuple(s * (x + rho) for s, x, rho in zip(ctx.signs, lam, ctx.rho))
+    return [s * (x + rho) for s, x, rho in zip(ctx.signs, lam, ctx.rho)]
 
 
-def weight_of_letters(ctx: ParityContext, letters: Tuple[int, ...]) -> Weight:
+def weight_of_letters(ctx: ParityContext, letters: Sequence[int]) -> Weight:
     """Inverse of letters_of: lam_i = sign_i * b_i - rho_i."""
     return tuple(s * b - rho for s, b, rho in zip(ctx.signs, letters, ctx.rho))
 
 
 def dual_moves(
-    p: int, signs: Sequence[int], lam: Weight, neg: Sequence[int], r: int
+    p: int, signs: Sequence[int], lam: Weight, letters: Sequence[int], r: int
 ) -> Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]:
-    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) by the tensor rule on neg = -b.
+    """(e*_r lam, f*_r lam, (eps*_r, phi*_r)) by the tensor rule on c = -b.
 
     With r' = -1-r, a one-letter crystal c at an even position (signs 1) has
     eps_r' = [r'+1 = c] and phi_r' = [r' = c]; e_r' sends c to c-1 and f_r'
     sends c to c+1 where defined.  At an odd position r' and r'+1 trade
     places and e, f move c the other way.  A letter with eps and phi both 0
     is the trivial crystal and leaves the tensor product unchanged, so only
-    the letters c = r' and c = r'+1 go into the bucket that ``_fold`` reads.
+    c = r' (b = r+1) and c = r'+1 (b = r) go into the bucket ``_fold`` reads.
     """
-    r2 = -1 - r
     bucket = []
-    for q in range(len(neg)):
-        c = neg[q]
+    for q in range(len(letters)):
+        b = letters[q]
         if p:
-            at_r = 1 if (c - r2) % p == 0 else 0
-            at_r1 = 1 if (c - r2 - 1) % p == 0 else 0
+            at_r = 1 if (b - r - 1) % p == 0 else 0
+            at_r1 = 1 if (b - r) % p == 0 else 0
         else:
-            at_r = 1 if c == r2 else 0
-            at_r1 = 1 if c == r2 + 1 else 0
+            at_r = 1 if b == r + 1 else 0
+            at_r1 = 1 if b == r else 0
         if at_r or at_r1:
             bucket.append((q, at_r1, at_r) if signs[q] > 0 else (q, at_r, at_r1))
     return _fold(lam, bucket)
 
 
 def dual_table(
-    p: int, signs: Sequence[int], lam: Weight, neg: Sequence[int]
+    p: int, signs: Sequence[int], lam: Weight, letters: Sequence[int]
 ) -> Dict[int, Tuple[Optional[Weight], Optional[Weight], Tuple[int, int]]]:
-    """``dual_moves`` for every residue class at once, in one pass over neg.
+    """``dual_moves`` for every residue class at once, in one pass over b.
 
-    Letter c is nontrivial for r' = c (r = -1-c) and for r' = c-1 (r = -c)
+    Letter c = -b is nontrivial for r' = c (r = b-1) and r' = c-1 (r = b)
     only, so one pass puts each letter into those two buckets, keyed by r
     mod p when p > 0, and ``_fold`` reads each bucket.  A class that is not
     a key has no nontrivial letter: both moves are None and both counters 0.
     """
     buckets: Dict[int, list] = {}
-    for q in range(len(neg)):
-        c = neg[q]
+    for q in range(len(letters)):
+        b = letters[q]
         even = signs[q] > 0
         # at_r = [r' = c], and then [r'+1 = c] = 1 - at_r
-        for r, at_r in ((-1 - c, 1), (-c, 0)):
+        for r, at_r in ((b - 1, 1), (b, 0)):
             if p:
                 r %= p
             entry = (q, 1 - at_r, at_r) if even else (q, at_r, 1 - at_r)
@@ -138,7 +138,7 @@ def _fold(
 
 def _moves(ctx: ParityContext, lam: Weight, r: int):
     lam = tuple(lam)
-    return dual_moves(ctx.p, ctx.signs, lam, [-b for b in letters_of(ctx, lam)], r)
+    return dual_moves(ctx.p, ctx.signs, lam, letters_of(ctx, lam), r)
 
 
 def dual_oracle(

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from supercrystals import cli, graph, linkage, sweeps
 from supercrystals.cli import main
 from supercrystals.weights import build_context
@@ -305,6 +307,19 @@ def test_verify_pin_parities_rejects_an_explicit_p_list(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--p-list" in err
+
+
+def test_verify_with_a_repeated_characteristic_exits_2(capsys):
+    # a characteristic listed twice would run each of its shards twice
+    with pytest.raises(ValueError):
+        sweeps.run_suite("linkage", max_rank=2, p_list=(3, 3), processes=1)
+    code, out, err = run(
+        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
+         "--p-list", "3,3", "--processes", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "characteristic" in err
 
 
 def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):

@@ -111,11 +111,13 @@ def test_c_scalar_is_residue_difference():
 
 
 def test_downarrow():
-    assert crystal.downarrow({2}, {1})
-    assert not crystal.downarrow({1}, {2})
-    assert crystal.downarrow({1, 3}, {1, 3})
-    assert crystal.downarrow(set(), {4})
-    assert not crystal.downarrow({4}, set())
+    # greedy_match decides "X injects down into Y" and returns the injection
+    assert crystal.greedy_match({2}, {1}) == [1]
+    assert crystal.greedy_match({1}, {2}) is None
+    assert crystal.greedy_match({1, 3}, {1, 3}) == [1, 3]
+    assert crystal.greedy_match({2, 3}, {1, 2}) == [2, 1]
+    assert crystal.greedy_match(set(), {4}) == []
+    assert crystal.greedy_match({4}, set()) is None
 
 
 def test_matching_criteria_agree_with_signatures():

@@ -25,6 +25,15 @@ def test_depth_zero_single_node():
     assert g.edges == []
 
 
+def test_list_weight_gives_the_tuple_graph():
+    ctx = paper_ctx()
+    for depth in (0, 1, 2):
+        got = crystal_component(ctx, list(PAPER_LAM), depth)
+        want = crystal_component(ctx, PAPER_LAM, depth)
+        assert got.nodes == want.nodes and got.edges == want.edges, depth
+        assert got.to_json() == want.to_json() and got.to_dot() == want.to_dot()
+
+
 def test_negative_depth_rejected():
     with pytest.raises(ValueError):
         crystal_component(paper_ctx(), PAPER_LAM, -1)

@@ -182,9 +182,11 @@ def test_lowering_scalar_check_rejects_bad_preconditions():
 
 
 def test_lowering_cache_keeps_characteristics_apart():
-    # a cached lowering operator carries the context it was asked for
+    # a cached lowering operator, plain or raised, carries the context it
+    # was asked for
     for p in (0, 3, 0):
         assert pbw.s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p
+        assert pbw.raised_s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p
 
 
 def _subsets(items):
@@ -207,8 +209,10 @@ def test_coefficients_are_plain_ints():
         for i in range(1, ctx.rank):
             for j in range(i + 1, ctx.rank + 1):
                 for a_set in _subsets(range(i + 1, j)):
-                    s_tilde, s = pbw.lowering(ctx, i, j, a_set)
-                    elts += [s_tilde, s, pbw.s_element(ctx, i, j, a_set)]
+                    elts += [
+                        pbw.s_element(ctx, i, j, a_set),
+                        pbw.raised_s_element(ctx, i, j, a_set),
+                    ]
         for elt in elts:
             assert all(type(c) is int for c in elt.terms.values()), (parities, elt.dump())
 
@@ -338,3 +342,27 @@ def test_x_column_builds_each_level_once(monkeypatch):
         calls.clear()
         pbw.z_tilde_element(ctx, r)
         assert len(calls) == z_muls
+
+
+def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
+    # E_i ... E_{j-1} S_{i,j}(A) depends on (context, i, j, A), not on lam.
+    # Parities (0,0,0), p=0: c_{1,2} = lam_1 - lam_2 + 1 and
+    # b_{1,2} = lam_1 - lam_3 + 1 vanish at both weights.
+    ctx = ctx_of((0, 0, 0))
+    monkeypatch.setattr(pbw, "_RAISED_CACHE", {})
+    s = pbw.s_element(ctx, 1, 3, frozenset())
+    calls = []
+    real = SuperElt.__mul__
+    monkeypatch.setattr(SuperElt, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    # the first call makes the j - i = 2 products E_2 S and E_1 (E_2 S)
+    results = []
+    for lam, products in (((0, 1, 1), 2), ((1, 2, 2), 0)):
+        calls.clear()
+        results.append(pbw.lowering_scalar_check(ctx, 1, 3, set(), set(), lam))
+        assert len(calls) == products, lam
+    monkeypatch.undo()
+    # the cached element is the full product, reduced mod J
+    raised = SuperElt.gen(ctx, 1, 2) * (SuperElt.gen(ctx, 2, 3) * s)
+    assert pbw.raised_s_element(ctx, 1, 3, frozenset()) == raised.reduce_mod_J()
+    for (scalar, _), lam in zip(results, ((0, 1, 1), (1, 2, 2))):
+        assert scalar == pbw.verma_scalar(raised, lam)

@@ -15,7 +15,7 @@ from supercrystals.affine import (
     wt_of,
     zero_affine,
 )
-from supercrystals.crystal import Signature, downarrow, greedy_match, reduce_signature
+from supercrystals.crystal import Signature, greedy_match, reduce_signature
 from supercrystals.linkage import TruncatedSeries, one_series, series_coeffs
 from supercrystals.weights import (
     build_context,
@@ -50,10 +50,19 @@ def test_reduce_signature_preserves_count_difference(sig):
 subsets = st.sets(st.integers(min_value=1, max_value=10), max_size=6)
 
 
+def _injects_down(a, b):
+    """Brute force: some injection of a into b sends every x to a y <= x."""
+    xs = sorted(a)
+    return any(
+        all(y <= x for x, y in zip(xs, image))
+        for image in itertools.permutations(sorted(b), len(xs))
+    )
+
+
 def _check_matching(a, b):
-    """downarrow's prefix counts agree with the injection greedy_match builds."""
+    """greedy_match finds an injection exactly when the brute-force search does."""
     picks = greedy_match(a, b)
-    assert downarrow(a, b) == (picks is not None)
+    assert (picks is not None) == _injects_down(a, b)
     if picks is not None:
         assert len(set(picks)) == len(picks) == len(a)
         assert set(picks) <= b
@@ -77,8 +86,8 @@ def test_downarrow_definitions_agree_on_all_small_subsets():
 
 @given(subsets, subsets)
 def test_downarrow_monotone_in_targets(a, b):
-    if downarrow(a, b):
-        assert downarrow(a, b | {1})
+    if greedy_match(a, b) is not None:
+        assert greedy_match(a, b | {1}) is not None
 
 
 def _contexts():
@@ -253,13 +262,13 @@ def test_residue_tables_agree_with_the_per_residue_kernels(cw):
     ctx, lam = cw
     p = ctx.p
     down, up = residue_vectors(ctx, lam)
-    neg = [-b for b in tensorrule.letters_of(ctx, lam)]
+    letters = tensorrule.letters_of(ctx, lam)
     table = crystal.reduced_table(p, down, up)
-    dual = tensorrule.dual_table(p, ctx.signs, lam, neg)
+    dual = tensorrule.dual_table(p, ctx.signs, lam, letters)
     for r in range(p):
         minus, plus = table.get(r, crystal.VACUOUS)
         assert (list(minus), list(plus)) == crystal.reduced_positions(p, down, up, r), r
-        want = tensorrule.dual_moves(p, ctx.signs, lam, neg, r)
+        want = tensorrule.dual_moves(p, ctx.signs, lam, letters, r)
         assert dual.get(r, (None, None, (0, 0))) == want, r
 
 

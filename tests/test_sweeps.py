@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 
-from supercrystals import crystal, sweeps
+from supercrystals import crystal, pbw, sweeps
 from supercrystals.cli import main
 from supercrystals.weights import build_context, residue_vectors
 
@@ -172,3 +172,46 @@ def test_a_wrong_matching_pass_fails_the_normality_suite(monkeypatch, capsys):
     assert "[FAIL] signature normality equals the matching criterion" in out
     assert "[FAIL] signature goodness equals the matching criterion" in out
     assert out.count(f"first counterexample: {cex}") == 2
+
+
+def test_a_residue_defect_fails_the_oracle_suite(monkeypatch):
+    # the tensor rule reads its own letters, so residues shifted by one at
+    # position 1 reach the signature rule only and the two routes disagree
+    real = sweeps.residue_vectors
+
+    def residue_vectors(ctx, lam):
+        down, up = real(ctx, lam)
+        down[0] += 1
+        up[0] += 1
+        return down, up
+
+    monkeypatch.setattr(sweeps, "residue_vectors", residue_vectors)
+    ops, counts = sweeps.run_suite(
+        "oracle-equivalence", max_rank=3, coeff_window=2, processes=1
+    )
+    assert ops.failures > 0 and counts.failures > 0
+
+
+def test_a_wrong_raised_element_fails_the_verma_suite(monkeypatch, capsys):
+    def raised_s_element(ctx, i, j, a_set):
+        # E_i is dropped: E_{i+1} ... E_{j-1} S_{i,j}(A) leaves the highest weight
+        elt = pbw.s_element(ctx, i, j, a_set)
+        for t in range(j - 1, i, -1):
+            elt = (pbw.SuperElt.gen(ctx, t, t + 1) * elt).reduce_mod_J()
+        return elt
+
+    monkeypatch.setattr(pbw, "raised_s_element", raised_s_element)
+    spec = (1, 1, (1, 0), 3)
+    (lowered,) = sweeps.lowering_scalar_worker((spec, 1))
+    (witness,) = sweeps.witness_worker((spec, 1))
+    assert lowered.failures > 0 and witness.failures > 0
+    assert lowered.counterexample.startswith(f"ctx={spec} i=1 j=2 A=[] B=[] lam=")
+    assert witness.counterexample.startswith(f"ctx={spec} lam=")
+    code = main(
+        ["--p", "3", "--parities", "1,0", "verify", "verma-scalars", "--max-rank", "2",
+         "--pin-parities", "--processes", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] raised lowered vectors give the predicted scalar" in out
+    assert "[FAIL] every normal index certifies a nonzero scalar" in out

@@ -73,12 +73,12 @@ def test_dual_table_matches_dual_moves_at_every_residue():
             for p in (0, 2, 3, 5, 7):
                 ctx = build_context(m, rank - m, parities, p)
                 for lam in iter_window(rank, window):
-                    neg = [-b for b in tensorrule.letters_of(ctx, lam)]
-                    table = tensorrule.dual_table(p, ctx.signs, lam, neg)
+                    letters = tensorrule.letters_of(ctx, lam)
+                    table = tensorrule.dual_table(p, ctx.signs, lam, letters)
                     # the letters see the classes the signatures see
                     keys = crystal.signature_residues(p, *residue_vectors(ctx, lam))
                     assert sorted(table) == list(keys), (parities, p, lam)
                     for r in _residue_classes(p, keys):
                         got = table.get(r, (None, None, (0, 0)))
-                        want = tensorrule.dual_moves(p, ctx.signs, lam, neg, r)
+                        want = tensorrule.dual_moves(p, ctx.signs, lam, letters, r)
                         assert got == want, (parities, p, lam, r)
