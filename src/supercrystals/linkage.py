@@ -1,9 +1,13 @@
-"""Central-character combinatorics: Z_r(lam), G_lam(t), and block partitions."""
+"""Central-character combinatorics: Z_r(lam), G_lam(t), and block partitions.
+
+One kernel, ``series_coeffs``, expands the residue series; ``parity_term`` is
+the Z_r shift that both ``z_scalar`` and ``pbw.z_element`` read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .affine import AffineWeight, wt_of
@@ -75,6 +79,16 @@ def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
     return coeffs
 
 
+@lru_cache(maxsize=1024)
+def parity_term(signs: Tuple[int, ...], r: int) -> int:
+    """[u^{r+1}] prod_k (1 - s_k u) = (-1)**(r+1) e_{r+1}(s), 0 once r >= len(s).
+
+    The constant shift of Z_r (see ``z_scalar``), cached per (signs, r)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return series_coeffs([0] * len(signs), signs, r + 1)[r + 1]
+
+
 def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
     """Z_r(lam), the scalar by which the central element Z_r acts on v_lam.
 
@@ -85,15 +99,14 @@ def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
 
         Z_r(lam) = [u^{r+1}] prod_k (1 - s_k u) - [u^{r+1}] G_lam(u),
 
-    s_k = (-1)**parity_k, both coefficients from ``series_coeffs``.  The
-    exponential sum is the test oracle (``exponential_z`` in
+    s_k = (-1)**parity_k, read off ``parity_term`` and ``series_coeffs``.
+    The exponential sum is the test oracle (``exponential_z`` in
     ``tests/test_linkage.py``).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     down, up = residue_vectors(ctx, lam)
-    parity_term = series_coeffs([0] * ctx.rank, ctx.signs, r + 1)[r + 1]
-    return parity_term - series_coeffs(down, up, r + 1)[r + 1]
+    return parity_term(ctx.signs, r) - series_coeffs(down, up, r + 1)[r + 1]
 
 
 def g_series(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:
@@ -116,6 +129,8 @@ def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeri
     missing terms depend on the parities alone, so both series separate the
     same weights; the block partition is keyed on g_series.
     """
+    if n < 1:
+        raise ValueError("truncation order must be >= 1")
     coeffs = [0] * (n + 1)
     coeffs[0] = 1
     for r in range(1, n):

@@ -14,8 +14,8 @@ diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
 generated by the E's is a per-monomial predicate; the E_l-last variant makes
 membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
 Sums add into plain dicts and drop zeros once, in ``SuperElt.__init__`` or
-at the end of ``normalize_word`` and ``verma_apply``, which return dicts.
-``s_element`` and ``raised_s_element`` are the cached lowering elements.
+at the end of ``normalize_word``.  ``s_element`` and ``raised_s_element`` are
+the cached lowering elements; ``verma_scalar`` evaluates one in one pass.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .crystal import bc_positions, greedy_match
-from .linkage import series_coeffs
-from .weights import ParityContext, Weight, residue_vectors
+from .linkage import parity_term
+from .weights import ParityContext, Weight, check_weight, residue_vectors
 
 Gen = Tuple[int, int]
 Monomial = Tuple[Tuple[Gen, int], ...]
@@ -427,56 +427,47 @@ def z_element(ctx: ParityContext, r: int) -> SuperElt:
     (-1)**(p_{k_1}+...+p_{k_{r+1}}).  This is the unique constant shift of
     Z-tilde_r that acts on a highest-weight vector of weight lam by
     Z_r(lam) (see ``linkage.z_scalar``).  The sum is (-1)**r e_{r+1}(s) with
-    s_k = (-1)**p_k, i.e. minus the u^{r+1} coefficient of prod_k (1 - s_k u),
-    which ``series_coeffs`` expands in O(k r).
+    s_k = (-1)**p_k, i.e. minus ``linkage.parity_term(signs, r)``, the u^{r+1}
+    coefficient of prod_k (1 - s_k u).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    shift = series_coeffs([0] * ctx.rank, ctx.signs, r + 1)[r + 1]
-    return z_tilde_element(ctx, r) + SuperElt.const(ctx, shift)
+    return z_tilde_element(ctx, r) + SuperElt.const(ctx, parity_term(ctx.signs, r))
 
 
 # ---------------------------------------------------------------------------
 # Verma highest-weight action
 
 
-def verma_apply(u: SuperElt, lam: Weight) -> Dict[Monomial, Coeff]:
-    """Apply u to the Verma highest-weight vector of weight lam.
+def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
+    """The v-coefficient of u.v for the highest-weight vector v of weight lam.
 
-    Requires a B-minus-first normal order (any of the orders here): monomials
-    with an E-part annihilate the vector; the H-part evaluates to a product
-    of weight coordinates; what remains is an F-monomial combination,
-    returned as F-monomial -> coefficient (the empty monomial is v itself).
-    Coefficients are ints for an integral weight, unless u itself carries a
-    Fraction.
+    One pass over the terms of u, in a B-minus-first order (every order here):
+    an E-part kills v, an H-part evaluates at lam, and the sum per F-part must
+    vanish, or ArithmeticError names the first three that do not.  An int for
+    integral lam unless u carries a Fraction; ValueError unless len(lam) = rank.
     """
+    check_weight(u.ctx, lam)
+    scalar: Coeff = 0
     out: Dict[Monomial, Coeff] = {}
     for mono, c in u.terms.items():
-        f_part: List[Tuple[Gen, int]] = []
+        f_part: Monomial = ()
         for (i, j), e in mono:
             if i < j:
                 break
             if i == j:
                 c *= lam[i - 1] ** e
             else:
-                f_part.append(((i, j), e))
+                f_part += (((i, j), e),)
         else:
-            key = tuple(f_part)
-            out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
-    """The v-coefficient of u.v for the highest-weight vector of weight lam.
-
-    An int for an integral weight, unless u itself carries a Fraction.
-    Raises if the image has a component outside the highest-weight line.
-    """
-    vec = verma_apply(u, lam)
-    scalar = vec.pop((), 0)
-    if vec:
-        raise ArithmeticError(f"image leaves the highest-weight line: {list(vec)[:3]}")
-    return scalar
+            if f_part:
+                out[f_part] = out.get(f_part, 0) + c
+            else:
+                scalar += c
+    off_line = [f_part for f_part, c in out.items() if c]
+    if off_line:
+        raise ArithmeticError(f"image leaves the highest-weight line: {off_line[:3]}")
+    return scalar or 0  # a zero sum of Fractions is the int 0
 
 
 # ---------------------------------------------------------------------------

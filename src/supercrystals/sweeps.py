@@ -100,19 +100,12 @@ def _fail(report: PropertyReport, spec: CtxSpec, label: str = "", **where) -> No
         report.counterexample = f"{label}: {text}" if label else text
 
 
-def _merge_reports(
-    chunks: Iterable[List[PropertyReport]],
-) -> List[PropertyReport]:
-    merged: Dict[str, PropertyReport] = {}
-    order: List[str] = []
-    for chunk in chunks:
-        for rep in chunk:
-            if rep.name in merged:
-                merged[rep.name] = merged[rep.name].merge(rep)
-            else:
-                merged[rep.name] = rep
-                order.append(rep.name)
-    return [merged[name] for name in order]
+def _merge_reports(shards: Iterable[List[PropertyReport]]) -> List[PropertyReport]:
+    """Merge one worker's shards by position: each returns the same report names."""
+    merged: List[PropertyReport] = []
+    for shard in shards:
+        merged = [a.merge(b) for a, b in zip(merged, shard)] if merged else shard
+    return merged
 
 
 def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[PropertyReport]:

@@ -12,6 +12,7 @@ from supercrystals.linkage import (
     g_series,
     g_series_presented,
     one_series,
+    parity_term,
     partition_blocks,
     same_block,
     z_scalar,
@@ -77,6 +78,27 @@ def test_z_scalar_matches_the_exponential_sum_at_p_and_wide_weights():
 def test_z_scalar_rejects_bad_r():
     with pytest.raises(ValueError):
         z_scalar(paper_ctx(), PAPER_LAM, 0)
+
+
+def test_both_series_reject_an_order_below_1():
+    for n in (0, -1):
+        for series in (g_series, g_series_presented):
+            with pytest.raises(ValueError, match="truncation order"):
+                series(paper_ctx(), PAPER_LAM, n)
+
+
+def test_parity_term_is_the_signed_elementary_symmetric_sum():
+    # (-1)^{r+1} e_{r+1}(s) by brute force over subsets, 0 once r + 1 > rank;
+    # z_scalar and pbw.z_element both read parity_term, so the Verma suite
+    # cannot see a defect in it and this test must
+    for rank in range(1, 5):
+        for signs in itertools.product((1, -1), repeat=rank):
+            for r in range(6):
+                subsets = itertools.combinations(signs, r + 1)
+                want = (-1) ** (r + 1) * sum(prod(c) for c in subsets)
+                assert parity_term(signs, r) == want, (signs, r)
+    with pytest.raises(ValueError):
+        parity_term((1, -1), -1)
 
 
 def test_truncated_series_multiplication():

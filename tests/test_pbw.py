@@ -288,7 +288,7 @@ def test_zero_coefficients_are_dropped_everywhere():
     assert (e * e).terms == {}  # an odd generator squares to zero
 
 
-def test_normalize_word_and_verma_apply_return_no_zeros():
+def test_normalize_word_and_verma_scalar_return_no_zeros():
     # e_{1,2} e_{1,2} e_{2,1} cancels while it is normal-ordered: e_{1,2} is odd
     assert pbw.normalize_word((1, 0), DEFAULT_ORDER, ((1, 2), (1, 2), (2, 1))) == {}
     for parities in ((1, 0), (0, 1, 0), (1, 0, 1)):
@@ -296,11 +296,39 @@ def test_normalize_word_and_verma_apply_return_no_zeros():
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
         for word in itertools.product(gens, repeat=3):
             assert _nonzero(pbw.normalize_word(parities, DEFAULT_ORDER, word)), word
+    # F[2,1] (H[1] - H[2]) + H[1] - H[2]: the F-part cancels where lam_1 = lam_2
     ctx = ctx_of((1, 0))
+    f = SuperElt.gen(ctx, 2, 1)
     h = SuperElt.gen(ctx, 1, 1) - SuperElt.gen(ctx, 2, 2)
-    assert pbw.verma_apply(h, (1, 1)) == {}
-    assert pbw.verma_apply(h, (2, 1)) == {(): 1}
-    assert pbw.verma_scalar(h, (1, 1)) == 0
+    u = f * h + h
+    assert pbw.verma_scalar(u, (1, 1)) == 0
+    assert type(pbw.verma_scalar(h.scale(Fraction(1, 2)), (1, 1))) is int
+    with pytest.raises(ArithmeticError):
+        pbw.verma_scalar(u, (2, 1))
+
+
+def test_verma_scalar_names_the_first_three_off_line_components():
+    ctx = ctx_of((0, 1, 0))
+    f21, f31, f32 = (SuperElt.gen(ctx, j, i) for i, j in ((1, 2), (1, 3), (2, 3)))
+    e12 = SuperElt.gen(ctx, 1, 2)
+    u = f32 + f21 * f31 + f31.scale(2) + f21 + SuperElt.const(ctx, 5) + f21 * e12
+    with pytest.raises(ArithmeticError) as exc:
+        pbw.verma_scalar(u, (0, 0, 0))
+    assert str(exc.value) == (
+        "image leaves the highest-weight line: "
+        "[(((3, 2), 1),), (((2, 1), 1), ((3, 1), 1)), (((3, 1), 1),)]"
+    )
+    assert pbw.verma_scalar(SuperElt.const(ctx, 5) + f21 * e12, (0, 0, 0)) == 5
+
+
+def test_verma_scalar_rejects_a_weight_of_the_wrong_length():
+    # a longer weight must not be read as its prefix, nor a shorter one fail by index
+    ctx = ctx_of((1, 0))
+    z = pbw.z_element(ctx, 1).reduce_mod_J()
+    assert pbw.verma_scalar(z, (2, 3)) == z_scalar(ctx, (2, 3), 1)
+    for lam in ((2, 3, 99), (2,)):
+        with pytest.raises(ValueError, match="has length"):
+            pbw.verma_scalar(z, lam)
 
 
 def test_lowering_scalar_check_reports_the_failed_precondition():

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 
+import pytest
+
 from supercrystals import crystal, pbw, sweeps
 from supercrystals.cli import main
 from supercrystals.weights import build_context, residue_vectors
@@ -215,3 +217,54 @@ def test_a_wrong_raised_element_fails_the_verma_suite(monkeypatch, capsys):
     assert code == 1
     assert "[FAIL] raised lowered vectors give the predicted scalar" in out
     assert "[FAIL] every normal index certifies a nonzero scalar" in out
+
+
+# (suite, module, kernel, mutant of the real kernel, characteristic of the
+# CLI run, the reports that fail), for reports no other test shows can fail
+PLANTED = [
+    ("crystal-axioms", sweeps, "alpha_pairing",
+     lambda real: lambda p, key, r: real(p, key, r + 1 if p == 3 else r),
+     3, {"phi* - eps* equals the coroot pairing of wt"}),
+    ("odd-reflection", crystal, "odd_weight",
+     lambda real: lambda p, signs, lam, i: lam[: i - 1] + (lam[i], lam[i - 1]) + lam[i + 1 :],
+     0, {"odd reflections commute with the star operators",
+         "odd reflections preserve the counters and wt"}),
+    ("linkage", sweeps, "wt_key",  # at p > 0 the key loses its delta coefficient
+     lambda real: lambda p, signs, down: real(p, signs, down)[1 if p else 0 :],
+     3, {"wt equality matches length plus A-B data"}),
+    ("verma-scalars", sweeps, "z_scalar",
+     lambda real: lambda ctx, lam, r: -real(ctx, lam, r) if r == 3 else real(ctx, lam, r),
+     0, {"central elements act on the Verma line by Z_r"}),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, kernel, mutant, p, failing", PLANTED, ids=[row[2] for row in PLANTED]
+)
+def test_a_planted_defect_fails_its_reports(
+    monkeypatch, capsys, suite, module, kernel, mutant, p, failing
+):
+    monkeypatch.setattr(module, kernel, mutant(getattr(module, kernel)))
+    reports = sweeps.run_suite(suite, max_rank=3, coeff_window=2, processes=1)
+    assert {rep.name for rep in reports if rep.failures} == failing
+    code = main(
+        ["--p", str(p), "--parities", "1,0", "verify", suite, "--max-rank", "2",
+         "--coeff-window", "2", "--pin-parities", "--processes", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in failing:
+        assert f"[FAIL] {name}" in out
+
+
+def test_shards_merge_report_by_report_in_job_order():
+    def worker(job):
+        return [
+            sweeps.PropertyReport("a", 2, job, f"a{job}" if job else None),
+            sweeps.PropertyReport("b", 1, 1, f"b{job}"),
+        ]
+
+    a, b = sweeps._run_sharded(worker, [0, 2, 1], processes=1)
+    assert (a.name, a.checks, a.failures, a.counterexample) == ("a", 6, 3, "a2")
+    assert (b.name, b.checks, b.failures, b.counterexample) == ("b", 3, 3, "b0")
+    assert sweeps._run_sharded(worker, [], processes=1) == []
