@@ -683,8 +683,8 @@ def run_suite(
     the largest r of the Z_r checks of verma-scalars; the x-element
     brackets of pbw-identities run r = 1..min(max_r, 3).  ``processes``
     None is the pool default and 1 runs in this process.  Raises ValueError
-    for an unknown suite, processes < 1, a characteristic listed twice, or a
-    window or r range that would leave checks empty.
+    for an unknown suite, processes < 1, a characteristic listed twice, a
+    window or r range that would leave checks empty, or a plan with no shard.
     """
     if processes is not None and processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
@@ -696,7 +696,7 @@ def run_suite(
         raise ValueError(f"max_r must be >= 1, got {max_r}")
     if name != "all" and name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}")
-    reports: List[PropertyReport] = []
+    plan: List[Tuple[str, List[tuple]]] = []
     for suite in SUITES if name == "all" else (name,):
         for worker, rank_cap, characteristics, job in _SUITE_TABLE[suite]:
             top = max_rank if rank_cap is None else min(max_rank, rank_cap)
@@ -705,9 +705,14 @@ def run_suite(
                 keys = _parity_seqs(ranks, parities_pin)
             else:
                 keys = context_specs(ranks, characteristics(p_list), parities_pin)
-            jobs = [job(key, coeff_window, seed, max_r) for key in keys]
-            # looked up at call time, so a wrapper bound in the worker's place runs
-            reports += _run_sharded(globals()[worker], jobs, processes)
+            plan.append((worker, [job(key, coeff_window, seed, max_r) for key in keys]))
+    if not any(jobs for _, jobs in plan):
+        pin = "" if parities_pin is None else f" with parities pinned to {tuple(parities_pin)}"
+        raise ValueError(f"suite {name} plans no shard at max_rank {max_rank}{pin}")
+    reports: List[PropertyReport] = []
+    for worker, jobs in plan:
+        # looked up at call time, so a wrapper bound in the worker's place runs
+        reports += _run_sharded(globals()[worker], jobs, processes)
     return reports
 
 

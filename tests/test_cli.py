@@ -168,6 +168,19 @@ def test_pbw_check_recurrence(capsys):
     assert err == "error: k = 1 is not in A = [2]"
 
 
+def test_pbw_rejects_positions_outside_the_context(capsys):
+    for i in ("0", "9"):
+        code, out, err = run(
+            ["--p", "0", "--parities", "1,0", "pbw", "lower", "--i", i, "--j", i], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: need 1 <= i <= j <= 2, got ({i}, {i})"
+    code, out, err = run(
+        PBW3 + ["check-recurrence", "--i", "2", "--j", "3", "--A", "1", "--k", "1"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: A = [1] not inside (2..3)")
+
+
 def test_pbw_check_commutator(capsys):
     for a_set, l in (("2", "1"), ("", "2"), ("2", "2")):
         code, out, err = run(

@@ -1,5 +1,6 @@
 """Tests for the symbolic enveloping-algebra engine."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -307,6 +308,30 @@ def test_normalize_word_and_verma_scalar_return_no_zeros():
         pbw.verma_scalar(u, (2, 1))
 
 
+def test_normalize_word_returns_a_fresh_dict_and_keeps_no_cache():
+    word = ((1, 2), (2, 1))
+    first = pbw.normalize_word((1, 0), DEFAULT_ORDER, word)
+    want = dict(first)
+    assert want
+    first.clear()
+    assert pbw.normalize_word((1, 0), DEFAULT_ORDER, word) == want
+    assert pbw._NORMALIZE_CACHE == {}
+
+
+def test_normalize_word_output_is_pinned_on_short_words():
+    # every word of length <= 3, ranks 2-3, every parity sequence, three orders
+    digest = hashlib.sha256()
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    for parities in _all_parities((2, 3)):
+        rank = len(parities)
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        for order, length in itertools.product(orders, range(4)):
+            for word in itertools.product(gens, repeat=length):
+                out = sorted(pbw.normalize_word(parities, order, word).items())
+                digest.update(repr((parities, order.kind, word, out)).encode())
+    assert digest.hexdigest()[:16] == "17267df16c04e37a"
+
+
 def test_verma_scalar_names_the_first_three_off_line_components():
     ctx = ctx_of((0, 1, 0))
     f21, f31, f32 = (SuperElt.gen(ctx, j, i) for i, j in ((1, 2), (1, 3), (2, 3)))
@@ -351,6 +376,24 @@ def test_lowering_scalar_check_rejects_positions_outside_1_le_i_lt_j_le_rank():
         with pytest.raises(IndexError) as exc:
             pbw.lowering_scalar_check(ctx, i, j, set(), set(), (1, 2, 0, 3))
         assert str(exc.value) == f"need 1 <= i < j <= 4, got ({i}, {j})"
+
+
+def test_s_element_rejects_positions_outside_the_context():
+    ctx = ctx_of((1, 0))
+    for i in (1, 2):
+        assert pbw.s_element(ctx, i, i, frozenset()) == SuperElt.const(ctx, 1)
+    for i, j in ((0, 0), (3, 3), (9, 9), (2, 1), (0, 2)):
+        with pytest.raises(IndexError) as exc:
+            pbw.s_element(ctx, i, j, frozenset())
+        assert str(exc.value) == f"need 1 <= i <= j <= 2, got ({i}, {j})"
+    with pytest.raises(IndexError, match=r"A = \[1\] not inside \(1..1\)"):
+        pbw.s_element(ctx, 1, 1, {1})
+
+
+def test_recurrence_check_validates_A_before_reading_it():
+    with pytest.raises(IndexError) as exc:
+        pbw.recurrence_check(ctx_of((1, 0, 1)), 2, 3, {1}, 1)
+    assert str(exc.value) == "A = [1] not inside (2..3)"
 
 
 def test_x_column_builds_each_level_once(monkeypatch):

@@ -257,6 +257,27 @@ def test_a_planted_defect_fails_its_reports(
         assert f"[FAIL] {name}" in out
 
 
+def test_a_plan_with_no_shard_is_rejected():
+    for suite in ("linkage", "all"):
+        with pytest.raises(ValueError, match=f"suite {suite} plans no shard at max_rank 1$"):
+            sweeps.run_suite(suite, max_rank=1, processes=1)
+    with pytest.raises(ValueError) as exc:
+        sweeps.run_suite("pbw-identities", parities_pin=(1, 0, 0, 1, 0), processes=1)
+    assert str(exc.value) == (
+        "suite pbw-identities plans no shard at max_rank 4"
+        " with parities pinned to (1, 0, 0, 1, 0)"
+    )
+
+
+@pytest.mark.parametrize("suite", ["crystal-axioms", "verma-scalars"])
+def test_a_process_pool_gives_the_single_process_reports(suite):
+    def rows(processes):
+        reports = sweeps.run_suite(suite, max_rank=2, coeff_window=1, processes=processes)
+        return [(r.name, r.checks, r.failures, r.counterexample) for r in reports]
+
+    assert rows(2) == rows(1)
+
+
 def test_shards_merge_report_by_report_in_job_order():
     def worker(job):
         return [
