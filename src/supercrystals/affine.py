@@ -4,8 +4,8 @@ For p = 0 this is the (finitely supported) gamma-coordinate lattice with
 simple roots alpha_r = gamma_r - gamma_{r+1} and <gamma_r, gamma_s> = delta.
 For p > 0 it is Z*delta + sum over Z/p of Z*Lambda_r with the form determined
 by declaring (delta, Lambda_0..Lambda_{p-1}) and (Lambda_0, alpha_0..alpha_{p-1})
-to be dual bases; the Gram matrix is solved once per characteristic with exact
-rational arithmetic.
+to be dual bases; ``gram_matrix`` writes that form down in closed form, in
+exact rationals.
 
 ``wt_key`` and ``ab_key`` are the kernels behind ``wt_of`` and
 ``ab_counts``: plain-int passes over the residue vectors ``down``/``up`` of
@@ -151,45 +151,21 @@ def alpha_of(p: int, r: int) -> AffineWeight:
     return out
 
 
-def _solve_gram(p: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Gram matrix of the form on (delta, Lambda_0..Lambda_{p-1}).
-
-    The form is fixed by requiring (delta, Lambda_0..Lambda_{p-1}) and
-    (Lambda_0, alpha_0..alpha_{p-1}) to be dual bases.  Writing W for the
-    matrix whose rows are the second basis in coordinates of the first,
-    the duality condition W G = I gives G = W^{-1} directly (and the
-    result is symmetric, which we assert).
-    """
-    dim = p + 1
-
-    def coords(w: AffineWeight) -> list:
-        return [Fraction(w.delta)] + [Fraction(c) for c in w.lambdas]
-
-    rows = [coords(lambda_of(p, 0))] + [coords(alpha_of(p, r)) for r in range(p)]
-    # invert by Gauss-Jordan over Fraction
-    aug = [rows[i] + [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for col in range(dim):
-        piv = next(r for r in range(col, dim) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    g = tuple(tuple(row[dim:]) for row in aug)
-    for i in range(dim):
-        for j in range(dim):
-            if g[i][j] != g[j][i]:
-                raise ArithmeticError("dual-basis Gram matrix is not symmetric")
-    return g
-
-
 @lru_cache(maxsize=None)
 def gram_matrix(p: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Gram matrix of the form on (delta, Lambda_0..Lambda_{p-1}).
+
+    Duality of (delta, Lambda_0..Lambda_{p-1}) with (Lambda_0,
+    alpha_0..alpha_{p-1}) gives (delta, delta) = 0, (delta, Lambda_i) = 1
+    and (Lambda_i, Lambda_j) = min(i, j) - ij/p.
+    """
     if p <= 0:
         raise ValueError("the Gram matrix is only defined for p > 0")
-    return _solve_gram(p)
+    first = (Fraction(0),) + (Fraction(1),) * p
+    return (first,) + tuple(
+        (Fraction(1),) + tuple(min(i, j) - Fraction(i * j, p) for j in range(p))
+        for i in range(p)
+    )
 
 
 def pair_P(x: AffineWeight, y: AffineWeight) -> Fraction:

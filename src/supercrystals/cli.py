@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     vfy.add_argument(
         "--p-list",
         help="comma-separated characteristics (default 0,2,3,5); not allowed"
-        " with --pin-parities, which sweeps --p only",
+        " with --pin-parities, which sweeps --p only; the lowering part of"
+        " verma-scalars runs at the positive ones only",
     )
     vfy.add_argument("--seed", type=int, default=0)
     vfy.add_argument("--processes", type=int, default=None)

@@ -6,12 +6,16 @@ captured output on failure).
 
 import time
 
+import pytest
+
 from supercrystals import crystal, sweeps
 from supercrystals.linkage import default_order, g_series, g_series_presented
 from supercrystals.weights import build_context, iter_window
 
 PAPER_PARITIES = (1, 1, 0, 0, 0)
 PAPER_LAM = (1, -1, 1, 7, 5)
+
+pytestmark = pytest.mark.acceptance
 
 SWEEP = dict(max_rank=4, coeff_window=4, p_list=(0, 2, 3, 5), processes=1)
 

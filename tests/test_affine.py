@@ -52,7 +52,7 @@ def test_wt_worked_example_p0():
 
 
 def test_gram_matrix_symmetric():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 11, 13):
         g = gram_matrix(p)
         for i in range(len(g)):
             for j in range(len(g)):
@@ -62,7 +62,7 @@ def test_gram_matrix_symmetric():
 def test_dual_basis_pairings():
     # (delta, Lambda_0..Lambda_{p-1}) and (Lambda_0, alpha_0..alpha_{p-1})
     # are dual bases of the affine lattice
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 11, 13):
         d = delta_of(p)
         assert pair_P(d, lambda_of(p, 0)) == 1
         for r in range(p):

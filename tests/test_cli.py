@@ -346,6 +346,28 @@ def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):
     assert json.loads(out) == _report_rows(want)
 
 
+def test_verify_sweeps_only_the_characteristics_it_is_given(capsys):
+    # the lowering part runs at the positive characteristics it is given:
+    # at p = 0 alone it plans no shard and prints no report
+    lowered = "raised lowered vectors give the predicted scalar"
+    for option in (["--pin-parities"], ["--p-list", "0"]):
+        code, out, _ = run(
+            ["--p", "0", "--parities", "1,0", "verify", "verma-scalars",
+             "--max-rank", "2", "--processes", "1"] + option,
+            capsys,
+        )
+        assert code == 0, option
+        assert "central elements act on the Verma line by Z_r" in out, option
+        assert lowered not in out, option
+    code, out, _ = run(
+        ["--p", "3", "--parities", "1,0", "verify", "verma-scalars",
+         "--max-rank", "2", "--pin-parities", "--processes", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert f"[pass] {lowered}: 49 checks" in out
+
+
 def _outcome(argv, capsys):
     try:
         code = main(argv)
