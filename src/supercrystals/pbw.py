@@ -534,8 +534,11 @@ def commutator_lemma_check(
 ) -> Optional[bool]:
     """Verify E_l S_{i,j}(A) against the applicable lemma case, modulo J_l.
 
-    Returns None for inputs outside the lemma's four cases.
+    Returns None for inputs outside the lemma's four cases.  IndexError
+    unless 1 <= l < rank, so that E_l exists.
     """
+    if not 1 <= l < ctx.rank:
+        raise IndexError(f"l = {l} out of range 1..{ctx.rank - 1}")
     a_set = frozenset(a_set)
     case = classify_commutator_case(i, j, a_set, l)
     if case is None:

@@ -16,7 +16,9 @@ every residue of a weight off one table: ``crystal.reduced_table`` for the
 signature rule and ``tensorrule.dual_table`` of ``letters_of`` for the
 tensor rule.  A check that reads one r of a moved weight (the e*/f* round
 trip of the axioms, the one-step-down check of normality) keeps the
-per-residue kernel.  C4 reads the matching criterion for normality and
+per-residue kernel.  C3 takes the wt shift of a move as ``affine.wt_key``
+of the moved position after the move minus before it, since wt is a sum
+over positions.  C4 reads the matching criterion for normality and
 goodness at every position off one ``crystal.matching_flags`` pass per
 weight.  C8 leaves case selection to ``pbw.lowering_scalar_check`` (a
 ValueError is no case); C8/C9 evaluate one cached ``pbw.raised_s_element``
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
-from .affine import ab_key, alpha_of, alpha_pairing, gamma_of, wt_key
+from .affine import AffineWeight, ab_key, alpha_of, alpha_pairing, wt_key
 from .linkage import default_order, series_coeffs, z_scalar
 from .weights import (
     ParityContext,
@@ -192,19 +194,8 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     rank = ctx.rank
     p = ctx.p
     signs = ctx.signs
-    # wt(e* lam) - wt(lam) = sign_q * (gamma_{b_q - sign_q} - gamma_{b_q});
-    # cache whether that difference equals +alpha_r / -alpha_r per letter
-    wt_shift_ok: Dict[Tuple[int, int, int, int], bool] = {}
-
-    def shift_matches(b: int, s: int, r: int, direction: int) -> bool:
-        key = (b, s, r, direction)
-        cached = wt_shift_ok.get(key)
-        if cached is None:
-            diff = (gamma_of(p, b + direction * s) - gamma_of(p, b)).scale(s)
-            cached = diff == alpha_of(p, r).scale(-direction)
-            wt_shift_ok[key] = cached
-        return cached
-
+    # whether wt(e* lam) - wt(lam) = -step * alpha_r, per (down_q, sign_q, r, step)
+    shift_ok: Dict[Tuple[int, int, int, int], bool] = {}
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         w = wt_key(p, signs, down)
@@ -232,8 +223,14 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if cnt2 != (len(minus) + step, len(plus) - step):
                     _fail(c23, spec, op, lam=lam, r=r)
                 shift.checks += 1
-                b_letter = down[q] + (1 if signs[q] > 0 else 0)
-                if not shift_matches(b_letter, signs[q], r, step):
+                key = (down[q], signs[q], r, step)
+                ok = shift_ok.get(key)
+                if ok is None:
+                    sign = signs[q : q + 1]
+                    after = AffineWeight.from_key(p, wt_key(p, sign, (down2[q],)))
+                    before = AffineWeight.from_key(p, wt_key(p, sign, (down[q],)))
+                    ok = shift_ok[key] = after - before == alpha_of(p, r).scale(-step)
+                if not ok:
                     _fail(shift, spec, op, lam=lam, r=r)
     return [c1, c23, c4, shift]
 
@@ -583,6 +580,7 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             r = residue_int(ctx, lam, i)
             if not crystal.classify_index(ctx, lam, i, r).is_normal:
                 continue
+            rep.checks += 1
             c_full, b_full = crystal.bc_sets(ctx, lam, i, rank)
             chosen = crystal.greedy_match(b_full, c_full)
             if chosen is None:
@@ -591,7 +589,6 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             interval = set(range(i + 1, rank))
             a_set = interval - set(chosen)
             b_set = interval - b_full
-            rep.checks += 1
             try:
                 scalar, _ = pbw.lowering_scalar_check(ctx, i, rank, a_set, b_set, lam)
             except (AssertionError, ArithmeticError, ValueError) as exc:

@@ -73,9 +73,6 @@ class ParityContext:
     def congruent(self, a: int, b: int) -> bool:
         return (a - b) % self.p == 0 if self.p else a == b
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "parities": list(self.parities)}
-
 
 def build_context(m: int, n: int, parities: Sequence[int], p: int) -> ParityContext:
     """Build the context for the parity sequence; validates counts and p.

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import os
 import pathlib
@@ -60,6 +61,11 @@ def test_apply_undefined(capsys):
     )
     assert code == 0
     assert out == "undefined"
+    assert run(
+        ["--p", "0", "--parities", "1,0", "apply", "--op", "fstar", "--r", "5",
+         "--weight", "0,0", "--format", "json"],
+        capsys,
+    ) == (0, "null", "")
 
 
 def test_classify(capsys):
@@ -68,6 +74,11 @@ def test_classify(capsys):
     )
     assert code == 0
     assert out == "good (r=1)"
+    assert run(
+        ["--p", "3", "--parities", "1,0", "classify", "--weight", "0,1", "--i", "1",
+         "--format", "json"],
+        capsys,
+    ) == (0, '{"kind": "good", "r": 1}', "")
 
 
 def test_graph_dot_format_after_subcommand(capsys):
@@ -191,6 +202,13 @@ def test_pbw_check_commutator(capsys):
     code, out, err = run(PBW3 + ["check-commutator", "--i", "1", "--j", "2", "--l", "1"], capsys)
     assert code == 2 and out == ""
     assert err == "error: input is outside the four cases of the lemma"
+    # E_l exists only for 1 <= l < rank
+    for l in ("0", "2", "5"):
+        assert run(
+            ["--p", "0", "--parities", "1,0", "pbw", "check-commutator", "--i", "1",
+             "--j", "2", "--l", l],
+            capsys,
+        ) == (2, "", f"error: l = {l} out of range 1..1")
 
 
 def test_malformed_weight_exits_2(capsys):
@@ -525,3 +543,25 @@ def test_verify_with_fewer_than_one_process_exits_2(capsys):
         )
         assert (code, out) == (2, "")
         assert err == f"error: processes must be >= 1, got {n}"
+
+
+def test_blocks_reads_stdin_without_weights(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[0,0],[1,-1]]"))
+    assert run(["--p", "2", "--parities", "0,1", "blocks"], capsys) == (
+        0,
+        '[{"wt": {"delta": 0, "lambda": [0, 0]}, "weights": [[0, 0], [1, -1]]}]',
+        "",
+    )
+
+
+def test_invalid_positions_r_and_parities_exit_2(capsys):
+    for argv, err in (
+        (["--parities", "1,0", "classify", "--weight", "0,1", "--i", "0"],
+         "error: position 0 out of range 1..2"),
+        (["--parities", "1,0", "pbw", "check-central", "--r", "0"], "error: r must be >= 1"),
+        (["--parities", "1,0", "pbw", "verma-scalar", "--weight", "0,0", "--r", "0"],
+         "error: r must be >= 1"),
+        (["--parities", "1,x", "classify", "--weight", "0,1", "--i", "1"],
+         "error: malformed parity list '1,x'"),
+    ):
+        assert run(["--p", "0"] + argv, capsys) == (2, "", err), argv
