@@ -106,17 +106,12 @@ def _collapse(parities: Tuple[int, ...], word: Tuple[Gen, ...]) -> Optional[Mono
 def normalize_word(
     parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
 ) -> Dict[Monomial, int]:
-    """Normal-order a generator word; returns a fresh monomial -> int dict.
-
-    Each stack entry carries the index its descent scan starts at: the
-    prefix before the first descent of a word is non-descending, so a word
-    rewritten at idx cannot descend before idx - 1.
-    """
+    """Normal-order a generator word; returns a fresh monomial -> int dict."""
     out: Dict[Monomial, int] = {}
-    stack: List[Tuple[int, int, Tuple[Gen, ...]]] = [(1, 0, word)]
+    stack: List[Tuple[int, Tuple[Gen, ...]]] = [(1, word)]
     while stack:
-        coeff, start, w = stack.pop()
-        for idx in range(start, len(w) - 1):
+        coeff, w = stack.pop()
+        for idx in range(len(w) - 1):
             if order.key(w[idx]) > order.key(w[idx + 1]):
                 break
         else:
@@ -126,10 +121,9 @@ def normalize_word(
             continue
         x, y = w[idx], w[idx + 1]
         sign = -1 if gen_parity(parities, x) and gen_parity(parities, y) else 1
-        resume = max(idx - 1, 0)
-        stack.append((coeff * sign, resume, w[:idx] + (y, x) + w[idx + 2 :]))
+        stack.append((coeff * sign, w[:idx] + (y, x) + w[idx + 2 :]))
         for bc, g in _bracket_gens(parities, x, y):
-            stack.append((coeff * bc, resume, w[:idx] + (g,) + w[idx + 2 :]))
+            stack.append((coeff * bc, w[:idx] + (g,) + w[idx + 2 :]))
     if 0 in out.values():
         out = {mono: c for mono, c in out.items() if c}
     return out

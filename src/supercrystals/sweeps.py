@@ -20,7 +20,9 @@ per-residue kernel.  C3 takes the wt shift of a move as ``affine.wt_key``
 of the moved position after the move minus before it, since wt is a sum
 over positions.  C4 reads the matching criterion for normality and
 goodness at every position off one ``crystal.matching_flags`` pass per
-weight.  C8 leaves case selection to ``pbw.lowering_scalar_check`` (a
+weight.  C7 reads only public ``pbw`` names: it builds the expected bracket
+table from the parities alone and brackets ``pbw.z_tilde_element`` for
+centrality.  C8 leaves case selection to ``pbw.lowering_scalar_check`` (a
 ValueError is no case); C8/C9 evaluate one cached ``pbw.raised_s_element``
 per (i, j, A).
 """
@@ -126,29 +128,21 @@ def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[Pr
 _NO_MOVES = (None, None, (0, 0))
 
 
-def _vacuous(p: int, residues: Collection[int]) -> Optional[int]:
-    """One residue class outside ``residues``, or None when there is none.
+def _residue_candidates(p: int, residues: Collection[int]) -> List[int]:
+    """The classes ``residues``, increasing, then one vacuous class if any.
 
     ``residues`` are the keys of a table, the classes of
-    ``crystal.signature_residues``.  Both routes only see r through
-    congruences against the fixed residue values of the weight, so all
-    vacuous classes behave identically and one representative covers them:
-    the least residue mod p left out, or two above the largest value when
-    p = 0.
+    ``crystal.signature_residues``, never empty.  Both routes only see r
+    through congruences against the fixed residue values of the weight, so
+    all vacuous classes behave identically and one representative covers
+    them: two above the largest value when p = 0, else the least residue
+    mod p left out, if there is one.
     """
-    if not p:
-        return max(residues) + 2
-    if len(residues) < p:
-        return next(r for r in range(p) if r not in residues)
-    return None
-
-
-def _residue_candidates(p: int, residues: Collection[int]) -> List[int]:
-    """The classes ``residues``, increasing, then the ``_vacuous`` one if any."""
     out = sorted(residues)
-    vacuous = _vacuous(p, residues)
-    if vacuous is not None:
-        out.append(vacuous)
+    if not p:
+        out.append(out[-1] + 2)
+    elif len(out) < p:
+        out.append(next(r for r in range(p) if r not in residues))
     return out
 
 
@@ -391,8 +385,9 @@ def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     # series key must also separate distinct ab keys
     seen: Dict[tuple, tuple] = {}
     for ab, skey in series_of_ab.items():
-        if seen.setdefault(skey, ab) != ab:
-            _fail(ii_iii, spec, "series equal, data differ")
+        first = seen.setdefault(skey, ab)
+        if first != ab:
+            _fail(ii_iii, spec, "series equal, data differ", data=first, other=ab)
         ii_iii.checks += 1
     return [iii_iv, ii_iii]
 
@@ -422,13 +417,18 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     integral = PropertyReport("lowering operators have integer coefficients")
     gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
 
+    # the defining relation summed from single generators, never normal-ordered
     for x in gens:
         for y in gens:
             bracket_tab.checks += 1
             got = pbw.SuperElt.gen(ctx, *x).bracket(pbw.SuperElt.gen(ctx, *y))
+            (i, j), (k, l) = x, y
             want = pbw.SuperElt.zero(ctx)
-            for c, g in pbw._bracket_gens(parities, x, y):
-                want = want + pbw.SuperElt.gen(ctx, *g).scale(c)
+            if j == k:
+                want = want + pbw.SuperElt.gen(ctx, i, l)
+            if i == l:
+                odd = pbw.gen_parity(parities, x) and pbw.gen_parity(parities, y)
+                want = want - pbw.SuperElt.gen(ctx, k, j).scale(-1 if odd else 1)
             if got != want:
                 _fail(bracket_tab, spec, x=x, y=y)
 
@@ -499,7 +499,7 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     positions = range(1, ctx.rank + 1)
     for r in range(1, max_r + 1):
         x = {(k, l): e for l in positions for k, e in enumerate(pbw.x_column(ctx, l, r), 1)}
-        zt = sum((x[k, k] for k in positions), pbw.SuperElt.zero(ctx))
+        zt = pbw.z_tilde_element(ctx, r)
         for i in positions:
             for j in positions:
                 g = pbw.SuperElt.gen(ctx, i, j)

@@ -122,6 +122,17 @@ def test_commutator_lemma_cases():
     assert pbw.commutator_lemma_check(ctx, 1, 2, set(), 1) is None
 
 
+def test_the_h_term_of_recurrence_and_case_iv_at_rank_4():
+    # A = {3} at (1, 4): the largest h < 3 outside A is 2, not i, so the
+    # recurrence adds S_{1,4}({2}) and case iv adds S_{1,3}({2}); at rank 3
+    # h is always i, and only the acceptance gate reaches these terms
+    assert pbw.classify_commutator_case(1, 4, frozenset({3}), 3) == "iv"
+    for parities in itertools.product((0, 1), repeat=4):
+        ctx = ctx_of(parities)
+        assert pbw.recurrence_check(ctx, 1, 4, {3}, 3), parities
+        assert pbw.commutator_lemma_check(ctx, 1, 4, {3}, 3) is True, parities
+
+
 def test_lowering_order_independence():
     ctx = ctx_of((1, 0, 1), 0)
     alt = GeneratorOrder(kind="alt")

@@ -241,6 +241,7 @@ def _odd_odd_negated(real):
     return bracket_gens
 
 
+BRACKET_TABLE_REPORT = "generator brackets match the defining relation"
 X_ELEMENT_REPORTS = {
     "brackets of generators with the x elements",
     "the summed x elements are central",
@@ -288,14 +289,21 @@ PLANTED = [
      lambda real: lambda p, d, u, i, j: (lambda c, b: (c, b | {j}))(*real(p, d, u, i, j)),
      0, {"every normal index certifies a nonzero scalar"}),
     ("pbw-identities", pbw, "_bracket_gens", _odd_odd_negated,
-     3, {"E_l commutation lemma, all four cases",
+     3, {BRACKET_TABLE_REPORT,
+         "E_l commutation lemma, all four cases",
          "L reduction and annihilation identities mod J",
          "lowering-operator recurrence",
          "the L elements commute pairwise and with H"} | X_ELEMENT_REPORTS),
+    # the scalar is one off, so both AssertionErrors of lowering_scalar_check
+    # fire; twice the scalar would pass its +- check at p = 3, where 2 = -1
+    ("verma-scalars", pbw, "raised_s_element",
+     lambda real: lambda ctx, i, j, a: real(ctx, i, j, a) + pbw.SuperElt.const(ctx, 1),
+     3, {"raised lowered vectors give the predicted scalar",
+         "every normal index certifies a nonzero scalar"}),
 ]
 
 # the reports of a row that its rank-2 CLI run fails, where they are fewer
-RANK_2_FAILING = {"_bracket_gens": X_ELEMENT_REPORTS}
+RANK_2_FAILING = {"_bracket_gens": {BRACKET_TABLE_REPORT} | X_ELEMENT_REPORTS}
 
 
 def _row_id(row):
@@ -327,6 +335,26 @@ def test_a_planted_defect_fails_its_reports(
     assert code == 1
     for name in RANK_2_FAILING.get(kernel, failing):
         assert f"[FAIL] {name}" in out
+
+
+def test_a_wrong_ab_key_fails_the_linkage_suite_in_each_direction(monkeypatch):
+    def linkage_reports(key):
+        monkeypatch.setattr(sweeps, "ab_key", key)
+        return sweeps.run_suite("linkage", max_rank=3, coeff_window=2, processes=1)
+
+    # a key finer than wt splits the weights of one wt
+    wt_rep, series_rep = linkage_reports(lambda p, down, up: tuple(down))
+    assert wt_rep.failures == series_rep.failures == 2564
+    assert wt_rep.counterexample.startswith("wt equal, data differ: ctx=")
+    # the final loop names the two keys whose series collide
+    assert series_rep.counterexample == (
+        "series equal, data differ: ctx=(2, 0, (0, 0), 0) data=(0, (1, 0)) other=(0, (0, 1))"
+    )
+    # a key coarser than wt joins weights of different wt
+    wt_rep, series_rep = linkage_reports(lambda p, down, up: ())
+    assert wt_rep.failures == series_rep.failures == 2384
+    assert wt_rep.counterexample.startswith("data equal, wt differ: ctx=")
+    assert series_rep.counterexample.startswith("data equal, series differ: ctx=")
 
 
 def test_a_plan_with_no_shard_is_rejected():
