@@ -128,21 +128,34 @@ def build_parser() -> argparse.ArgumentParser:
     vfy = sub.add_parser("verify", help="run a verification suite", parents=[common])
     vfy.add_argument("suite", choices=sweeps.SUITES + ("all",))
     vfy.add_argument("--max-rank", type=int, default=4)
+    # the four options below exit 2 when given to a suite that does not
+    # read them (sweeps.SUITE_OPTIONS); left out, run_suite's default holds
     vfy.add_argument(
         "--max-r",
         type=int,
-        default=4,
-        help="largest r of the Z_r checks; the x-element brackets of"
-        " pbw-identities stop at min(max_r, 3)",
+        help="largest r of the Z_r checks (default 4); the x-element brackets"
+        " of pbw-identities stop at min(max_r, 3); only pbw-identities and"
+        " verma-scalars read it",
     )
-    vfy.add_argument("--coeff-window", type=int, default=4)
+    vfy.add_argument(
+        "--coeff-window",
+        type=int,
+        help="largest |coefficient| of the swept weights (default 4);"
+        " pbw-identities does not read it",
+    )
     vfy.add_argument(
         "--p-list",
         help="comma-separated characteristics (default 0,2,3,5); not allowed"
         " with --pin-parities, which sweeps --p only; the lowering part of"
-        " verma-scalars runs at the positive ones only",
+        " verma-scalars runs at the positive ones only; pbw-identities, which"
+        " runs at p = 0, does not read it",
     )
-    vfy.add_argument("--seed", type=int, default=0)
+    vfy.add_argument(
+        "--seed",
+        type=int,
+        help="seed of the random words of pbw-identities (default 0), the"
+        " only suite that reads it",
+    )
     vfy.add_argument("--processes", type=int, default=None)
     vfy.add_argument(
         "--pin-parities",
@@ -290,26 +303,33 @@ def cmd_pbw_verma(ctx, args) -> int:
 
 
 def cmd_verify(ctx, args) -> int:
+    options = {
+        name: getattr(args, name)
+        for name in ("coeff_window", "p_list", "seed", "max_r")
+        if getattr(args, name) is not None
+    }
+    if args.suite != "all":
+        for name in options:
+            if name not in sweeps.SUITE_OPTIONS[args.suite]:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} does not apply to {args.suite}")
     if args.pin_parities:
-        if args.p_list is not None:
+        if "p_list" in options:
             raise ValueError(
                 "--p-list does not apply with --pin-parities, which sweeps --p only"
             )
         pin = ctx.parities
-        p_list = [ctx.p]
+        options["p_list"] = [ctx.p]
     else:
         pin = None
-        text = "0,2,3,5" if args.p_list is None else args.p_list
-        p_list = [int(x) for x in text.split(",")]
+        if "p_list" in options:
+            options["p_list"] = [int(x) for x in options["p_list"].split(",")]
     reports = sweeps.run_suite(
         args.suite,
         max_rank=args.max_rank,
-        coeff_window=args.coeff_window,
-        p_list=p_list,
         parities_pin=pin,
-        seed=args.seed,
         processes=args.processes,
-        max_r=args.max_r,
+        **options,
     )
     failures = sum(rep.failures for rep in reports)
     if args.format == "json":

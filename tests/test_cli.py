@@ -340,6 +340,42 @@ def test_verify_pin_parities_rejects_an_explicit_p_list(capsys):
     assert err.startswith("error:") and "--p-list" in err
 
 
+def test_verify_rejects_an_option_the_suite_does_not_read(capsys):
+    head = ["--p", "0", "--parities", "1,0", "verify"]
+    for args, err_line in (
+        (["crystal-axioms", "--max-rank", "2", "--coeff-window", "1", "--pin-parities",
+          "--processes", "1", "--seed", "7", "--max-r", "9"],
+         "error: --seed does not apply to crystal-axioms"),
+        (["crystal-axioms", "--max-rank", "2", "--max-r", "9"],
+         "error: --max-r does not apply to crystal-axioms"),
+        (["pbw-identities", "--max-rank", "2", "--p-list", "3"],
+         "error: --p-list does not apply to pbw-identities"),
+        (["pbw-identities", "--max-rank", "2", "--coeff-window", "2"],
+         "error: --coeff-window does not apply to pbw-identities"),
+    ):
+        code, out, err = run(head + args, capsys)
+        assert (code, out, err.strip()) == (2, "", err_line), args
+
+
+def test_verify_all_accepts_every_option(capsys):
+    # all hands each suite the options it reads and runs it as on its own
+    head = ["--p", "0", "--parities", "1,0", "--format", "json", "verify"]
+    common = ["--max-rank", "2", "--pin-parities", "--processes", "1"]
+    given = {"coeff_window": ["--coeff-window", "1"], "seed": ["--seed", "7"],
+             "max_r": ["--max-r", "2"]}
+    code, out, _ = run(head + ["all"] + common + sum(given.values(), []), capsys)
+    assert code == 0
+    rows = json.loads(out)
+    for suite in sweeps.SUITES:
+        own = [a for name in sweeps.SUITE_OPTIONS[suite] for a in given.get(name, [])]
+        code, out, _ = run(head + [suite] + common + own, capsys)
+        assert code == 0
+        suite_rows = json.loads(out)
+        assert rows[: len(suite_rows)] == suite_rows, suite
+        rows = rows[len(suite_rows) :]
+    assert rows == []
+
+
 def test_verify_with_a_repeated_characteristic_exits_2(capsys):
     # a characteristic listed twice would run each of its shards twice
     with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ import itertools
 import pytest
 
 from supercrystals import crystal, pbw, sweeps
+from supercrystals.affine import wt_key
 from supercrystals.cli import main
-from supercrystals.weights import build_context, residue_vectors
+from supercrystals.weights import build_context, iter_window, residue_vectors
 
 ACCEPTANCE = dict(max_rank=4, coeff_window=4, p_list=(0, 2, 3, 5), processes=1)
 
@@ -93,10 +94,69 @@ def test_crystal_suite_check_counts():
     }
 
 
+def test_an_odd_reflection_moves_the_residues_at_its_two_positions_only():
+    # C5 compares wt on the letters at i and i+1 alone; that is sound because
+    # every other residue is unchanged and wt is a sum over positions
+    for m, n, parities, p in sweeps.context_specs((2, 3), (0, 2, 3, 5)):
+        ctx = build_context(m, n, parities, p)
+        for i in range(1, ctx.rank):
+            if ctx.parity(i) == ctx.parity(i + 1):
+                continue
+            octx = crystal.s_i_map(ctx, (0,) * ctx.rank, i)[0]
+            moved = slice(i - 1, i + 1)
+            for lam in iter_window(ctx.rank, 2):
+                down, up = residue_vectors(ctx, lam)
+                odown, oup = residue_vectors(octx, crystal.odd_weight(p, ctx.signs, lam, i))
+                for vec, ovec in ((down, odown), (up, oup)):
+                    assert vec[: i - 1] == ovec[: i - 1] and vec[i + 1 :] == ovec[i + 1 :]
+                full = wt_key(p, ctx.signs, down) == wt_key(p, octx.signs, odown)
+                local = wt_key(p, ctx.signs[moved], down[moved]) == wt_key(
+                    p, octx.signs[moved], odown[moved]
+                )
+                assert full == local, (ctx.parities, p, lam, i)
+
+
+def test_the_odd_reflection_sweep_compares_wt_once_per_letter_pair(monkeypatch):
+    # per adjacent i, the letters at i and i+1 take (2w+1)^2 values in the
+    # window w, and each needs one wt_key call per side
+    spec, window = (2, 1, (1, 0, 0), 0), 2
+    calls = []
+    real = sweeps.wt_key
+
+    def wt_key_counted(p, signs, down):
+        calls.append(len(down))
+        return real(p, signs, down)
+
+    monkeypatch.setattr(sweeps, "wt_key", wt_key_counted)
+    reports = sweeps.oddrefl_worker((spec, window))
+    parities = spec[2]
+    adjacents = sum(a != b for a, b in zip(parities, parities[1:]))
+    assert len(calls) <= 2 * adjacents * (2 * window + 1) ** 2
+    assert all(rep.failures == 0 for rep in reports)
+
+
 def test_central_worker_follows_max_r_up_to_3(monkeypatch):
     for max_r, central_r in ((1, 1), (2, 2), (3, 3), (4, 3), (9, 3)):
         jobs = planned_jobs(monkeypatch, "pbw-identities", max_r=max_r)
         assert {job[1] for name, job in jobs if name == "central_worker"} == {central_r}
+
+
+def test_suite_options_are_the_options_each_job_plan_reads(monkeypatch):
+    # two values of an option give two plans exactly when the suite reads it
+    values = {
+        "coeff_window": (1, 2),
+        "p_list": ((0, 2, 3, 5), (0, 3)),
+        "seed": (0, 1),
+        "max_r": (1, 2),
+    }
+    for suite in sweeps.SUITES:
+        read = {
+            name
+            for name, (a, b) in values.items()
+            if planned_jobs(monkeypatch, suite, **{name: a})
+            != planned_jobs(monkeypatch, suite, **{name: b})
+        }
+        assert read == set(sweeps.SUITE_OPTIONS[suite]), suite
 
 
 def test_a_wrong_star_kernel_fails_the_oracle_suite(monkeypatch, capsys):
@@ -260,6 +320,9 @@ PLANTED = [
     ("linkage", sweeps, "wt_key",  # at p > 0 the key loses its delta coefficient
      lambda real: lambda p, signs, down: real(p, signs, down)[1 if p else 0 :],
      3, {"wt equality matches length plus A-B data"}),
+    ("odd-reflection", sweeps, "wt_key",  # reads the first letter only
+     lambda real: lambda p, signs, down: real(p, signs, down[:1]),
+     0, {"odd reflections preserve the counters and wt"}),
     ("verma-scalars", sweeps, "z_scalar",
      lambda real: lambda ctx, lam, r: -real(ctx, lam, r) if r == 3 else real(ctx, lam, r),
      0, {"central elements act on the Verma line by Z_r"}),
@@ -327,9 +390,11 @@ def test_a_planted_defect_fails_its_reports(
     reports = sweeps.run_suite(suite, max_rank=3, coeff_window=2, processes=1)
     assert {rep.name for rep in reports if rep.failures} == failing
     assert all(rep.failures <= rep.checks for rep in reports)
+    # verify rejects a window given to a suite that sweeps none
+    window = ["--coeff-window", "2"] if "coeff_window" in sweeps.SUITE_OPTIONS[suite] else []
     code = main(
         ["--p", str(p), "--parities", "1,0", "verify", suite, "--max-rank", "2",
-         "--coeff-window", "2", "--pin-parities", "--processes", "1"]
+         "--pin-parities", "--processes", "1"] + window
     )
     out = capsys.readouterr().out
     assert code == 1
