@@ -14,30 +14,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import crystal, graph, linkage, pbw, sweeps
 from .weights import ContextError, build_context, parse_weight, residue_int
 
 
-def _parse_parities(text: str):
+def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
+    """A comma-separated integer list; ValueError naming ``what`` if malformed."""
     try:
         return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ContextError(f"malformed parity list {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"malformed {what} {text!r}") from None
 
 
 def _context(args):
-    parities = _parse_parities(args.parities)
+    parities = _parse_ints(args.parities, "parity list")
     m = parities.count(0)
     return build_context(m, len(parities) - m, parities, args.p)
 
 
 def _parse_index_set(text: str):
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(int(x) for x in text.split(","))
+    return frozenset(_parse_ints(text, "index set") if text.strip() else ())
 
 
 # the parser main() reuses; built on the first call, not at import
@@ -160,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     vfy.add_argument(
         "--pin-parities",
         action="store_true",
-        help="restrict the sweep to the context given by --parities",
+        help="restrict the sweep to the context given by --parities and --p;"
+        " a nonzero --p needs it, and pbw-identities, which runs at p = 0,"
+        " rejects a nonzero --p",
     )
     vfy.set_defaults(handler=cmd_verify)
     return top
@@ -179,7 +179,10 @@ def cmd_signature(ctx, args) -> int:
     if args.r == "all":
         rs = crystal.relevant_residues(ctx, lam)
     else:
-        rs = [int(args.r)]
+        try:
+            rs = [int(args.r)]
+        except ValueError:
+            raise ValueError(f"malformed residue {args.r!r}") from None
     rows = []
     for r in rs:
         raw = crystal.r_signature(ctx, lam, r)
@@ -313,6 +316,11 @@ def cmd_verify(ctx, args) -> int:
             if name not in sweeps.SUITE_OPTIONS[args.suite]:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} does not apply to {args.suite}")
+    # --p is the one characteristic of a pinned sweep; 0 is its default
+    if ctx.p and not args.pin_parities:
+        raise ValueError(f"--p does not apply to {args.suite} without --pin-parities")
+    if ctx.p and args.suite != "all" and "p_list" not in sweeps.SUITE_OPTIONS[args.suite]:
+        raise ValueError(f"--p does not apply to {args.suite}, which runs at p = 0")
     if args.pin_parities:
         if "p_list" in options:
             raise ValueError(
@@ -323,7 +331,7 @@ def cmd_verify(ctx, args) -> int:
     else:
         pin = None
         if "p_list" in options:
-            options["p_list"] = [int(x) for x in options["p_list"].split(",")]
+            options["p_list"] = _parse_ints(options["p_list"], "characteristic list")
     reports = sweeps.run_suite(
         args.suite,
         max_rank=args.max_rank,

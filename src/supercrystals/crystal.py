@@ -53,6 +53,8 @@ NORMAL = "normal"
 GOOD = "good"
 CONORMAL = "conormal"
 COGOOD = "cogood"
+NORMAL_KINDS = (NORMAL, GOOD)
+CONORMAL_KINDS = (CONORMAL, COGOOD)
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,11 @@ class IndexClass:
 
     @property
     def is_normal(self) -> bool:
-        return self.kind in (NORMAL, GOOD)
+        return self.kind in NORMAL_KINDS
 
     @property
     def is_conormal(self) -> bool:
-        return self.kind in (CONORMAL, COGOOD)
+        return self.kind in CONORMAL_KINDS
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Each suite checks one family of identities over windows of weights, all
 parity sequences of the requested ranks, and a list of characteristics.
 Workers are top-level functions on picklable arguments so suites can be
 sharded across processes.  One table, ``_SUITE_TABLE``, declares every
-suite as its ordered parts: a worker with the rank cap, characteristics and
-job plan of its shards.  ``run_suite`` loops over it, and ``_fail`` formats
-every counterexample from the context spec and the loop variables.
+suite as its ordered parts (worker, rank cap, characteristics, reads): the
+ranks and characteristics its shards cover and the ``run_suite`` options
+each shard's job reads, with their caps.  ``run_suite`` builds every job
+from it, ``SUITE_OPTIONS`` (the options a suite reads, which ``verify``
+checks its flags against) is derived from it, and ``_fail`` formats every
+counterexample from the context spec and the loop variables.
 
 The crystal, odd-reflection and linkage workers compute the residue vectors
 of each weight once and call the kernels of ``crystal``, ``tensorrule``,
@@ -22,11 +25,12 @@ over positions; C5 likewise compares ``wt_key`` of lam and of its odd
 reflection at i on the two positions i, i+1 the reflection moves, once per
 pair of letters there.  C4 reads the matching criterion for normality and
 goodness at every position off one ``crystal.matching_flags`` pass per
-weight.  C7 reads only public ``pbw`` names: it builds the expected bracket
-table from the parities alone and brackets ``pbw.z_tilde_element`` for
-centrality.  C8 leaves case selection to ``pbw.lowering_scalar_check`` (a
-ValueError is no case); C8/C9 evaluate one cached ``pbw.raised_s_element``
-per (i, j, A).
+weight.  C7 reads only public ``pbw`` names: ``_relation`` states the
+defining relation once, from the parities alone, for the brackets of the
+generators with each other and with the x elements, and C7 brackets
+``pbw.z_tilde_element`` for centrality.  C8 leaves case selection to
+``pbw.lowering_scalar_check`` (a ValueError is no case); C8/C9 evaluate one
+cached ``pbw.raised_s_element`` per (i, j, A).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import crystal, pbw, tensorrule
 from .affine import AffineWeight, ab_key, alpha_of, alpha_pairing, wt_key
@@ -78,21 +82,14 @@ def context_specs(
     parities_pin: Optional[Tuple[int, ...]] = None,
 ) -> List[CtxSpec]:
     """All (m, n, parities, p) combinations for the sweep; see _parity_seqs for a pin."""
-    specs = []
-    for parities in _parity_seqs(ranks, parities_pin):
-        m = parities.count(0)
-        specs.extend((m, len(parities) - m, parities, p) for p in p_list)
-    return specs
+    seqs = _parity_seqs(ranks, parities_pin)
+    return [_spec(parities, p) for parities in seqs for p in p_list]
 
 
-def _ctx(spec: CtxSpec) -> ParityContext:
-    return build_context(*spec)
-
-
-def _p0_spec(parities: Tuple[int, ...]) -> CtxSpec:
-    """The p = 0 spec of a parity sequence; the PBW workers run at p = 0."""
+def _spec(parities: Tuple[int, ...], p: int) -> CtxSpec:
+    """The context spec (m, n, parities, p) of a parity sequence at p."""
     m = parities.count(0)
-    return (m, len(parities) - m, parities, 0)
+    return (m, len(parities) - m, parities, p)
 
 
 def _fail(report: PropertyReport, spec: CtxSpec, label: str = "", **where) -> None:
@@ -150,7 +147,7 @@ def _residue_candidates(p: int, residues: Collection[int]) -> List[int]:
 
 def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     ops = PropertyReport("star operators match the tensor-rule oracle")
     counts = PropertyReport("star counters match the tensor-rule oracle")
     p = ctx.p
@@ -182,7 +179,7 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     c1 = PropertyReport("phi* - eps* equals the coroot pairing of wt")
     c23 = PropertyReport("e*/f* shift the counters by one")
     c4 = PropertyReport("e* and f* are mutually inverse where defined")
@@ -237,7 +234,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     crit = PropertyReport("signature normality equals the matching criterion")
     goodcrit = PropertyReport("signature goodness equals the matching criterion")
     npc = PropertyReport("good equals normal plus conormal one step down")
@@ -246,8 +243,8 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     p = ctx.p
     fctx = flip_map(ctx, (0,) * rank)[0]
     fshift = ctx.m - ctx.n
-    normal_kinds = (crystal.NORMAL, crystal.GOOD)
-    conormal_kinds = (crystal.CONORMAL, crystal.COGOOD)
+    normal_kinds = crystal.NORMAL_KINDS
+    conormal_kinds = crystal.CONORMAL_KINDS
     for lam in iter_window(rank, window):
         down, up = residue_vectors(ctx, lam)
         fdown, fup = residue_vectors(fctx, flip_weight(lam))
@@ -296,7 +293,7 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     commute = PropertyReport("odd reflections commute with the star operators")
     stats = PropertyReport("odd reflections preserve the counters and wt")
     rank = ctx.rank
@@ -365,7 +362,7 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 def linkage_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     iii_iv = PropertyReport("wt equality matches length plus A-B data")
     ii_iii = PropertyReport("residue series equality matches the A-B data")
     p = ctx.p
@@ -411,10 +408,27 @@ def _subsets(universe: Sequence[int]):
         yield from (frozenset(c) for c in itertools.combinations(universe, k))
 
 
+def _relation(ctx: ParityContext, x: pbw.Gen, y: pbw.Gen, elt) -> pbw.SuperElt:
+    """[e_x, X_y] by the defining relation: d_jk X_il - (-1)^(|x||y|) d_il X_kj.
+
+    Here x = (i, j), y = (k, l) and ``elt`` maps (a, b) to X_ab: a generator
+    e_ab, or an x element.  The sign reads the parities alone, and nothing
+    is normal-ordered.
+    """
+    (i, j), (k, l) = x, y
+    want = pbw.SuperElt.zero(ctx)
+    if j == k:
+        want = want + elt[i, l]
+    if i == l:
+        odd = pbw.gen_parity(ctx.parities, x) and pbw.gen_parity(ctx.parities, y)
+        want = want - elt[k, j].scale(-1 if odd else 1)
+    return want
+
+
 def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     parities, seed = job
-    spec = _p0_spec(parities)
-    ctx = _ctx(spec)
+    spec = _spec(parities, 0)
+    ctx = build_context(*spec)
     rank = ctx.rank
     bracket_tab = PropertyReport("generator brackets match the defining relation")
     jacobi = PropertyReport("super Jacobi identity on random triples")
@@ -425,27 +439,20 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     comm = PropertyReport("E_l commutation lemma, all four cases")
     orderfree = PropertyReport("S is independent of the order within its class")
     integral = PropertyReport("lowering operators have integer coefficients")
-    gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+    positions = range(1, rank + 1)
+    gen = {(i, j): pbw.SuperElt.gen(ctx, i, j) for i in positions for j in positions}
+    gens = list(gen)
 
-    # the defining relation summed from single generators, never normal-ordered
     for x in gens:
         for y in gens:
             bracket_tab.checks += 1
-            got = pbw.SuperElt.gen(ctx, *x).bracket(pbw.SuperElt.gen(ctx, *y))
-            (i, j), (k, l) = x, y
-            want = pbw.SuperElt.zero(ctx)
-            if j == k:
-                want = want + pbw.SuperElt.gen(ctx, i, l)
-            if i == l:
-                odd = pbw.gen_parity(parities, x) and pbw.gen_parity(parities, y)
-                want = want - pbw.SuperElt.gen(ctx, k, j).scale(-1 if odd else 1)
-            if got != want:
+            if gen[x].bracket(gen[y]) != _relation(ctx, x, y, gen):
                 _fail(bracket_tab, spec, x=x, y=y)
 
     rng = random.Random(seed)
     for _ in range(24):
         triple = [rng.choice(gens) for _ in range(3)]
-        x, y, z = (pbw.SuperElt.gen(ctx, *g) for g in triple)
+        x, y, z = (gen[g] for g in triple)
         px, py, pz = (t.parity() for t in (x, y, z))
         jacobi.checks += 1
         lhs = x.bracket(y.bracket(z))
@@ -466,7 +473,7 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                 _fail(murphy, spec, "[L,L]", a=a, b=b)
         for k in range(1, rank + 1):
             murphy.checks += 1
-            if not la.bracket(pbw.SuperElt.gen(ctx, k, k)).is_zero():
+            if not la.bracket(gen[k, k]).is_zero():
                 _fail(murphy, spec, "[L,H]", a=a, k=k)
 
     for i in range(1, rank + 1):
@@ -502,8 +509,8 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
 
 def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     parities, max_r = job
-    spec = _p0_spec(parities)
-    ctx = _ctx(spec)
+    spec = _spec(parities, 0)
+    ctx = build_context(*spec)
     basic = PropertyReport("brackets of generators with the x elements")
     central = PropertyReport("the summed x elements are central")
     positions = range(1, ctx.rank + 1)
@@ -519,19 +526,7 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                 for k in positions:
                     for l in positions:
                         basic.checks += 1
-                        got = g.bracket(x[k, l])
-                        want = pbw.SuperElt.zero(ctx)
-                        if j == k:
-                            want = want + x[i, l]
-                        if i == l:
-                            sgn = (
-                                -1
-                                if pbw.gen_parity(parities, (i, j))
-                                and pbw.gen_parity(parities, (k, l))
-                                else 1
-                            )
-                            want = want - x[k, j].scale(sgn)
-                        if got != want:
+                        if g.bracket(x[k, l]) != _relation(ctx, (i, j), (k, l), x):
                             _fail(basic, spec, r=r, i=i, j=j, k=k, l=l)
     return [basic, central]
 
@@ -542,8 +537,8 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
 
 def verma_z_worker(job: Tuple[Tuple[int, ...], int, int]) -> List[PropertyReport]:
     parities, max_r, window = job
-    spec = _p0_spec(parities)
-    ctx = _ctx(spec)
+    spec = _spec(parities, 0)
+    ctx = build_context(*spec)
     rep = PropertyReport("central elements act on the Verma line by Z_r")
     for r in range(1, max_r + 1):
         z = pbw.z_element(ctx, r).reduce_mod_J()
@@ -557,7 +552,7 @@ def verma_z_worker(job: Tuple[Tuple[int, ...], int, int]) -> List[PropertyReport
 
 def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     rep = PropertyReport("raised lowered vectors give the predicted scalar")
     rank = ctx.rank
     for i in range(1, rank):
@@ -582,7 +577,7 @@ def lowering_scalar_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     spec, window = job
-    ctx = _ctx(spec)
+    ctx = build_context(*spec)
     rep = PropertyReport("every normal index certifies a nonzero scalar")
     rank = ctx.rank
     for lam in iter_window(rank, window):
@@ -613,52 +608,40 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 # suite driver
 
 
-def _windowed(cap: Optional[int] = None):
-    """The job plan (key, coeff_window), the window capped at cap."""
-    return lambda key, w, seed, r: (key, w if cap is None else min(w, cap))
-
-
-def _every_p(p_list: Sequence[int]) -> Sequence[int]:
-    return p_list
-
-
-def _positive_p(p_list: Sequence[int]) -> List[int]:
-    return [p for p in p_list if p]
-
-
-# suite -> its parts in run order: (worker, rank cap, characteristics, job).
+# suite -> its parts in run order: (worker, rank cap, characteristics, reads).
 # A part covers the parity sequences of ranks 2..max_rank, capped at its
-# rank cap.  With characteristics, it runs one shard per context spec
-# (m, n, parities, p), p in characteristics(p_list); without, one shard per
-# parity sequence at p = 0.  job(key, coeff_window, seed, max_r) is the
-# shard's job.  The caps keep the exhaustive searches tractable; the x
-# elements grow fast in r, so their brackets stop at r = 3.
+# rank cap.  Characteristics None runs one shard per parity sequence at
+# p = 0; "every" runs one per context spec (m, n, parities, p) for p in
+# p_list, "positive" likewise for the positive p only.  reads names the
+# run_suite options that follow the key in the shard's job, in job order,
+# each with its cap or None.  The caps keep the exhaustive searches
+# tractable; the x elements grow fast in r, so their brackets stop at r = 3.
 _SUITE_TABLE = {
-    "crystal-axioms": [("axioms_worker", None, _every_p, _windowed())],
-    "oracle-equivalence": [("oracle_worker", None, _every_p, _windowed())],
-    "normal-criteria": [("normal_worker", None, _every_p, _windowed())],
-    "odd-reflection": [("oddrefl_worker", None, _every_p, _windowed())],
-    "linkage": [("linkage_worker", None, _every_p, _windowed(3))],
+    "crystal-axioms": [("axioms_worker", None, "every", (("coeff_window", None),))],
+    "oracle-equivalence": [("oracle_worker", None, "every", (("coeff_window", None),))],
+    "normal-criteria": [("normal_worker", None, "every", (("coeff_window", None),))],
+    "odd-reflection": [("oddrefl_worker", None, "every", (("coeff_window", None),))],
+    "linkage": [("linkage_worker", None, "every", (("coeff_window", 3),))],
     "pbw-identities": [
-        ("pbw_worker", 4, None, lambda seq, w, seed, r: (seq, seed)),
-        ("central_worker", 3, None, lambda seq, w, seed, r: (seq, min(r, 3))),
+        ("pbw_worker", 4, None, (("seed", None),)),
+        ("central_worker", 3, None, (("max_r", 3),)),
     ],
     "verma-scalars": [
-        ("verma_z_worker", 4, None, lambda seq, w, seed, r: (seq, r, min(w, 3))),
-        ("lowering_scalar_worker", 3, _positive_p, _windowed(3)),
-        ("witness_worker", 3, _every_p, _windowed(2)),
+        ("verma_z_worker", 4, None, (("max_r", None), ("coeff_window", 3))),
+        ("lowering_scalar_worker", 3, "positive", (("coeff_window", 3),)),
+        ("witness_worker", 3, "every", (("coeff_window", 2),)),
     ],
 }
 
 SUITES = tuple(_SUITE_TABLE)
 
 # suite -> the run_suite options its parts read, beyond max_rank,
-# parities_pin and processes, which every suite reads.  The PBW workers run
-# at p = 0 on a parity sequence, so pbw-identities reads no p_list.
-SUITE_OPTIONS: Dict[str, Tuple[str, ...]] = {
-    **{suite: ("coeff_window", "p_list") for suite in SUITES},
-    "pbw-identities": ("seed", "max_r"),
-    "verma-scalars": ("coeff_window", "p_list", "max_r"),
+# parities_pin and processes, which every suite reads: p_list when a part
+# sweeps characteristics, and the options its parts' jobs read
+SUITE_OPTIONS: Dict[str, FrozenSet[str]] = {
+    suite: frozenset(name for *_, reads in parts for name, _ in reads)
+    | {"p_list" for _, _, chars, _ in parts if chars}
+    for suite, parts in _SUITE_TABLE.items()
 }
 
 
@@ -692,16 +675,21 @@ def run_suite(
         raise ValueError(f"max_r must be >= 1, got {max_r}")
     if name != "all" and name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}")
+    options = {"coeff_window": coeff_window, "seed": seed, "max_r": max_r}
     plan: List[Tuple[str, List[tuple]]] = []
     for suite in SUITES if name == "all" else (name,):
-        for worker, rank_cap, characteristics, job in _SUITE_TABLE[suite]:
+        for worker, rank_cap, characteristics, reads in _SUITE_TABLE[suite]:
             top = max_rank if rank_cap is None else min(max_rank, rank_cap)
             ranks = range(2, top + 1)
             if characteristics is None:
                 keys = _parity_seqs(ranks, parities_pin)
             else:
-                keys = context_specs(ranks, characteristics(p_list), parities_pin)
-            plan.append((worker, [job(key, coeff_window, seed, max_r) for key in keys]))
+                ps = p_list if characteristics == "every" else [p for p in p_list if p]
+                keys = context_specs(ranks, ps, parities_pin)
+            args = tuple(
+                options[opt] if cap is None else min(options[opt], cap) for opt, cap in reads
+            )
+            plan.append((worker, [(key,) + args for key in keys]))
     if not any(jobs for _, jobs in plan):
         pin = "" if parities_pin is None else f" with parities pinned to {tuple(parities_pin)}"
         raise ValueError(f"suite {name} plans no shard at max_rank {max_rank}{pin}")

@@ -376,6 +376,28 @@ def test_verify_all_accepts_every_option(capsys):
     assert rows == []
 
 
+def test_verify_takes_a_nonzero_p_only_for_a_pinned_sweep_of_characteristics(capsys):
+    # the PBW workers run at p = 0, and an unpinned sweep reads --p-list
+    pinned = ["--parities", "1,0", "verify", "pbw-identities", "--max-rank", "2",
+              "--pin-parities", "--processes", "1"]
+    assert run(["--p", "3"] + pinned, capsys) == (
+        2, "", "error: --p does not apply to pbw-identities, which runs at p = 0"
+    )
+    assert run(["--p", "0"] + pinned, capsys)[0] == 0
+    assert run(
+        ["--p", "3", "--parities", "1,0", "verify", "linkage", "--max-rank", "2"], capsys
+    ) == (2, "", "error: --p does not apply to linkage without --pin-parities")
+    # all sweeps at p = 3 where a suite sweeps characteristics: the lowering
+    # part of verma-scalars runs at positive p only
+    code, out, _ = run(
+        ["--p", "3", "--parities", "1,0", "verify", "all", "--max-rank", "2",
+         "--coeff-window", "1", "--pin-parities", "--processes", "1"],
+        capsys,
+    )
+    assert code == 0 and "FAIL" not in out
+    assert "[pass] raised lowered vectors give the predicted scalar" in out
+
+
 def test_verify_with_a_repeated_characteristic_exits_2(capsys):
     # a characteristic listed twice would run each of its shards twice
     with pytest.raises(ValueError):
@@ -599,5 +621,14 @@ def test_invalid_positions_r_and_parities_exit_2(capsys):
          "error: r must be >= 1"),
         (["--parities", "1,x", "classify", "--weight", "0,1", "--i", "1"],
          "error: malformed parity list '1,x'"),
+        # every integer list names what it is
+        (["--parities", "1,0", "verify", "linkage", "--p-list", "0,x"],
+         "error: malformed characteristic list '0,x'"),
+        (["--parities", "1,0", "verify", "linkage", "--p-list", ","],
+         "error: malformed characteristic list ','"),
+        (["--parities", "1,0", "pbw", "lower", "--i", "1", "--j", "2", "--A", "2,x"],
+         "error: malformed index set '2,x'"),
+        (["--parities", "1,0", "signature", "--weight", "0,0", "--r", "abc"],
+         "error: malformed residue 'abc'"),
     ):
         assert run(["--p", "0"] + argv, capsys) == (2, "", err), argv

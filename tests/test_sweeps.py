@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -352,7 +353,7 @@ PLANTED = [
      lambda real: lambda p, d, u, i, j: (lambda c, b: (c, b | {j}))(*real(p, d, u, i, j)),
      0, {"every normal index certifies a nonzero scalar"}),
     ("pbw-identities", pbw, "_bracket_gens", _odd_odd_negated,
-     3, {BRACKET_TABLE_REPORT,
+     0, {BRACKET_TABLE_REPORT,
          "E_l commutation lemma, all four cases",
          "L reduction and annihilation identities mod J",
          "lowering-operator recurrence",
@@ -377,16 +378,20 @@ def _row_id(row):
     return kernel if first == suite else f"{kernel}-{suite}"
 
 
+def _plant(monkeypatch, module, kernel, mutant):
+    monkeypatch.setattr(module, kernel, mutant(getattr(module, kernel)))
+    # the PBW elements are built afresh under the mutant and dropped after it
+    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
+    monkeypatch.setattr(pbw, "_RAISED_CACHE", {})
+
+
 @pytest.mark.parametrize(
     "suite, module, kernel, mutant, p, failing", PLANTED, ids=[_row_id(row) for row in PLANTED]
 )
 def test_a_planted_defect_fails_its_reports(
     monkeypatch, capsys, suite, module, kernel, mutant, p, failing
 ):
-    monkeypatch.setattr(module, kernel, mutant(getattr(module, kernel)))
-    # the PBW elements are built afresh under the mutant and dropped after it
-    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
-    monkeypatch.setattr(pbw, "_RAISED_CACHE", {})
+    _plant(monkeypatch, module, kernel, mutant)
     reports = sweeps.run_suite(suite, max_rank=3, coeff_window=2, processes=1)
     assert {rep.name for rep in reports if rep.failures} == failing
     assert all(rep.failures <= rep.checks for rep in reports)
@@ -400,6 +405,59 @@ def test_a_planted_defect_fails_its_reports(
     assert code == 1
     for name in RANK_2_FAILING.get(kernel, failing):
         assert f"[FAIL] {name}" in out
+
+
+def _doubled_e12_e21(real):
+    # [e_12, e_21] comes out twice its value; every other bracket is right
+    def bracket_gens(parities, x, y):
+        terms = real(parities, x, y)
+        return [(2 * c, g) for c, g in terms] if (x, y) == ((1, 2), (2, 1)) else terms
+
+    return bracket_gens
+
+
+# (kernel owner, kernel, mutant, pinned parities of the CLI run, the reports
+# that fail) for the pbw-identities reports no row of PLANTED fails: super
+# Jacobi, associativity, order independence and integrality.  Each CLI run
+# is pinned at rank 3, where it fails every report of its row; at parities
+# 1,0 the one S is F_21, which neither reorder nor the factors reach.
+PLANTED_PBW = [
+    (pbw, "_bracket_gens", _doubled_e12_e21, "1,0,0",
+     {BRACKET_TABLE_REPORT, "super Jacobi identity on random triples",
+      "L reduction and annihilation identities mod J",
+      "E_l commutation lemma, all four cases"} | X_ELEMENT_REPORTS),
+    (pbw, "_expand", lambda real: lambda mono: tuple(g for g, _ in mono),  # drops exponents
+     "0,0,0",
+     {"normal ordering is associative on random triples",
+      "L reduction and annihilation identities mod J"} | X_ELEMENT_REPORTS),
+    (pbw.SuperElt, "reorder",  # relabels the order without reordering
+     lambda real: lambda elt, order: pbw.SuperElt(elt.ctx, elt.terms, order),
+     "1,0,0", {"S is independent of the order within its class"}),
+    (pbw, "_lowering_factor",  # every factor of S halved
+     lambda real: lambda ctx, i, t, order: real(ctx, i, t, order).scale(Fraction(1, 2)),
+     "1,0,0", {"lowering-operator recurrence", "E_l commutation lemma, all four cases",
+               "lowering operators have integer coefficients"}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, kernel, mutant, parities, failing", PLANTED_PBW, ids=[row[1] for row in PLANTED_PBW]
+)
+def test_a_planted_defect_fails_its_pbw_reports(
+    monkeypatch, capsys, module, kernel, mutant, parities, failing
+):
+    _plant(monkeypatch, module, kernel, mutant)
+    reports = sweeps.run_suite("pbw-identities", max_rank=3, processes=1)
+    assert {rep.name for rep in reports if rep.failures} == failing
+    assert all(rep.failures <= rep.checks for rep in reports)
+    code = main(
+        ["--p", "0", "--parities", parities, "verify", "pbw-identities", "--max-rank", "3",
+         "--pin-parities", "--processes", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("[FAIL]") == len(failing)
+    for name in failing:
+        assert f"[FAIL] {name}:" in out
 
 
 def test_a_wrong_ab_key_fails_the_linkage_suite_in_each_direction(monkeypatch):
