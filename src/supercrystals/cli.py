@@ -14,28 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import crystal, graph, linkage, pbw, sweeps
-from .weights import ContextError, build_context, parse_weight, residue_int
-
-
-def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
-    """A comma-separated integer list; ValueError naming ``what`` if malformed."""
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed {what} {text!r}") from None
+from .weights import ContextError, build_context, parse_ints, parse_weight, residue_int
 
 
 def _context(args):
-    parities = _parse_ints(args.parities, "parity list")
+    parities = parse_ints(args.parities, "parity list")
     m = parities.count(0)
     return build_context(m, len(parities) - m, parities, args.p)
 
 
 def _parse_index_set(text: str):
-    return frozenset(_parse_ints(text, "index set") if text.strip() else ())
+    return frozenset(parse_ints(text, "index set") if text.strip() else ())
 
 
 # the parser main() reuses; built on the first call, not at import
@@ -331,7 +323,7 @@ def cmd_verify(ctx, args) -> int:
     else:
         pin = None
         if "p_list" in options:
-            options["p_list"] = _parse_ints(options["p_list"], "characteristic list")
+            options["p_list"] = parse_ints(options["p_list"], "characteristic list")
     reports = sweeps.run_suite(
         args.suite,
         max_rank=args.max_rank,

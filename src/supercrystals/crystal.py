@@ -59,10 +59,9 @@ CONORMAL_KINDS = (CONORMAL, COGOOD)
 
 @dataclass(frozen=True)
 class Signature:
-    """A +/-/0 word of length m+n; ``reduced`` marks the canceled form."""
+    """A +/-/0 word of length m+n, raw or with its -+ pairs canceled."""
 
     entries: Tuple[str, ...]
-    reduced: bool = False
 
     def __str__(self) -> str:
         return "".join(self.entries)
@@ -336,7 +335,7 @@ def _reduced(p: int, down: Sequence[int], up: Sequence[int], r: int) -> Signatur
         entries[q] = MINUS
     for q in plus:
         entries[q] = PLUS
-    return Signature(tuple(entries), reduced=True)
+    return Signature(tuple(entries))
 
 
 def r_signature(ctx: ParityContext, lam: Weight, r: int) -> Signature:

@@ -200,9 +200,6 @@ class SuperElt:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -214,12 +214,17 @@ def flip_weight(lam: Weight) -> Weight:
     return tuple(-c for c in reversed(lam))
 
 
+def parse_ints(text: str, what: str) -> Tuple[int, ...]:
+    """A comma-separated integer list; ValueError naming ``what`` if malformed."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed {what} {text!r}") from None
+
+
 def parse_weight(text: str, ctx: ParityContext = None) -> Weight:
     """Parse a comma-separated integer list; optionally check the length."""
-    try:
-        w = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed weight {text!r}") from exc
+    w = parse_ints(text, "weight")
     if ctx is not None and len(w) != ctx.rank:
         raise ValueError(f"weight {text!r} has length {len(w)}, expected {ctx.rank}")
     return w
