@@ -105,10 +105,6 @@ def gamma_weight(coeffs: Dict[int, int]) -> AffineWeight:
     )
 
 
-def zero_affine(p: int) -> AffineWeight:
-    return AffineWeight(p=0) if p == 0 else AffineWeight(p=p, lambdas=(0,) * p)
-
-
 def lambda_of(p: int, r: int) -> AffineWeight:
     """The fundamental weight Lambda_r (p > 0 only)."""
     if p <= 0:

@@ -59,10 +59,6 @@ class TruncatedSeries:
         return True
 
 
-def one_series(n: int) -> TruncatedSeries:
-    return TruncatedSeries((1,) + (0,) * n)
-
-
 def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
     """Coefficients of prod_i (1 - up_i u) / (1 - down_i u) up to u^n.
 
@@ -140,11 +136,6 @@ def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeri
 
 def default_order(ctx: ParityContext) -> int:
     return 2 * ctx.rank + 2
-
-
-def same_block(ctx: ParityContext, lam: Weight, mu: Weight) -> bool:
-    """True iff wt(lam) = wt(mu) in the affine lattice."""
-    return wt_of(ctx, lam) == wt_of(ctx, mu)
 
 
 def partition_blocks(

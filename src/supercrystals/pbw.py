@@ -13,18 +13,20 @@ square to zero.  The default order puts all F = e_{j,i} (i<j) first, then the
 diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
 generated by the E's is a per-monomial predicate; the E_l-last variant makes
 membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
-Sums add into plain dicts and drop zeros once, in ``SuperElt.__init__`` or
-at the end of ``normalize_word``.  ``s_element`` and ``raised_s_element`` are
-the cached lowering elements; ``verma_scalar`` evaluates one in one pass.
-Normal ordering keeps no cache: the sweeps reuse lowering elements, not
-words, and a word cache held a third to half of their peak memory to save
-at most 5 % of their time.
+Every product, bracket and row sum adds into one dict in ``_accumulate``; its
+``normalize_word`` compares places read off ``GeneratorOrder.key`` and skips
+the left factor, already in order.  Zeros drop at the end of each sum and word.
+``s_element`` and ``raised_s_element`` are the cached lowering elements;
+``verma_scalar`` evaluates one in one pass.  Normal ordering keeps no cache:
+the sweeps reuse lowering elements, not words, and a word cache held a third
+to half of their peak memory to save at most 5 % of their time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .crystal import bc_positions, greedy_match
@@ -73,16 +75,26 @@ def gen_parity(parities: Tuple[int, ...], gen: Gen) -> int:
     return (parities[i - 1] + parities[j - 1]) % 2
 
 
+@lru_cache(maxsize=None)
+def _places(order: GeneratorOrder, rank: int) -> Dict[Gen, int]:
+    gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+    return {g: place for place, g in enumerate(sorted(gens, key=order.key))}
+
+
+@lru_cache(maxsize=None)
+def _odd_gens(parities: Tuple[int, ...]) -> FrozenSet[Gen]:
+    return frozenset(g for g in _places(DEFAULT_ORDER, len(parities)) if gen_parity(parities, g))
+
+
 def _bracket_gens(parities: Tuple[int, ...], x: Gen, y: Gen) -> List[Tuple[int, Gen]]:
     """[x, y] as a generator combination per the defining relation."""
     (i, j), (k, l) = x, y
-    sign = -1 if gen_parity(parities, x) and gen_parity(parities, y) else 1
-    terms: Dict[Gen, int] = {}
-    if j == k:
-        terms[(i, l)] = terms.get((i, l), 0) + 1
+    if x == y:  # an off-diagonal x meets neither delta, and [e_ii, e_ii] = 0
+        return []
+    terms = [(1, (i, l))] if j == k else []
     if i == l:
-        terms[(k, j)] = terms.get((k, j), 0) - sign
-    return [(c, g) for g, c in terms.items() if c]
+        terms.append((1 if gen_parity(parities, x) and gen_parity(parities, y) else -1, (k, j)))
+    return terms
 
 
 # Always empty: normal ordering keeps no cache.  perfbench's `--trace 1` pass
@@ -90,12 +102,12 @@ def _bracket_gens(parities: Tuple[int, ...], x: Gen, y: Gen) -> List[Tuple[int, 
 _NORMALIZE_CACHE: Dict[tuple, Dict[Monomial, int]] = {}
 
 
-def _collapse(parities: Tuple[int, ...], word: Tuple[Gen, ...]) -> Optional[Monomial]:
+def _collapse(odd: FrozenSet[Gen], word: Tuple[Gen, ...]) -> Optional[Monomial]:
     """Sorted word -> monomial; None when an odd generator repeats."""
     mono: List[Tuple[Gen, int]] = []
     for g in word:
         if mono and mono[-1][0] == g:
-            if gen_parity(parities, g):
+            if g in odd:
                 return None
             mono[-1] = (g, mono[-1][1] + 1)
         else:
@@ -104,33 +116,61 @@ def _collapse(parities: Tuple[int, ...], word: Tuple[Gen, ...]) -> Optional[Mono
 
 
 def normalize_word(
-    parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
+    parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...], ordered: int = 0
 ) -> Dict[Monomial, int]:
-    """Normal-order a generator word; returns a fresh monomial -> int dict."""
+    """Normal-order a word whose first ``ordered`` letters are in order: the scan
+    for the first descent starts at the last of them, and after a rewrite one
+    place before it.  Returns a fresh monomial -> int dict.
+    """
+    place = _places(order, len(parities))
+    odd = _odd_gens(parities)
     out: Dict[Monomial, int] = {}
-    stack: List[Tuple[int, Tuple[Gen, ...]]] = [(1, word)]
+    stack: List[Tuple[int, Tuple[Gen, ...], int]] = [(1, word, max(ordered - 1, 0))]
     while stack:
-        coeff, w = stack.pop()
-        for idx in range(len(w) - 1):
-            if order.key(w[idx]) > order.key(w[idx + 1]):
+        coeff, w, start = stack.pop()
+        for idx in range(start, len(w) - 1):
+            if place[w[idx]] > place[w[idx + 1]]:
                 break
         else:
-            mono = _collapse(parities, w)
+            mono = _collapse(odd, w)
             if mono is not None:
                 out[mono] = out.get(mono, 0) + coeff
             continue
         x, y = w[idx], w[idx + 1]
-        sign = -1 if gen_parity(parities, x) and gen_parity(parities, y) else 1
-        stack.append((coeff * sign, w[:idx] + (y, x) + w[idx + 2 :]))
+        head, tail, start = w[:idx], w[idx + 2 :], idx - 1 if idx else 0
+        sign = -1 if x in odd and y in odd else 1
+        stack.append((coeff * sign, head + (y, x) + tail, start))
         for bc, g in _bracket_gens(parities, x, y):
-            stack.append((coeff * bc, w[:idx] + (g,) + w[idx + 2 :]))
+            stack.append((coeff * bc, head + (g,) + tail, start))
     if 0 in out.values():
         out = {mono: c for mono, c in out.items() if c}
     return out
 
 
 def _expand(mono: Monomial) -> Tuple[Gen, ...]:
-    return tuple(g for g, e in mono for _ in range(e))
+    word: Tuple[Gen, ...] = ()
+    for g, e in mono:
+        word += (g,) * e
+    return word
+
+
+def _accumulate(
+    out: Dict, parities: Tuple[int, ...], order: GeneratorOrder, left: Dict, right: Dict, scale=1
+) -> Dict[Monomial, Coeff]:
+    """Add scale * left * right, normal-ordered, into out; left must be in
+    order.  The zeros of out then drop in place, as in a sum of built elements.
+    """
+    rights = [(_expand(m2), scale * c2) for m2, c2 in right.items()]
+    for m1, c1 in left.items():
+        w1 = _expand(m1)
+        for w2, c2 in rights:
+            c12 = c1 * c2
+            for mono, c in normalize_word(parities, order, w1 + w2, len(w1)).items():
+                out[mono] = out.get(mono, 0) + c12 * c
+    if 0 in out.values():
+        for mono in [m for m, c in out.items() if not c]:
+            del out[mono]
+    return out
 
 
 class SuperElt:
@@ -169,7 +209,7 @@ class SuperElt:
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "SuperElt") -> None:
-        if self.order != other.order or self.ctx.parities != other.ctx.parities:
+        if (self.order, self.ctx.parities) != (other.order, other.ctx.parities):
             raise ValueError("operands use different contexts or generator orders")
 
     def __add__(self, other: "SuperElt") -> "SuperElt":
@@ -191,12 +231,14 @@ class SuperElt:
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
-        return _product(self.ctx, self.order, self.terms, other.terms)
+        out = _accumulate({}, self.ctx.parities, self.order, self.terms, other.terms)
+        return SuperElt(self.ctx, out, self.order)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperElt)
             and self.order == other.order
+            and self.ctx.parities == other.ctx.parities
             and self.terms == other.terms
         )
 
@@ -204,12 +246,10 @@ class SuperElt:
         return not self.terms
 
     # -- parity and brackets ------------------------------------------
-    def monomial_parity(self, mono: Monomial) -> int:
-        return sum(gen_parity(self.ctx.parities, g) * e for g, e in mono) % 2
-
     def parity(self) -> Optional[int]:
         """Parity if homogeneous (constants count as even), else None."""
-        seen = {self.monomial_parity(m) for m in self.terms}
+        odd = _odd_gens(self.ctx.parities)
+        seen = {sum(e for g, e in m if g in odd) % 2 for m in self.terms}
         if not seen:
             return 0
         return seen.pop() if len(seen) == 1 else None
@@ -219,13 +259,18 @@ class SuperElt:
         if pa is None or pb is None:
             raise ValueError("super bracket requires homogeneous arguments")
         sign = -1 if pa and pb else 1
-        return self * other - (other * self).scale(sign)
+        self._check(other)
+        out = _accumulate({}, self.ctx.parities, self.order, self.terms, other.terms)
+        _accumulate(out, self.ctx.parities, self.order, other.terms, self.terms, -sign)
+        return SuperElt(self.ctx, out, self.order)
 
     # -- order change and ideal reduction ------------------------------
     def reorder(self, order: GeneratorOrder) -> "SuperElt":
         if order == self.order:
             return self
-        return _product(self.ctx, order, self.terms, {(): 1})
+        # the terms are not in the new order, so they go on the right
+        out = _accumulate({}, self.ctx.parities, order, {(): 1}, self.terms)
+        return SuperElt(self.ctx, out, order)
 
     def reduce_mod_J(self) -> "SuperElt":
         """Drop monomials with a nonempty E-part (left ideal of all E's)."""
@@ -268,18 +313,6 @@ class SuperElt:
         return "\n".join(lines)
 
 
-def _product(ctx: ParityContext, order: GeneratorOrder, left: Dict, right: Dict) -> SuperElt:
-    """The sum of c1 c2 m1 m2 over the terms of left and right, normal-ordered in order."""
-    out: Dict[Monomial, Coeff] = {}
-    for m1, c1 in left.items():
-        w1 = _expand(m1)
-        for m2, c2 in right.items():
-            c12 = c1 * c2
-            for mono, c in normalize_word(ctx.parities, order, w1 + _expand(m2)).items():
-                out[mono] = out.get(mono, 0) + c12 * c
-    return SuperElt(ctx, out, order)
-
-
 # ---------------------------------------------------------------------------
 # named elements
 
@@ -288,10 +321,10 @@ def _row_sum(
     ctx: ParityContext, k: int, column: List[SuperElt], order: GeneratorOrder
 ) -> SuperElt:
     """sum_s (-1)**p_s e_{k,s} column[s-1], s running over the column."""
-    out = SuperElt.zero(ctx, order)
+    out: Dict[Monomial, Coeff] = {}
     for s, elt in enumerate(column, 1):
-        out = out + (SuperElt.gen(ctx, k, s, order) * elt).scale(ctx.sign(s))
-    return out
+        _accumulate(out, ctx.parities, order, {(((k, s), 1),): 1}, elt.terms, ctx.sign(s))
+    return SuperElt(ctx, out, order)
 
 
 def murphy_element(

@@ -177,11 +177,6 @@ def residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
     return tuple(residue_vectors(ctx, lam)[0])
 
 
-def residues_up(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
-    """The shifted residues r_j(lam + eps_j), j = 1..k."""
-    return tuple(residue_vectors(ctx, lam)[1])
-
-
 def dominance_leq(ctx: ParityContext, lam: Weight, mu: Weight) -> bool:
     """True iff mu - lam is a nonnegative sum of positive roots eps_i - eps_j."""
     diff = weight_sub(mu, lam)

@@ -413,8 +413,9 @@ def test_x_column_builds_each_level_once(monkeypatch):
         want = [pbw.x_element(ctx, k, 2, r) for k in (1, 2, 3)]
         assert pbw.x_column(ctx, 2, r) == want
     calls = []
-    real = SuperElt.__mul__
-    monkeypatch.setattr(SuperElt, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    real = pbw._accumulate
+    monkeypatch.setattr(pbw, "_accumulate", lambda *args: calls.append(1) or real(*args))
+    # a row sum adds one product per entry of the column, so
     # a column level costs rank^2 products; Z~_r builds each diagonal entry
     # from its column one level down, rank products per entry on top
     for r, column_muls, z_muls in ((1, 0, 0), (2, 9, 9), (3, 18, 36), (4, 27, 63)):
@@ -448,3 +449,78 @@ def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
     assert pbw.raised_s_element(ctx, 1, 3, frozenset()) == raised.reduce_mod_J()
     for (scalar, _), lam in zip(results, ((0, 1, 1), (1, 2, 2))):
         assert scalar == pbw.verma_scalar(raised, lam)
+
+
+def test_products_are_pinned_with_their_term_order():
+    # x * y, [x, y] and x reordered, over the generators, the Murphy elements
+    # and every S_{i,j}(A) at ranks 2-3, every parity sequence, three orders;
+    # the digest covers the terms in their insertion order, which
+    # verma_scalar's error text reads; the x columns pin the row sums
+    digest = hashlib.sha256()
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    for parities in _all_parities((2, 3)):
+        ctx = ctx_of(parities)
+        positions = range(1, ctx.rank + 1)
+        for l, r in itertools.product(positions, (2, 3)):
+            for elt in pbw.x_column(ctx, l, r):
+                digest.update(repr((parities, l, r, list(elt.terms.items()))).encode())
+        for order in orders:
+            elts = [SuperElt.gen(ctx, i, j, order) for i in positions for j in positions]
+            elts += [pbw.murphy_element(ctx, j, order) for j in positions]
+            elts += [
+                pbw.s_element(ctx, i, j, a_set, order)
+                for i in positions
+                for j in range(i, ctx.rank + 1)
+                for a_set in _subsets(range(i + 1, j))
+            ]
+            for a, x in enumerate(elts):
+                for other in orders:
+                    out = list(x.reorder(other).terms.items())
+                    digest.update(repr((parities, order.kind, other.kind, a, out)).encode())
+                for b, y in enumerate(elts):
+                    out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
+                    digest.update(repr((parities, order.kind, a, b, out)).encode())
+    assert digest.hexdigest()[:16] == "90b5010440780b5e"
+
+
+def test_the_ordered_prefix_hint_never_changes_normalize_word():
+    # every word of length <= 4 at ranks 2-3, three orders, each hint whose
+    # prefix is in order: the same terms in the same insertion order
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    for parities in ((1, 0), (0, 0), (1, 0, 1), (0, 1, 0)):
+        rank = len(parities)
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        for order in orders:
+            for word in itertools.chain.from_iterable(
+                itertools.product(gens, repeat=n) for n in range(5)
+            ):
+                want = list(pbw.normalize_word(parities, order, word).items())
+                for k in range(2, len(word) + 1):  # a hint of 0 or 1 scans from 0
+                    if order.key(word[k - 2]) > order.key(word[k - 1]):
+                        break
+                    got = pbw.normalize_word(parities, order, word, k)
+                    assert list(got.items()) == want, (parities, order, word, k)
+
+
+def test_the_place_table_and_odd_set_follow_their_definitions():
+    for rank in (2, 3, 4, 5):
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        orders = [DEFAULT_ORDER, GeneratorOrder("alt")]
+        orders += [pbw.e_last_order(l) for l in range(1, rank)]
+        for order in orders:
+            place = pbw._places(order, rank)
+            assert sorted(place.values()) == list(range(rank * rank))
+            assert sorted(place, key=place.get) == sorted(gens, key=order.key)
+        for parities in itertools.product((0, 1), repeat=rank):
+            odd = pbw._odd_gens(parities)
+            assert odd == {g for g in gens if pbw.gen_parity(parities, g)}, parities
+
+
+def test_elements_of_different_parities_are_not_equal():
+    # e_{1,2} is odd at parities (1,0) and even at (0,0)
+    odd, even = ctx_of((1, 0)), ctx_of((0, 0))
+    assert SuperElt.gen(odd, 1, 2) != SuperElt.gen(even, 1, 2)
+    assert SuperElt.zero(odd) != SuperElt.zero(even)
+    assert SuperElt.gen(odd, 1, 2) == SuperElt.gen(odd, 1, 2)
+    with pytest.raises(ValueError, match="different contexts"):
+        SuperElt.gen(odd, 1, 2) + SuperElt.gen(even, 1, 2)

@@ -13,10 +13,9 @@ from supercrystals.affine import (
     gamma_of,
     wt_key,
     wt_of,
-    zero_affine,
 )
 from supercrystals.crystal import Signature, greedy_match, reduce_signature
-from supercrystals.linkage import TruncatedSeries, one_series, series_coeffs
+from supercrystals.linkage import TruncatedSeries, series_coeffs
 from supercrystals.weights import (
     build_context,
     eps,
@@ -180,7 +179,7 @@ KERNEL_PRIMES = (0, 2, 3, 5, 7)
 
 def _wt_by_gamma_sum(ctx, lam):
     """wt(lam) summed letter by letter in AffineWeight arithmetic."""
-    out = zero_affine(ctx.p)
+    out = AffineWeight(ctx.p, lambdas=(0,) * ctx.p)
     for i in range(1, ctx.rank + 1):
         s = ctx.sign(i)
         term = gamma_of(ctx.p, s * (lam[i - 1] + ctx.rho[i - 1]))
@@ -205,7 +204,7 @@ def _check_kernels(ctx, lam):
         ctx, lam
     )
     n = 2 * ctx.rank + 2
-    series = one_series(n)
+    series = TruncatedSeries((1,) + (0,) * n)
     for d, a in zip(down, up):
         series = series * _linear_factor(a, n) * _geometric_factor(d, n)
     assert tuple(series_coeffs(down, up, n)) == series.coeffs

@@ -13,8 +13,8 @@ from supercrystals.weights import (
     length,
     parse_weight,
     residue_int,
+    residue_vectors,
     residues,
-    residues_up,
     weight_add,
     weight_sub,
 )
@@ -61,7 +61,7 @@ def test_residues_worked_example():
     assert down == (1, 4, 3, 8, 5)
     assert tuple(v % 3 for v in down) == (1, 1, 0, 2, 2)
     # residue of lam + eps_i shifts by the sign of the position
-    up = residues_up(ctx, PAPER_LAM)
+    up = tuple(residue_vectors(ctx, PAPER_LAM)[1])
     assert up == tuple(d + ctx.sign(i + 1) for i, d in enumerate(down))
 
 
