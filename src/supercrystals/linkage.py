@@ -1,7 +1,8 @@
 """Central-character combinatorics: Z_r(lam), G_lam(t), and block partitions.
 
 One kernel, ``series_coeffs``, expands the residue series; ``parity_term`` is
-the Z_r shift that both ``z_scalar`` and ``pbw.z_element`` read."""
+the Z_r shift that ``z_scalar``, ``z_scalars`` and ``pbw.z_element`` read.
+``z_scalars`` reads every Z_r(lam) up to a bound off one series per weight."""
 
 from __future__ import annotations
 
@@ -103,6 +104,20 @@ def z_scalar(ctx: ParityContext, lam: Weight, r: int) -> int:
         raise ValueError("r must be >= 1")
     down, up = residue_vectors(ctx, lam)
     return parity_term(ctx.signs, r) - series_coeffs(down, up, r + 1)[r + 1]
+
+
+def z_scalars(ctx: ParityContext, lam: Weight, max_r: int) -> List[int]:
+    """[Z_1(lam), ..., Z_max_r(lam)], the closed form of ``z_scalar`` read off
+    one ``residue_vectors`` pass and one series of order max_r + 1.
+
+    ``z_scalar`` keeps its own single-coefficient body: for one r it is the
+    cheaper call.
+    """
+    if max_r < 1:
+        raise ValueError("r must be >= 1")
+    down, up = residue_vectors(ctx, lam)
+    coeffs = series_coeffs(down, up, max_r + 1)
+    return [parity_term(ctx.signs, r) - coeffs[r + 1] for r in range(1, max_r + 1)]
 
 
 def g_series(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:

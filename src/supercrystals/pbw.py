@@ -13,13 +13,17 @@ square to zero.  The default order puts all F = e_{j,i} (i<j) first, then the
 diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
 generated by the E's is a per-monomial predicate; the E_l-last variant makes
 membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
-Every product, bracket and row sum adds into one dict in ``_accumulate``; its
-``normalize_word`` compares places read off ``GeneratorOrder.key`` and skips
-the left factor, already in order.  Zeros drop at the end of each sum and word.
-``s_element`` and ``raised_s_element`` are the cached lowering elements;
-``verma_scalar`` evaluates one in one pass.  Normal ordering keeps no cache:
-the sweeps reuse lowering elements, not words, and a word cache held a third
-to half of their peak memory to save at most 5 % of their time.
+Every product, bracket and row sum adds into one dict in ``_accumulate``,
+which looks up the place table (read off ``GeneratorOrder.key``) and the odd
+set once per product; its normal ordering of each word, the kernel of
+``normalize_word``, compares places and skips the left factor, already in
+order.  Zeros drop at the end of each sum and word.  ``s_element`` and
+``raised_s_element`` are the cached lowering elements; S mod J has no E-part,
+so in an E_l-last order ``s_element`` relabels the default-order element
+(``GeneratorOrder.fh_order``).  ``verma_scalar`` evaluates one in one pass.
+Normal ordering keeps no cache: the sweeps reuse lowering elements, not
+words, and a word cache held a third to half of their peak memory to save at
+most 5 % of their time.
 """
 
 from __future__ import annotations
@@ -61,6 +65,14 @@ class GeneratorOrder:
         if self.kind == "e_last" and gen == (self.l, self.l + 1):
             return (2, 1, i, j)
         return (2, 0, i, j)
+
+    @property
+    def fh_order(self) -> "GeneratorOrder":
+        """The order whose F and H blocks this one orders alike: the default
+        order for an E_l-last order, which moves only e_{l,l+1}, an E; else
+        this order.  An element with no E-part, such as S_{i,j}(A) mod J, has
+        the same normal-ordered terms in both."""
+        return DEFAULT_ORDER if self.kind == "e_last" else self
 
 
 DEFAULT_ORDER = GeneratorOrder()
@@ -123,7 +135,17 @@ def normalize_word(
     place before it.  Returns a fresh monomial -> int dict.
     """
     place = _places(order, len(parities))
-    odd = _odd_gens(parities)
+    return _normal_form(parities, place, _odd_gens(parities), word, ordered)
+
+
+def _normal_form(
+    parities: Tuple[int, ...],
+    place: Dict[Gen, int],
+    odd: FrozenSet[Gen],
+    word: Tuple[Gen, ...],
+    ordered: int,
+) -> Dict[Monomial, int]:
+    """``normalize_word`` on the place table and odd set it reads."""
     out: Dict[Monomial, int] = {}
     stack: List[Tuple[int, Tuple[Gen, ...], int]] = [(1, word, max(ordered - 1, 0))]
     while stack:
@@ -159,13 +181,15 @@ def _accumulate(
 ) -> Dict[Monomial, Coeff]:
     """Add scale * left * right, normal-ordered, into out; left must be in
     order.  The zeros of out then drop in place, as in a sum of built elements.
+    The place table and the odd set are looked up once per call.
     """
+    place, odd = _places(order, len(parities)), _odd_gens(parities)
     rights = [(_expand(m2), scale * c2) for m2, c2 in right.items()]
     for m1, c1 in left.items():
         w1 = _expand(m1)
         for w2, c2 in rights:
             c12 = c1 * c2
-            for mono, c in normalize_word(parities, order, w1 + w2, len(w1)).items():
+            for mono, c in _normal_form(parities, place, odd, w1 + w2, len(w1)).items():
                 out[mono] = out.get(mono, 0) + c12 * c
     if 0 in out.values():
         for mono in [m for m, c in out.items() if not c]:
@@ -384,14 +408,18 @@ def s_element(
     The factors commute, so the ascending product order is a free choice.
     By convention i = j gives the identity (empty product, no F factor).
     IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).
-    Only S is cached, per (parities, p, i, j, A, order); the products drop
-    zeros only in ``SuperElt.__init__``.
+    Only S is cached, per (parities, p, i, j, A, order), and only in an order
+    that is its own ``fh_order``.  S mod J has no E-part, so in any other
+    order it is the ``fh_order`` element relabelled, with no product.
     """
     a_set = frozenset(a_set)
     key = (ctx.parities, ctx.p, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit
+    base = order.fh_order
+    if base is not order:
+        return SuperElt(ctx, s_element(ctx, i, j, a_set, base).terms, order)
     if not 1 <= i <= j <= ctx.rank:
         raise IndexError(f"need 1 <= i <= j <= {ctx.rank}, got ({i}, {j})")
     if not all(i < t < j for t in a_set):

@@ -28,7 +28,8 @@ goodness at every position off one ``crystal.matching_flags`` pass per
 weight.  C7 reads only public ``pbw`` names: ``_relation`` states the
 defining relation once, from the parities alone, for the brackets of the
 generators with each other and with the x elements, and C7 brackets
-``pbw.z_tilde_element`` for centrality.  C8 leaves case selection to
+``pbw.z_tilde_element`` for centrality.  C8's Z_r check reads every r of a
+weight off one ``linkage.z_scalars`` call.  C8 leaves case selection to
 ``pbw.lowering_scalar_check`` (a ValueError is no case); C8/C9 evaluate one
 cached ``pbw.raised_s_element`` per (i, j, A).
 """
@@ -43,7 +44,7 @@ from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequen
 
 from . import crystal, pbw, tensorrule
 from .affine import AffineWeight, ab_key, alpha_of, alpha_pairing, wt_key
-from .linkage import default_order, series_coeffs, z_scalar
+from .linkage import default_order, series_coeffs, z_scalars
 from .weights import (
     ParityContext,
     build_context,
@@ -540,12 +541,11 @@ def verma_z_worker(job: Tuple[Tuple[int, ...], int, int]) -> List[PropertyReport
     spec = _spec(parities, 0)
     ctx = build_context(*spec)
     rep = PropertyReport("central elements act on the Verma line by Z_r")
-    for r in range(1, max_r + 1):
-        z = pbw.z_element(ctx, r).reduce_mod_J()
-        for lam in iter_window(ctx.rank, window):
+    zs = [pbw.z_element(ctx, r).reduce_mod_J() for r in range(1, max_r + 1)]
+    for lam in iter_window(ctx.rank, window):
+        for r, (z, want) in enumerate(zip(zs, z_scalars(ctx, lam, max_r)), 1):
             rep.checks += 1
-            got = pbw.verma_scalar(z, lam)
-            if got != z_scalar(ctx, lam, r):
+            if pbw.verma_scalar(z, lam) != want:
                 _fail(rep, spec, r=r, lam=lam)
     return [rep]
 

@@ -14,6 +14,7 @@ from supercrystals.linkage import (
     parity_term,
     partition_blocks,
     z_scalar,
+    z_scalars,
 )
 from supercrystals.weights import build_context, iter_window, length, residues
 
@@ -65,17 +66,25 @@ def test_z1_single_odd_index():
 
 def test_z_scalar_matches_the_exponential_sum_at_p_and_wide_weights():
     # the closed form is a polynomial identity, so p and the size of lam
-    # do not matter
+    # do not matter; z_scalars reads every r <= R off one series
     for p in (0, 3):
-        for r in range(1, 6):
-            for lam in (PAPER_LAM, (-7, 0, 6, -5, 2), (9, 9, -9, 0, 1)):
-                ctx = paper_ctx(p)
-                assert z_scalar(ctx, lam, r) == exponential_z(ctx, lam, r)
+        ctx = paper_ctx(p)
+        for lam in (PAPER_LAM, (-7, 0, 6, -5, 2), (9, 9, -9, 0, 1)):
+            want = [exponential_z(ctx, lam, r) for r in range(1, 6)]
+            for r in range(1, 6):
+                assert z_scalar(ctx, lam, r) == want[r - 1]
+            for big_r in range(1, 6):
+                every = z_scalars(ctx, lam, big_r)
+                assert every == want[:big_r], (p, lam, big_r)
+                assert every == [z_scalar(ctx, lam, r) for r in range(1, big_r + 1)]
 
 
 def test_z_scalar_rejects_bad_r():
-    with pytest.raises(ValueError):
-        z_scalar(paper_ctx(), PAPER_LAM, 0)
+    for r in (0, -1):
+        for scalars in (z_scalar, z_scalars):
+            with pytest.raises(ValueError) as exc:
+                scalars(paper_ctx(), PAPER_LAM, r)
+            assert str(exc.value) == "r must be >= 1"
 
 
 def test_both_series_reject_an_order_below_1():

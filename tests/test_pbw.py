@@ -511,9 +511,35 @@ def test_the_place_table_and_odd_set_follow_their_definitions():
             place = pbw._places(order, rank)
             assert sorted(place.values()) == list(range(rank * rank))
             assert sorted(place, key=place.get) == sorted(gens, key=order.key)
+            # fh_order orders the F and H generators alike
+            f_and_h = [(i, j) for i, j in gens if i >= j]
+            assert sorted(f_and_h, key=order.key) == sorted(f_and_h, key=order.fh_order.key)
+        assert pbw.e_last_order(1).fh_order == DEFAULT_ORDER
         for parities in itertools.product((0, 1), repeat=rank):
             odd = pbw._odd_gens(parities)
             assert odd == {g for g in gens if pbw.gen_parity(parities, g)}, parities
+
+
+def test_s_element_in_an_e_last_order_is_the_native_build():
+    # every S_{i,j}(A), i < j, and every E_l at ranks 2-4, every parity
+    # sequence: the relabelled default-order S against the product built in
+    # the E_l-last order, terms and their insertion order
+    cases = 0
+    for parities in _all_parities((2, 3, 4)):
+        ctx = ctx_of(parities)
+        for i, j in itertools.combinations(range(1, ctx.rank + 1), 2):
+            for a_set in _subsets(range(i + 1, j)):
+                for l in range(1, ctx.rank):
+                    order = pbw.e_last_order(l)
+                    native = SuperElt.gen(ctx, j, i, order)
+                    for t in sorted(a_set, reverse=True):
+                        native = pbw._lowering_factor(ctx, i, t, order) * native
+                    native = native.reduce_mod_J()
+                    got = pbw.s_element(ctx, i, j, a_set, order)
+                    assert got.order == order and got == native
+                    assert list(got.terms.items()) == list(native.terms.items())
+                    cases += 1
+    assert cases == 596
 
 
 def test_elements_of_different_parities_are_not_equal():

@@ -323,9 +323,10 @@ PLANTED = [
         0, (1, 0), {"odd reflections preserve the counters and wt"}, None,
         id="wt_key-odd-reflection"),
     pytest.param(
-        "verma-scalars", sweeps, "z_scalar",
-        lambda real: lambda ctx, lam, r: -real(ctx, lam, r) if r == 3 else real(ctx, lam, r),
-        0, (1, 0), {"central elements act on the Verma line by Z_r"}, None, id="z_scalar"),
+        "verma-scalars", sweeps, "z_scalars",  # Z_3 negated
+        lambda real: lambda ctx, lam, max_r: [
+            -z if r == 3 else z for r, z in enumerate(real(ctx, lam, max_r), 1)],
+        0, (1, 0), {"central elements act on the Verma line by Z_r"}, None, id="z_scalars"),
     pytest.param(
         "crystal-axioms", crystal, "star_moves",  # eps* one too large
         lambda real: lambda *a: (lambda e, f, cnt: (e, f, (cnt[0] + 1, cnt[1])))(*real(*a)),
