@@ -1,7 +1,7 @@
 """Exact combinatorics of the dual crystal structure on GL(m|n) weights.
 
 Modules:
-    weights    -- the weight lattice, residues, dominance, parity flip
+    weights    -- the weight lattice, residues, parity flip
     affine     -- the affine lattice P, simple roots, bilinear form, wt
     crystal    -- signatures, star operators, normality, odd reflections
     tensorrule -- independent tensor-product oracle for the star operators

@@ -67,11 +67,6 @@ class AffineWeight:
             p=self.p, delta=k * self.delta, lambdas=tuple(k * c for c in self.lambdas)
         )
 
-    def is_zero(self) -> bool:
-        if self.p == 0:
-            return not self.gamma
-        return self.delta == 0 and all(c == 0 for c in self.lambdas)
-
     def _check(self, other: "AffineWeight") -> None:
         if self.p != other.p:
             raise ValueError("affine weights live in different characteristics")
@@ -87,15 +82,6 @@ class AffineWeight:
         if p == 0:
             return AffineWeight(p=0, gamma=key)
         return AffineWeight(p=p, delta=key[0], lambdas=key[1:])
-
-    @staticmethod
-    def from_json(p: int, data: dict) -> "AffineWeight":
-        if p == 0:
-            return gamma_weight({int(i): c for i, c in data["gamma"].items()})
-        lambdas = tuple(data["lambda"])
-        if len(lambdas) != p:
-            raise ValueError(f"expected {p} lambda coefficients, got {len(lambdas)}")
-        return AffineWeight(p=p, delta=data["delta"], lambdas=lambdas)
 
 
 def gamma_weight(coeffs: Dict[int, int]) -> AffineWeight:
@@ -126,7 +112,8 @@ def gamma_of(p: int, a: int) -> AffineWeight:
 
     p = 0: the basis vector gamma_a.  p > 0: write a = p*d + s with
     s in {1..p}; then gamma_a = Lambda_s - Lambda_{s-1} - d*delta
-    (indices mod p, so Lambda_p = Lambda_0).
+    (indices mod p, so Lambda_p = Lambda_0).  Tests check ``wt_key`` against
+    wt summed letter by letter in gamma_a.
     """
     if p == 0:
         return gamma_weight({a: 1})
@@ -165,7 +152,8 @@ def gram_matrix(p: int) -> Tuple[Tuple[Fraction, ...], ...]:
 
 
 def pair_P(x: AffineWeight, y: AffineWeight) -> Fraction:
-    """The symmetric bilinear form on P, as an exact rational."""
+    """The symmetric bilinear form on P, as an exact rational: the Gram-matrix
+    route that tests check ``alpha_pairing`` against."""
     if x.p != y.p:
         raise ValueError("affine weights live in different characteristics")
     if x.p == 0:

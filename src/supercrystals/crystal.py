@@ -400,12 +400,14 @@ def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClas
 
 
 def c_scalar(ctx: ParityContext, lam: Weight, i: int, j: int) -> int:
-    """c_{i,j}(lam) = (lam + theta, eps_i - eps_j) = r_i(lam) - r_j(lam)."""
+    """c_{i,j}(lam) = (lam + theta, eps_i - eps_j) = r_i(lam) - r_j(lam);
+    the weight-arithmetic reference that tests check the C sets of ``bc_positions`` against."""
     return residue_int(ctx, lam, i) - residue_int(ctx, lam, j)
 
 
 def b_scalar(ctx: ParityContext, lam: Weight, i: int, k: int) -> int:
-    """b_{i,k}(lam) = (lam + theta + eps_{k+1}, eps_i - eps_{k+1})."""
+    """b_{i,k}(lam) = (lam + theta + eps_{k+1}, eps_i - eps_{k+1});
+    the weight-arithmetic reference that tests check the B sets of ``bc_positions`` against."""
     shifted = weight_add(lam, eps(ctx, k + 1))
     return residue_int(ctx, shifted, i) - residue_int(ctx, shifted, k + 1)
 
@@ -426,7 +428,8 @@ def bc_sets(
 
 
 def normal_by_matching(ctx: ParityContext, lam: Weight, i: int) -> bool:
-    """Independent normality route: B_{i,m+n}(lam) injects down into C_{i,m+n}(lam)."""
+    """Independent normality route: B_{i,m+n}(lam) injects down into C_{i,m+n}(lam).
+    Tests check the signature classes of ``classify_index`` against it."""
     if not 1 <= i <= ctx.rank:
         raise IndexError(f"position {i} out of range 1..{ctx.rank}")
     down, up = residue_vectors(ctx, lam)
@@ -434,7 +437,8 @@ def normal_by_matching(ctx: ParityContext, lam: Weight, i: int) -> bool:
 
 
 def good_by_matching(ctx: ParityContext, lam: Weight, i: int) -> bool:
-    """Good via matching: normal, and no normal j < i with c_{j,i}(lam) = 0."""
+    """Good via matching: normal, and no normal j < i with c_{j,i}(lam) = 0.
+    Tests check the signature classes of ``classify_index`` against it."""
     if not 1 <= i <= ctx.rank:
         raise IndexError(f"position {i} out of range 1..{ctx.rank}")
     down, up = residue_vectors(ctx, lam)
@@ -464,7 +468,8 @@ def conormal_via_flip(ctx: ParityContext, lam: Weight, i: int, r: int) -> bool:
     """Whether position i is r-conormal, decided in the flipped context.
 
     Position t is normal for lam exactly when w0(t) is conormal for the
-    flipped weight, so this is an independent route to conormality.
+    flipped weight, so this is an independent route to conormality; tests
+    check the signature classes of ``classify_index`` against it.
     """
     fctx, flam = flip_map(ctx, lam)
     w0_i = ctx.rank + 1 - i

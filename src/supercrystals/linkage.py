@@ -39,26 +39,6 @@ class TruncatedSeries:
                 out[i + j] += a * other.coeffs[j]
         return TruncatedSeries(tuple(out))
 
-    def congruent(self, other: "TruncatedSeries", p: int) -> bool:
-        """Equality of all coefficients mod p (exact equality when p = 0).
-
-        Coefficients must be p-integral when p > 0 (they are, for the series
-        arising here, whose inputs are integers).
-        """
-        if self.order != other.order:
-            raise ValueError("series truncated at different orders")
-        for a, b in zip(self.coeffs, other.coeffs):
-            d = a - b
-            if p == 0:
-                if d:
-                    return False
-            else:
-                if d.denominator % p == 0:
-                    raise ArithmeticError("coefficient not p-integral")
-                if (d.numerator * pow(d.denominator, -1, p)) % p:
-                    return False
-        return True
-
 
 def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
     """Coefficients of prod_i (1 - up_i u) / (1 - down_i u) up to u^n.
@@ -129,7 +109,7 @@ def g_series(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:
 
 
 def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeries:
-    """The 1 - sum_{r>=1} Z_r(lam) u^{r+1} presentation of the same object.
+    """The paper's presentation 1 - sum_{r>=1} Z_r(lam) u^{r+1} of the same object.
 
     This is NOT equal to g_series.  With s_i = (-1)**parity_i and Z_0 = 0,
 

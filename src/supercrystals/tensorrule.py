@@ -35,6 +35,7 @@ def letters_of(ctx: ParityContext, lam: Weight) -> List[int]:
 
 def weight_of_letters(ctx: ParityContext, letters: Sequence[int]) -> Weight:
     """Inverse of letters_of: lam_i = sign_i * b_i - rho_i."""
+    check_weight(ctx, letters)
     return tuple(s * b - rho for s, b, rho in zip(ctx.signs, letters, ctx.rho))
 
 

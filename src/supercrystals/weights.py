@@ -172,24 +172,6 @@ def residue_vectors(ctx: ParityContext, lam: Weight) -> Tuple[List[int], List[in
     return down, up
 
 
-def residues(ctx: ParityContext, lam: Weight) -> Tuple[int, ...]:
-    """All residues r_1(lam)..r_k(lam) as integers."""
-    return tuple(residue_vectors(ctx, lam)[0])
-
-
-def dominance_leq(ctx: ParityContext, lam: Weight, mu: Weight) -> bool:
-    """True iff mu - lam is a nonnegative sum of positive roots eps_i - eps_j."""
-    diff = weight_sub(mu, lam)
-    if sum(diff) != 0:
-        return False
-    partial = 0
-    for d in diff:
-        partial += d
-        if partial < 0:
-            return False
-    return True
-
-
 def length(lam: Weight) -> int:
     """The coefficient sum of lam."""
     return sum(lam)

@@ -172,24 +172,6 @@ def test_pbw_check_recurrence(capsys):
         PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"], capsys
     )
     assert (code, out, err) == (0, "pass", "")
-    code, out, err = run(
-        PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "1"], capsys
-    )
-    assert code == 2 and out == ""
-    assert err == "error: k = 1 is not in A = [2]"
-
-
-def test_pbw_rejects_positions_outside_the_context(capsys):
-    for i in ("0", "9"):
-        code, out, err = run(
-            ["--p", "0", "--parities", "1,0", "pbw", "lower", "--i", i, "--j", i], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: need 1 <= i <= j <= 2, got ({i}, {i})"
-    code, out, err = run(
-        PBW3 + ["check-recurrence", "--i", "2", "--j", "3", "--A", "1", "--k", "1"], capsys
-    )
-    assert (code, out, err) == (2, "", "error: A = [1] not inside (2..3)")
 
 
 def test_pbw_check_commutator(capsys):
@@ -198,31 +180,6 @@ def test_pbw_check_commutator(capsys):
             PBW3 + ["check-commutator", "--i", "1", "--j", "3", "--A", a_set, "--l", l], capsys
         )
         assert (code, out, err) == (0, "pass", ""), (a_set, l)
-    # (i, j, A, l) = (1, 2, {}, 1) falls in none of the lemma's four cases
-    code, out, err = run(PBW3 + ["check-commutator", "--i", "1", "--j", "2", "--l", "1"], capsys)
-    assert code == 2 and out == ""
-    assert err == "error: input is outside the four cases of the lemma"
-    # E_l exists only for 1 <= l < rank
-    for l in ("0", "2", "5"):
-        assert run(
-            ["--p", "0", "--parities", "1,0", "pbw", "check-commutator", "--i", "1",
-             "--j", "2", "--l", l],
-            capsys,
-        ) == (2, "", f"error: l = {l} out of range 1..1")
-
-
-def test_malformed_weight_exits_2(capsys):
-    code, _, err = run(PAPER + ["signature", "--weight", "1,x,3,4,5"], capsys)
-    assert code == 2
-    assert err == "error: malformed weight '1,x,3,4,5'"
-
-
-def test_composite_characteristic_exits_2(capsys):
-    code, _, err = run(
-        ["--p", "4", "--parities", "0,1", "signature", "--weight", "0,0"], capsys
-    )
-    assert code == 2
-    assert err == "error: characteristic must be 0 or prime, got 4"
 
 
 def test_verify_pinned_suite(capsys):
@@ -245,30 +202,6 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "++-++ / ++00+"
-
-
-def test_dot_format_outside_graph_exits_2(capsys):
-    for argv in (
-        ["signature", "--weight", "1,-1,1,7,5"],
-        ["apply", "--op", "fstar", "--r", "0", "--weight", "1,-1,1,7,5"],
-        ["classify", "--weight", "1,-1,1,7,5", "--i", "1"],
-    ):
-        code, out, err = run(PAPER + ["--format", "dot"] + argv, capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: --format dot applies only to graph, not {argv[0]}"
-
-
-def test_verify_pin_outside_the_rank_caps_exits_2(capsys):
-    code, _, err = run(
-        ["--p", "0", "--parities", "1,0,0,1,0", "verify", "pbw-identities",
-         "--pin-parities", "--processes", "1"],
-        capsys,
-    )
-    assert code == 2
-    assert err == (
-        "error: suite pbw-identities plans no shard at max_rank 4"
-        " with parities pinned to (1, 0, 0, 1, 0)"
-    )
 
 
 def _report_rows(reports):
@@ -307,19 +240,6 @@ def test_verify_json_failure_exits_1(monkeypatch, capsys):
     assert json.loads(out) == _report_rows(failing)
 
 
-def test_verify_rejects_ranges_that_leave_no_checks(capsys):
-    for option, err_line in (
-        (["--max-r", "0"], "error: max_r must be >= 1, got 0"),
-        (["--coeff-window", "-1"], "error: coeff_window must be >= 0, got -1"),
-    ):
-        code, out, err = run(
-            ["--p", "0", "--parities", "1,0", "verify", "verma-scalars",
-             "--max-rank", "2", "--processes", "1"] + option,
-            capsys,
-        )
-        assert (code, out, err) == (2, "", err_line), option
-
-
 def test_verify_max_r_bounds_the_x_element_checks(capsys):
     # the x-element brackets run r = 1..min(max_r, 3)
     counts = {}
@@ -333,33 +253,6 @@ def test_verify_max_r_bounds_the_x_element_checks(capsys):
         assert code == 0
         counts[max_r] = [row["checks"] for row in json.loads(out)][-2:]
     assert counts == {"1": [64, 16], "2": [128, 32], "4": [192, 48]}
-
-
-def test_verify_pin_parities_rejects_an_explicit_p_list(capsys):
-    code, out, err = run(
-        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
-         "--pin-parities", "--p-list", "3", "--processes", "1"],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert err == "error: --p-list does not apply with --pin-parities, which sweeps --p only"
-
-
-def test_verify_rejects_an_option_the_suite_does_not_read(capsys):
-    head = ["--p", "0", "--parities", "1,0", "verify"]
-    for args, err_line in (
-        (["crystal-axioms", "--max-rank", "2", "--coeff-window", "1", "--pin-parities",
-          "--processes", "1", "--seed", "7", "--max-r", "9"],
-         "error: --seed does not apply to crystal-axioms"),
-        (["crystal-axioms", "--max-rank", "2", "--max-r", "9"],
-         "error: --max-r does not apply to crystal-axioms"),
-        (["pbw-identities", "--max-rank", "2", "--p-list", "3"],
-         "error: --p-list does not apply to pbw-identities"),
-        (["pbw-identities", "--max-rank", "2", "--coeff-window", "2"],
-         "error: --coeff-window does not apply to pbw-identities"),
-    ):
-        code, out, err = run(head + args, capsys)
-        assert (code, out, err.strip()) == (2, "", err_line), args
 
 
 def test_verify_all_accepts_every_option(capsys):
@@ -382,16 +275,12 @@ def test_verify_all_accepts_every_option(capsys):
 
 
 def test_verify_takes_a_nonzero_p_only_for_a_pinned_sweep_of_characteristics(capsys):
-    # the PBW workers run at p = 0, and an unpinned sweep reads --p-list
-    pinned = ["--parities", "1,0", "verify", "pbw-identities", "--max-rank", "2",
-              "--pin-parities", "--processes", "1"]
-    assert run(["--p", "3"] + pinned, capsys) == (
-        2, "", "error: --p does not apply to pbw-identities, which runs at p = 0"
-    )
-    assert run(["--p", "0"] + pinned, capsys)[0] == 0
+    # the rejected cases are USAGE_ERRORS rows
     assert run(
-        ["--p", "3", "--parities", "1,0", "verify", "linkage", "--max-rank", "2"], capsys
-    ) == (2, "", "error: --p does not apply to linkage without --pin-parities")
+        ["--p", "0", "--parities", "1,0", "verify", "pbw-identities", "--max-rank", "2",
+         "--pin-parities", "--processes", "1"],
+        capsys,
+    )[0] == 0
     # all sweeps at p = 3 where a suite sweeps characteristics: the lowering
     # part of verma-scalars runs at positive p only
     code, out, _ = run(
@@ -403,17 +292,11 @@ def test_verify_takes_a_nonzero_p_only_for_a_pinned_sweep_of_characteristics(cap
     assert "[pass] raised lowered vectors give the predicted scalar" in out
 
 
-def test_verify_with_a_repeated_characteristic_exits_2(capsys):
-    # a characteristic listed twice would run each of its shards twice
+def test_run_suite_rejects_a_repeated_characteristic():
+    # a characteristic listed twice would run each of its shards twice; the
+    # CLI run is a USAGE_ERRORS row
     with pytest.raises(ValueError):
         sweeps.run_suite("linkage", max_rank=2, p_list=(3, 3), processes=1)
-    code, out, err = run(
-        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
-         "--p-list", "3,3", "--processes", "1"],
-        capsys,
-    )
-    assert code == 2 and out == ""
-    assert err == "error: characteristic listed twice in [3, 3]"
 
 
 def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):
@@ -525,47 +408,6 @@ def test_python_m_runs_the_cli():
     assert done.stdout == "1,-1,1,7,6\n"
 
 
-def test_json_format_on_pbw_commands_exits_2(capsys):
-    for argv in (
-        ["lower", "--i", "1", "--j", "2"],
-        ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"],
-        ["check-commutator", "--i", "1", "--j", "3", "--A", "2", "--l", "1"],
-        ["check-central", "--r", "2"],
-        ["verma-scalar", "--weight", "2,3,1", "--r", "1"],
-    ):
-        for args in (
-            ["--format", "json", "pbw"] + argv,
-            ["pbw"] + argv + ["--format", "json"],
-        ):
-            code, out, err = run(["--p", "0", "--parities", "1,0,1"] + args, capsys)
-            assert code == 2 and out == "", args
-            assert err == f"error: --format json does not apply to pbw {argv[0]}"
-
-
-def test_blocks_with_a_weight_of_the_wrong_length_exits_2(tmp_path, capsys):
-    weights = tmp_path / "w.json"
-    weights.write_text("[[0, 1], [0, 1, 2]]")
-    code, out, err = run(
-        ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)], capsys
-    )
-    assert code == 2 and out == ""
-    assert err == "error: weight [0, 1, 2] has length 3, expected 2"
-
-
-def test_text_format_on_graph_and_blocks_exits_2(tmp_path, capsys):
-    # both print JSON only, so an explicit --format text is an error
-    weights = tmp_path / "w.json"
-    weights.write_text("[[0, 0], [1, 0]]")
-    for argv in (
-        ["graph", "--weight", "0,0", "--depth", "1"],
-        ["blocks", "--weights", str(weights)],
-    ):
-        for args in (["--format", "text"] + argv, argv + ["--format", "text"]):
-            code, out, err = run(["--p", "0", "--parities", "1,0"] + args, capsys)
-            assert code == 2 and out == "", args
-            assert err == f"error: --format text does not apply to {argv[0]}, which prints JSON"
-
-
 def test_graph_and_blocks_print_json_without_a_format(tmp_path, capsys):
     ctx = build_context(3, 2, (1, 1, 0, 0, 0), 3)
     lam = (1, -1, 1, 7, 5)
@@ -585,29 +427,6 @@ def test_graph_and_blocks_print_json_without_a_format(tmp_path, capsys):
     assert run(argv + ["--format", "json"], capsys) == (0, want, "")
 
 
-def test_blocks_input_that_is_not_an_array_of_integer_arrays_exits_2(tmp_path, capsys):
-    weights = tmp_path / "w.json"
-    for text in ("5", "[5]", "[null]", "[true,false]", "[[1.5,2]]", "[[true,0]]",
-                 '"12"', '{"1":2}'):
-        weights.write_text(text)
-        code, out, err = run(
-            ["--p", "2", "--parities", "0,1", "blocks", "--weights", str(weights)], capsys
-        )
-        assert (code, out) == (2, ""), text
-        assert err == "error: blocks takes a JSON array of integer arrays", text
-
-
-def test_verify_with_fewer_than_one_process_exits_2(capsys):
-    for n in ("0", "-3"):
-        code, out, err = run(
-            ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
-             "--processes", n],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: processes must be >= 1, got {n}"
-
-
 def test_blocks_reads_stdin_without_weights(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[[0,0],[1,-1]]"))
     assert run(["--p", "2", "--parities", "0,1", "blocks"], capsys) == (
@@ -617,23 +436,138 @@ def test_blocks_reads_stdin_without_weights(monkeypatch, capsys):
     )
 
 
-def test_invalid_positions_r_and_parities_exit_2(capsys):
-    for argv, err in (
-        (["--parities", "1,0", "classify", "--weight", "0,1", "--i", "0"],
-         "error: position 0 out of range 1..2"),
-        (["--parities", "1,0", "pbw", "check-central", "--r", "0"], "error: r must be >= 1"),
-        (["--parities", "1,0", "pbw", "verma-scalar", "--weight", "0,0", "--r", "0"],
-         "error: r must be >= 1"),
-        (["--parities", "1,x", "classify", "--weight", "0,1", "--i", "1"],
-         "error: malformed parity list '1,x'"),
-        # every integer list names what it is
-        (["--parities", "1,0", "verify", "linkage", "--p-list", "0,x"],
-         "error: malformed characteristic list '0,x'"),
-        (["--parities", "1,0", "verify", "linkage", "--p-list", ","],
-         "error: malformed characteristic list ','"),
-        (["--parities", "1,0", "pbw", "lower", "--i", "1", "--j", "2", "--A", "2,x"],
-         "error: malformed index set '2,x'"),
-        (["--parities", "1,0", "signature", "--weight", "0,0", "--r", "abc"],
-         "error: malformed residue 'abc'"),
-    ):
-        assert run(["--p", "0"] + argv, capsys) == (2, "", err), argv
+# stands for the path of the file a row's JSON text is written to
+WEIGHTS_FILE = "<weights.json>"
+BLOCKS = ["--p", "2", "--parities", "0,1", "blocks", "--weights", WEIGHTS_FILE]
+P0 = ["--p", "0", "--parities", "1,0"]
+VERIFY = P0 + ["verify"]
+
+# (argv, the one stderr line, the JSON text behind WEIGHTS_FILE or None)
+USAGE_ERRORS = [
+    # malformed integer lists name what they are
+    pytest.param(PAPER + ["signature", "--weight", "1,x,3,4,5"],
+                 "error: malformed weight '1,x,3,4,5'", None, id="malformed-weight"),
+    pytest.param(["--p", "0", "--parities", "1,x", "classify", "--weight", "0,1", "--i", "1"],
+                 "error: malformed parity list '1,x'", None, id="malformed-parities"),
+    pytest.param(VERIFY + ["linkage", "--p-list", "0,x"],
+                 "error: malformed characteristic list '0,x'", None, id="malformed-p-list"),
+    pytest.param(VERIFY + ["linkage", "--p-list", ","],
+                 "error: malformed characteristic list ','", None, id="empty-p-list"),
+    pytest.param(P0 + ["pbw", "lower", "--i", "1", "--j", "2", "--A", "2,x"],
+                 "error: malformed index set '2,x'", None, id="malformed-index-set"),
+    pytest.param(P0 + ["signature", "--weight", "0,0", "--r", "abc"],
+                 "error: malformed residue 'abc'", None, id="malformed-residue"),
+    pytest.param(["--p", "4", "--parities", "0,1", "signature", "--weight", "0,0"],
+                 "error: characteristic must be 0 or prime, got 4", None, id="composite-p"),
+    # --format misuse: dot is for graph only, graph and blocks print JSON only,
+    # and pbw prints text only
+    *[pytest.param(PAPER + ["--format", "dot"] + argv,
+                   f"error: --format dot applies only to graph, not {argv[0]}", None,
+                   id=f"dot-{argv[0]}")
+      for argv in (["signature", "--weight", "1,-1,1,7,5"],
+                   ["apply", "--op", "fstar", "--r", "0", "--weight", "1,-1,1,7,5"],
+                   ["classify", "--weight", "1,-1,1,7,5", "--i", "1"])],
+    *[pytest.param(P0 + args, f"error: --format text does not apply to {argv[0]}, which"
+                   " prints JSON", "[[0, 0], [1, 0]]" if WEIGHTS_FILE in argv else None,
+                   id=f"text-{argv[0]}-{where}")
+      for argv in (["graph", "--weight", "0,0", "--depth", "1"],
+                   ["blocks", "--weights", WEIGHTS_FILE])
+      for where, args in (("before", ["--format", "text"] + argv),
+                          ("after", argv + ["--format", "text"]))],
+    *[pytest.param(["--p", "0", "--parities", "1,0,1"] + args,
+                   f"error: --format json does not apply to pbw {argv[0]}", None,
+                   id=f"json-{argv[0]}-{where}")
+      for argv in (["lower", "--i", "1", "--j", "2"],
+                   ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"],
+                   ["check-commutator", "--i", "1", "--j", "3", "--A", "2", "--l", "1"],
+                   ["check-central", "--r", "2"],
+                   ["verma-scalar", "--weight", "2,3,1", "--r", "1"])
+      for where, args in (("before", ["--format", "json", "pbw"] + argv),
+                          ("after", ["pbw"] + argv + ["--format", "json"]))],
+    # verify: pins, options a suite does not read, characteristics
+    pytest.param(["--p", "0", "--parities", "1,0,0,1,0", "verify", "pbw-identities",
+                  "--pin-parities", "--processes", "1"],
+                 "error: suite pbw-identities plans no shard at max_rank 4"
+                 " with parities pinned to (1, 0, 0, 1, 0)", None, id="pin-outside-rank-caps"),
+    pytest.param(VERIFY + ["linkage", "--max-rank", "2", "--pin-parities", "--p-list", "3",
+                           "--processes", "1"],
+                 "error: --p-list does not apply with --pin-parities, which sweeps --p only",
+                 None, id="pin-with-p-list"),
+    pytest.param(VERIFY + ["crystal-axioms", "--max-rank", "2", "--coeff-window", "1",
+                           "--pin-parities", "--processes", "1", "--seed", "7", "--max-r", "9"],
+                 "error: --seed does not apply to crystal-axioms", None,
+                 id="seed-on-crystal-axioms"),
+    pytest.param(VERIFY + ["crystal-axioms", "--max-rank", "2", "--max-r", "9"],
+                 "error: --max-r does not apply to crystal-axioms", None,
+                 id="max-r-on-crystal-axioms"),
+    pytest.param(VERIFY + ["pbw-identities", "--max-rank", "2", "--p-list", "3"],
+                 "error: --p-list does not apply to pbw-identities", None,
+                 id="p-list-on-pbw-identities"),
+    pytest.param(VERIFY + ["pbw-identities", "--max-rank", "2", "--coeff-window", "2"],
+                 "error: --coeff-window does not apply to pbw-identities", None,
+                 id="coeff-window-on-pbw-identities"),
+    pytest.param(VERIFY + ["linkage", "--max-rank", "2", "--p-list", "3,3", "--processes", "1"],
+                 "error: characteristic listed twice in [3, 3]", None,
+                 id="repeated-characteristic"),
+    # the PBW workers run at p = 0, and an unpinned sweep reads --p-list
+    pytest.param(["--p", "3", "--parities", "1,0", "verify", "pbw-identities", "--max-rank",
+                  "2", "--pin-parities", "--processes", "1"],
+                 "error: --p does not apply to pbw-identities, which runs at p = 0", None,
+                 id="nonzero-p-on-pbw-identities"),
+    pytest.param(["--p", "3", "--parities", "1,0", "verify", "linkage", "--max-rank", "2"],
+                 "error: --p does not apply to linkage without --pin-parities", None,
+                 id="nonzero-p-unpinned"),
+    # ranges that would leave no checks
+    pytest.param(VERIFY + ["verma-scalars", "--max-rank", "2", "--processes", "1",
+                           "--max-r", "0"],
+                 "error: max_r must be >= 1, got 0", None, id="max-r-0"),
+    pytest.param(VERIFY + ["verma-scalars", "--max-rank", "2", "--processes", "1",
+                           "--coeff-window", "-1"],
+                 "error: coeff_window must be >= 0, got -1", None, id="coeff-window-negative"),
+    *[pytest.param(VERIFY + ["linkage", "--max-rank", "2", "--processes", n],
+                   f"error: processes must be >= 1, got {n}", None, id=f"processes-{name}")
+      for n, name in (("0", "0"), ("-3", "negative"))],
+    # positions, r and index sets outside the context or the lemma
+    pytest.param(P0 + ["classify", "--weight", "0,1", "--i", "0"],
+                 "error: position 0 out of range 1..2", None, id="classify-position-0"),
+    pytest.param(P0 + ["pbw", "check-central", "--r", "0"], "error: r must be >= 1", None,
+                 id="check-central-r-0"),
+    pytest.param(P0 + ["pbw", "verma-scalar", "--weight", "0,0", "--r", "0"],
+                 "error: r must be >= 1", None, id="verma-scalar-r-0"),
+    *[pytest.param(P0 + ["pbw", "lower", "--i", i, "--j", i],
+                   f"error: need 1 <= i <= j <= 2, got ({i}, {i})", None, id=f"pbw-lower-i-{i}")
+      for i in ("0", "9")],
+    pytest.param(PBW3 + ["check-recurrence", "--i", "2", "--j", "3", "--A", "1", "--k", "1"],
+                 "error: A = [1] not inside (2..3)", None, id="recurrence-A-outside-i-j"),
+    pytest.param(PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "1"],
+                 "error: k = 1 is not in A = [2]", None, id="recurrence-k-outside-A"),
+    # (i, j, A, l) = (1, 2, {}, 1) falls in none of the lemma's four cases
+    pytest.param(PBW3 + ["check-commutator", "--i", "1", "--j", "2", "--l", "1"],
+                 "error: input is outside the four cases of the lemma", None,
+                 id="commutator-outside-the-lemma"),
+    # E_l exists only for 1 <= l < rank
+    *[pytest.param(P0 + ["pbw", "check-commutator", "--i", "1", "--j", "2", "--l", l],
+                   f"error: l = {l} out of range 1..1", None, id=f"commutator-l-{l}")
+      for l in ("0", "2", "5")],
+    # blocks input
+    pytest.param(BLOCKS, "error: weight [0, 1, 2] has length 3, expected 2",
+                 "[[0, 1], [0, 1, 2]]", id="blocks-weight-length"),
+    *[pytest.param(BLOCKS, "error: blocks takes a JSON array of integer arrays", text,
+                   id=f"blocks-{name}")
+      for name, text in (("number", "5"), ("array-of-number", "[5]"), ("null", "[null]"),
+                         ("booleans", "[true,false]"), ("float", "[[1.5,2]]"),
+                         ("bool-entry", "[[true,0]]"), ("string", '"12"'),
+                         ("object", '{"1":2}'))],
+]
+assert len({row.id for row in USAGE_ERRORS}) == len(USAGE_ERRORS)  # pytest renumbers repeated ids
+
+
+@pytest.mark.parametrize("argv, line, weights", USAGE_ERRORS)
+def test_a_usage_error_exits_2_with_its_line(argv, line, weights, tmp_path, capsys):
+    if weights is not None:
+        path = tmp_path / "w.json"
+        path.write_text(weights)
+        argv = [str(path) if a == WEIGHTS_FILE else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", line + "\n")

@@ -99,10 +99,9 @@ def test_bc_sets_worked_example():
 
 def test_c_scalar_is_residue_difference():
     ctx = paper_ctx()
-    from supercrystals.weights import residues, residue_vectors
+    from supercrystals.weights import residue_vectors
 
-    down = residues(ctx, PAPER_LAM)
-    up = tuple(residue_vectors(ctx, PAPER_LAM)[1])
+    down, up = residue_vectors(ctx, PAPER_LAM)
     for i in range(1, 6):
         for j in range(i + 1, 6):
             assert crystal.c_scalar(ctx, PAPER_LAM, i, j) == down[i - 1] - down[j - 1]

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from supercrystals import crystal, tensorrule
 from supercrystals.weights import build_context, iter_window, residue_vectors
 
@@ -17,6 +19,11 @@ def test_letters_roundtrip():
     ctx = paper_ctx()
     letters = tensorrule.letters_of(ctx, PAPER_LAM)
     assert tensorrule.weight_of_letters(ctx, letters) == PAPER_LAM
+    # a word of the wrong length is rejected both ways, not cut to fit
+    ctx = build_context(1, 1, (0, 1), 3)
+    for convert in (tensorrule.letters_of, tensorrule.weight_of_letters):
+        with pytest.raises(ValueError, match=r"^weight \[5\] has length 1, expected 2$"):
+            convert(ctx, [5])
 
 
 def test_dual_oracle_matches_signature_rule_on_worked_example():
