@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 property-check failure, 2 usage error.
 ``main`` builds its argument parser once per process, on its first call, and
 reuses it for every later call; ``build_parser`` returns a fresh parser for a
 caller that wants to extend one.  Each subcommand's parser, down to the
-``pbw`` subcommands, names its handler with ``set_defaults(handler=...)``,
-and ``main`` calls it.
+``pbw`` subcommands, names its handler and the formats it prints, default
+first, with ``set_defaults(handler=..., formats=...)``; the ``pbw`` group
+declares one format for its five subcommands.  ``main`` alone checks the
+format (unset is the default, undeclared exits 2) and alone writes the text
+a handler returns with its exit code, to ``--out`` or to stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import crystal, graph, linkage, pbw, sweeps
 from .weights import ContextError, build_context, parse_ints, parse_weight, residue_int
@@ -44,8 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--parities", required=True, help="comma-separated 0/1 parity sequence"
     )
-    # unset (None) reads as text, except for graph and blocks, which print
-    # JSON and reject an explicit --format text
+    # unset (None) reads as the command's first declared format
     top.add_argument("--format", choices=("text", "json", "dot"), default=None)
     top.add_argument("--out", help="write output to this file instead of stdout")
     # accept --format/--out before or after the subcommand
@@ -63,33 +65,34 @@ def build_parser() -> argparse.ArgumentParser:
     sig = sub.add_parser("signature", help="raw and reduced r-signatures", parents=[common])
     sig.add_argument("--weight", required=True)
     sig.add_argument("--r", default="all")
-    sig.set_defaults(handler=cmd_signature)
+    sig.set_defaults(handler=cmd_signature, formats=("text", "json"))
 
     app = sub.add_parser("apply", help="apply a star operator", parents=[common])
     app.add_argument("--op", choices=("estar", "fstar"), required=True)
     app.add_argument("--r", type=int, required=True)
     app.add_argument("--weight", required=True)
-    app.set_defaults(handler=cmd_apply)
+    app.set_defaults(handler=cmd_apply, formats=("text", "json"))
 
     cls = sub.add_parser("classify", help="normal/good/conormal/cogood at a position", parents=[common])
     cls.add_argument("--weight", required=True)
     cls.add_argument("--i", type=int, required=True)
     cls.add_argument("--r", type=int)
-    cls.set_defaults(handler=cmd_classify)
+    cls.set_defaults(handler=cmd_classify, formats=("text", "json"))
 
     gra = sub.add_parser("graph", help="explore the crystal component", parents=[common])
     gra.add_argument("--weight", required=True)
     gra.add_argument("--depth", type=int, default=1)
-    gra.set_defaults(handler=cmd_graph)
+    gra.set_defaults(handler=cmd_graph, formats=("json", "dot"))
 
     blk = sub.add_parser("blocks", help="partition weights by their wt value", parents=[common])
     blk.add_argument(
         "--weights",
         help="path to a JSON array of weights (stdin when omitted)",
     )
-    blk.set_defaults(handler=cmd_blocks)
+    blk.set_defaults(handler=cmd_blocks, formats=("json",))
 
     pb = sub.add_parser("pbw", help="symbolic enveloping-algebra operations", parents=[common])
+    pb.set_defaults(formats=("text",))
     pbsub = pb.add_subparsers(dest="pbw_command", required=True)
 
     low = pbsub.add_parser("lower", help="the lowering operator S_{i,j}(A)", parents=[pair])
@@ -154,19 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
         " a nonzero --p needs it, and pbw-identities, which runs at p = 0,"
         " rejects a nonzero --p",
     )
-    vfy.set_defaults(handler=cmd_verify)
+    vfy.set_defaults(handler=cmd_verify, formats=("text", "json"))
     return top
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def cmd_signature(ctx, args) -> int:
+def cmd_signature(ctx, args) -> Tuple[int, str]:
     lam = parse_weight(args.weight, ctx)
     if args.r == "all":
         rs = crystal.relevant_residues(ctx, lam)
@@ -180,56 +175,40 @@ def cmd_signature(ctx, args) -> int:
         raw = crystal.r_signature(ctx, lam, r)
         rows.append((r, raw, crystal.reduce_signature(raw)))
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                [
-                    {"r": r, "raw": str(raw), "reduced": str(red)}
-                    for r, raw, red in rows
-                ]
-            ),
+        return 0, json.dumps(
+            [{"r": r, "raw": str(raw), "reduced": str(red)} for r, raw, red in rows]
         )
-    elif len(rows) == 1 and args.r != "all":
+    if len(rows) == 1 and args.r != "all":
         _, raw, red = rows[0]
-        _emit(args, f"{raw} / {red}")
-    else:
-        _emit(args, "\n".join(f"r={r}: {raw} / {red}" for r, raw, red in rows))
-    return 0
+        return 0, f"{raw} / {red}"
+    return 0, "\n".join(f"r={r}: {raw} / {red}" for r, raw, red in rows)
 
 
-def cmd_apply(ctx, args) -> int:
+def cmd_apply(ctx, args) -> Tuple[int, str]:
     lam = parse_weight(args.weight, ctx)
     op = crystal.e_star if args.op == "estar" else crystal.f_star
     out = op(ctx, lam, args.r)
     if args.format == "json":
-        _emit(args, json.dumps(list(out) if out is not None else None))
-    else:
-        _emit(args, "undefined" if out is None else ",".join(str(c) for c in out))
-    return 0
+        return 0, json.dumps(list(out) if out is not None else None)
+    return 0, "undefined" if out is None else ",".join(str(c) for c in out)
 
 
-def cmd_classify(ctx, args) -> int:
+def cmd_classify(ctx, args) -> Tuple[int, str]:
     lam = parse_weight(args.weight, ctx)
     r = args.r if args.r is not None else residue_int(ctx, lam, args.i)
     cls = crystal.classify_index(ctx, lam, args.i, r)
     if args.format == "json":
-        _emit(args, json.dumps({"kind": cls.kind, "r": cls.r}))
-    else:
-        _emit(args, f"{cls.kind} (r={cls.r})")
-    return 0
+        return 0, json.dumps({"kind": cls.kind, "r": cls.r})
+    return 0, f"{cls.kind} (r={cls.r})"
 
 
-def cmd_graph(ctx, args) -> int:
+def cmd_graph(ctx, args) -> Tuple[int, str]:
     lam = parse_weight(args.weight, ctx)
     g = graph.crystal_component(ctx, lam, args.depth)
-    if args.format == "dot":
-        _emit(args, g.to_dot())
-    else:
-        _emit(args, json.dumps(g.to_json()))
-    return 0
+    return 0, g.to_dot() if args.format == "dot" else json.dumps(g.to_json())
 
 
-def cmd_blocks(ctx, args) -> int:
+def cmd_blocks(ctx, args) -> Tuple[int, str]:
     if args.weights:
         with open(args.weights) as fh:
             data = json.load(fh)
@@ -242,62 +221,50 @@ def cmd_blocks(ctx, args) -> int:
         raise ValueError("blocks takes a JSON array of integer arrays")
     weights = [tuple(w) for w in data]
     blocks = linkage.partition_blocks(ctx, weights)
-    _emit(
-        args,
-        json.dumps(
-            [
-                {"wt": key.to_json(), "weights": [list(w) for w in ws]}
-                for key, ws in blocks
-            ]
-        ),
+    return 0, json.dumps(
+        [{"wt": key.to_json(), "weights": [list(w) for w in ws]} for key, ws in blocks]
     )
-    return 0
 
 
-def cmd_pbw_lower(ctx, args) -> int:
+def cmd_pbw_lower(ctx, args) -> Tuple[int, str]:
     a_set = _parse_index_set(args.A)
-    _emit(args, pbw.s_element(ctx, args.i, args.j, a_set).dump())
-    return 0
+    return 0, pbw.s_element(ctx, args.i, args.j, a_set).dump()
 
 
-def cmd_pbw_recurrence(ctx, args) -> int:
+def cmd_pbw_recurrence(ctx, args) -> Tuple[int, str]:
     ok = pbw.recurrence_check(ctx, args.i, args.j, _parse_index_set(args.A), args.k)
-    _emit(args, "pass" if ok else "FAIL")
-    return 0 if ok else 1
+    return (0, "pass") if ok else (1, "FAIL")
 
 
-def cmd_pbw_commutator(ctx, args) -> int:
+def cmd_pbw_commutator(ctx, args) -> Tuple[int, str]:
     result = pbw.commutator_lemma_check(
         ctx, args.i, args.j, _parse_index_set(args.A), args.l
     )
     if result is None:
         raise ValueError("input is outside the four cases of the lemma")
-    _emit(args, "pass" if result else "FAIL")
-    return 0 if result else 1
+    return (0, "pass") if result else (1, "FAIL")
 
 
-def cmd_pbw_central(ctx, args) -> int:
+def cmd_pbw_central(ctx, args) -> Tuple[int, str]:
     zt = pbw.z_tilde_element(ctx, args.r)
     bad = []
     for i in range(1, ctx.rank + 1):
         for j in range(1, ctx.rank + 1):
             if not pbw.SuperElt.gen(ctx, i, j).bracket(zt).is_zero():
                 bad.append((i, j))
-    _emit(args, "pass" if not bad else f"FAIL at generators {bad}")
-    return 0 if not bad else 1
+    return (0, "pass") if not bad else (1, f"FAIL at generators {bad}")
 
 
-def cmd_pbw_verma(ctx, args) -> int:
+def cmd_pbw_verma(ctx, args) -> Tuple[int, str]:
     lam = parse_weight(args.weight, ctx)
     z = pbw.z_element(ctx, args.r).reduce_mod_J()
     got = pbw.verma_scalar(z, lam)
     want = linkage.z_scalar(ctx, lam, args.r)
     status = "pass" if got == want else "FAIL"
-    _emit(args, f"{got} (predicted {want}): {status}")
-    return 0 if got == want else 1
+    return 0 if got == want else 1, f"{got} (predicted {want}): {status}"
 
 
-def cmd_verify(ctx, args) -> int:
+def cmd_verify(ctx, args) -> Tuple[int, str]:
     options = {
         name: getattr(args, name)
         for name in ("coeff_window", "p_list", "seed", "max_r")
@@ -331,24 +298,20 @@ def cmd_verify(ctx, args) -> int:
         processes=args.processes,
         **options,
     )
-    failures = sum(rep.failures for rep in reports)
+    code = 0 if sum(rep.failures for rep in reports) == 0 else 1
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                [
-                    {
-                        "name": rep.name,
-                        "checks": rep.checks,
-                        "failures": rep.failures,
-                        "passed": rep.passed,
-                        "counterexample": rep.counterexample,
-                    }
-                    for rep in reports
-                ]
-            ),
+        return code, json.dumps(
+            [
+                {
+                    "name": rep.name,
+                    "checks": rep.checks,
+                    "failures": rep.failures,
+                    "passed": rep.passed,
+                    "counterexample": rep.counterexample,
+                }
+                for rep in reports
+            ]
         )
-        return 0 if failures == 0 else 1
     lines = []
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
@@ -356,8 +319,7 @@ def cmd_verify(ctx, args) -> int:
         if rep.counterexample:
             line += f"\n       first counterexample: {rep.counterexample}"
         lines.append(line)
-    _emit(args, "\n".join(lines))
-    return 0 if failures == 0 else 1
+    return code, "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -366,15 +328,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        if args.format == "dot" and args.command != "graph":
-            raise ValueError(f"--format dot applies only to graph, not {args.command}")
-        if args.format == "json" and args.command == "pbw":
-            raise ValueError(f"--format json does not apply to pbw {args.pbw_command}")
-        if args.format == "text" and args.command in ("graph", "blocks"):
+        if args.format is None:
+            args.format = args.formats[0]
+        elif args.format not in args.formats:
+            command = f"{args.command} {getattr(args, 'pbw_command', '')}".rstrip()
             raise ValueError(
-                f"--format text does not apply to {args.command}, which prints JSON"
+                f"--format {args.format} does not apply to {command},"
+                f" which prints {' or '.join(args.formats)}"
             )
-        return args.handler(_context(args), args)
+        code, text = args.handler(_context(args), args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
     except (ContextError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -122,11 +122,9 @@ def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeri
     """
     if n < 1:
         raise ValueError("truncation order must be >= 1")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for r in range(1, n):
-        coeffs[r + 1] = -z_scalar(ctx, lam, r)
-    return TruncatedSeries(tuple(coeffs))
+    # Z_1..Z_{n-1}; at n = 1 the series stops before the first of them
+    zs = z_scalars(ctx, lam, n - 1) if n > 1 else []
+    return TruncatedSeries((1, 0) + tuple(-z for z in zs))
 
 
 def default_order(ctx: ParityContext) -> int:

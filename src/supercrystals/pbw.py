@@ -128,14 +128,11 @@ def _collapse(odd: FrozenSet[Gen], word: Tuple[Gen, ...]) -> Optional[Monomial]:
 
 
 def normalize_word(
-    parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...], ordered: int = 0
+    parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
 ) -> Dict[Monomial, int]:
-    """Normal-order a word whose first ``ordered`` letters are in order: the scan
-    for the first descent starts at the last of them, and after a rewrite one
-    place before it.  Returns a fresh monomial -> int dict.
-    """
+    """Normal-order a word.  Returns a fresh monomial -> int dict."""
     place = _places(order, len(parities))
-    return _normal_form(parities, place, _odd_gens(parities), word, ordered)
+    return _normal_form(parities, place, _odd_gens(parities), word, 0)
 
 
 def _normal_form(
@@ -145,7 +142,10 @@ def _normal_form(
     word: Tuple[Gen, ...],
     ordered: int,
 ) -> Dict[Monomial, int]:
-    """``normalize_word`` on the place table and odd set it reads."""
+    """``normalize_word`` on the place table and odd set it reads, for a word
+    whose first ``ordered`` letters are in order: the scan for the first
+    descent starts at the last of them, and after a rewrite one place before
+    it."""
     out: Dict[Monomial, int] = {}
     stack: List[Tuple[int, Tuple[Gen, ...], int]] = [(1, word, max(ordered - 1, 0))]
     while stack:

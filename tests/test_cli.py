@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from supercrystals import cli, graph, linkage, sweeps
+from supercrystals import cli, graph, linkage, pbw, sweeps
 from supercrystals.cli import main
 from supercrystals.weights import build_context
 
@@ -202,6 +203,58 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "++-++ / ++00+"
+
+
+def test_a_file_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    # main opens --out only once the handler has its text; a missing
+    # --weights file fails inside the handler
+    target = tmp_path / "missing" / "sig.txt"
+    absent = tmp_path / "absent.json"
+    for argv, path in (
+        (PAPER + ["signature", "--weight", "1,-1,1,7,5", "--out", str(target)], target),
+        (["--p", "2", "--parities", "0,1", "blocks", "--weights", str(absent)], absent),
+    ):
+        code = main(argv)
+        out = capsys.readouterr()
+        line = f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert (code, out.out, out.err) == (2, "", line)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_check_writes_its_report_to_out(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(pbw, "recurrence_check", lambda *args: False)
+    target = tmp_path / "rec.txt"
+    code = main(PBW3 + ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2",
+                        "--out", str(target)])
+    assert (code, capsys.readouterr().out, target.read_text()) == (1, "", "FAIL\n")
+
+
+def _leaf_defaults(parser, path=(), defaults=None):
+    # (command path, the defaults it inherits) of each leaf subcommand
+    defaults = {**(defaults or {}), **parser._defaults}
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), defaults
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_defaults(child, path + (name,), defaults)
+
+
+def test_every_command_declares_its_handler_and_formats():
+    # main reads both; a command that forgot formats would crash it
+    declared = {}
+    for command, defaults in _leaf_defaults(cli.build_parser()):
+        assert callable(defaults.get("handler")), command
+        declared[command] = defaults.get("formats")
+        assert declared[command] and set(declared[command]) <= {"text", "json", "dot"}
+    pbw_commands = ("lower", "check-recurrence", "check-commutator", "check-central",
+                    "verma-scalar")
+    assert declared == {
+        **{name: ("text", "json") for name in ("signature", "apply", "classify", "verify")},
+        "graph": ("json", "dot"),
+        "blocks": ("json",),
+        **{f"pbw {name}": ("text",) for name in pbw_commands},
+    }
 
 
 def _report_rows(reports):
@@ -462,20 +515,21 @@ USAGE_ERRORS = [
     # --format misuse: dot is for graph only, graph and blocks print JSON only,
     # and pbw prints text only
     *[pytest.param(PAPER + ["--format", "dot"] + argv,
-                   f"error: --format dot applies only to graph, not {argv[0]}", None,
-                   id=f"dot-{argv[0]}")
+                   f"error: --format dot does not apply to {argv[0]}, which prints text"
+                   " or json", None, id=f"dot-{argv[0]}")
       for argv in (["signature", "--weight", "1,-1,1,7,5"],
                    ["apply", "--op", "fstar", "--r", "0", "--weight", "1,-1,1,7,5"],
                    ["classify", "--weight", "1,-1,1,7,5", "--i", "1"])],
     *[pytest.param(P0 + args, f"error: --format text does not apply to {argv[0]}, which"
-                   " prints JSON", "[[0, 0], [1, 0]]" if WEIGHTS_FILE in argv else None,
+                   f" prints {formats}", "[[0, 0], [1, 0]]" if WEIGHTS_FILE in argv else None,
                    id=f"text-{argv[0]}-{where}")
-      for argv in (["graph", "--weight", "0,0", "--depth", "1"],
-                   ["blocks", "--weights", WEIGHTS_FILE])
+      for argv, formats in ((["graph", "--weight", "0,0", "--depth", "1"], "json or dot"),
+                            (["blocks", "--weights", WEIGHTS_FILE], "json"))
       for where, args in (("before", ["--format", "text"] + argv),
                           ("after", argv + ["--format", "text"]))],
     *[pytest.param(["--p", "0", "--parities", "1,0,1"] + args,
-                   f"error: --format json does not apply to pbw {argv[0]}", None,
+                   f"error: --format json does not apply to pbw {argv[0]}, which prints"
+                   " text", None,
                    id=f"json-{argv[0]}-{where}")
       for argv in (["lower", "--i", "1", "--j", "2"],
                    ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"],
@@ -558,6 +612,8 @@ USAGE_ERRORS = [
                          ("booleans", "[true,false]"), ("float", "[[1.5,2]]"),
                          ("bool-entry", "[[true,0]]"), ("string", '"12"'),
                          ("object", '{"1":2}'))],
+    pytest.param(BLOCKS, "error: Expecting value: line 1 column 2 (char 1)", "[",
+                 id="blocks-malformed-json"),
 ]
 assert len({row.id for row in USAGE_ERRORS}) == len(USAGE_ERRORS)  # pytest renumbers repeated ids
 

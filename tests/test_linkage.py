@@ -94,6 +94,16 @@ def test_both_series_reject_an_order_below_1():
                 series(paper_ctx(), PAPER_LAM, n)
 
 
+def test_presented_series_reads_z_scalar_from_order_1():
+    # n = 1 has no Z term; each later coefficient is -Z_r of the one-r route
+    ctx = paper_ctx()
+    assert g_series_presented(ctx, PAPER_LAM, 1).coeffs == (1, 0)
+    for n in range(2, 7):
+        coeffs = g_series_presented(ctx, PAPER_LAM, n).coeffs
+        want = tuple(-z_scalar(ctx, PAPER_LAM, r) for r in range(1, n))
+        assert coeffs == (1, 0) + want, n
+
+
 def test_parity_term_is_the_signed_elementary_symmetric_sum():
     # (-1)^{r+1} e_{r+1}(s) by brute force over subsets, 0 once r + 1 > rank;
     # z_scalar and pbw.z_element both read parity_term, so the Verma suite

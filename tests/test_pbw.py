@@ -498,7 +498,9 @@ def test_the_ordered_prefix_hint_never_changes_normalize_word():
                 for k in range(2, len(word) + 1):  # a hint of 0 or 1 scans from 0
                     if order.key(word[k - 2]) > order.key(word[k - 1]):
                         break
-                    got = pbw.normalize_word(parities, order, word, k)
+                    got = pbw._normal_form(
+                        parities, pbw._places(order, rank), pbw._odd_gens(parities), word, k
+                    )
                     assert list(got.items()) == want, (parities, order, word, k)
 
 
