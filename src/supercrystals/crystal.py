@@ -66,12 +66,6 @@ class Signature:
     def __str__(self) -> str:
         return "".join(self.entries)
 
-    def count(self, symbol: str) -> int:
-        return self.entries.count(symbol)
-
-    def is_trivial(self) -> bool:
-        return all(e == ZERO for e in self.entries)
-
 
 @dataclass(frozen=True)
 class IndexClass:
@@ -83,10 +77,6 @@ class IndexClass:
     @property
     def is_normal(self) -> bool:
         return self.kind in NORMAL_KINDS
-
-    @property
-    def is_conormal(self) -> bool:
-        return self.kind in CONORMAL_KINDS
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeri
     so the presented series lacks exactly the elementary symmetric term
     e_{r+1}(s): at u^1 the constant -(m-n), and nothing once r >= m+n.  The
     missing terms depend on the parities alone, so both series separate the
-    same weights; the block partition is keyed on g_series.
+    same weights; ``partition_blocks`` groups by ``wt_of``, not by either series.
     """
     if n < 1:
         raise ValueError("truncation order must be >= 1")

@@ -11,16 +11,15 @@ and normal ordering rewrites any word into the PBW basis of the active
 generator order by adjacent transpositions; odd off-diagonal generators
 square to zero.  The default order puts all F = e_{j,i} (i<j) first, then the
 diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
-generated by the E's is a per-monomial predicate; the E_l-last variant makes
-membership in the left ideal generated by E_l = e_{l,l+1} equally cheap.
-Every product, bracket and row sum adds into one dict in ``_accumulate``,
-which looks up the place table (read off ``GeneratorOrder.key``) and the odd
-set once per product; its normal ordering of each word, the kernel of
-``normalize_word``, compares places and skips the left factor, already in
-order.  Zeros drop at the end of each sum and word.  ``s_element`` and
-``raised_s_element`` are the cached lowering elements; S mod J has no E-part,
-so in an E_l-last order ``s_element`` relabels the default-order element
-(``GeneratorOrder.fh_order``).  ``verma_scalar`` evaluates one in one pass.
+generated by the E's is a per-monomial predicate, and so is membership in the
+left ideal J_l generated by E_l = e_{l,l+1} for a monomial with at most one E
+factor, the only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
+adds into one dict in ``_accumulate``, which looks up the place table (read
+off ``GeneratorOrder.key``) and the odd set once per product; its normal
+ordering of each word, the kernel of ``normalize_word``, compares places and
+skips the left factor, already in order.  Zeros drop at the end of each sum
+and word.  ``s_element`` and ``raised_s_element`` are the cached lowering
+elements; ``verma_scalar`` evaluates one in one pass.
 Normal ordering keeps no cache: the sweeps reuse lowering elements, not
 words, and a word cache held a third to half of their peak memory to save at
 most 5 % of their time.
@@ -47,39 +46,24 @@ class GeneratorOrder:
     """Total order on the e_{i,j}: F block, H block, E block.
 
     kind "default" orders each block lexicographically; kind "alt" reverses
-    the order inside the F and E blocks; kind "e_last" additionally places
-    e_{l,l+1} strictly last in the E block.
+    the order inside the F and E blocks.  ValueError on any other kind.
     """
 
     kind: str = "default"
-    l: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("default", "alt"):
+            raise ValueError(f"unknown generator order kind {self.kind!r}")
 
     def key(self, gen: Gen):
         i, j = gen
-        if i > j:
-            return (0, -i, -j) if self.kind == "alt" else (0, i, j)
         if i == j:
             return (1, i)
-        if self.kind == "alt":
-            return (2, 0, -i, -j)
-        if self.kind == "e_last" and gen == (self.l, self.l + 1):
-            return (2, 1, i, j)
-        return (2, 0, i, j)
-
-    @property
-    def fh_order(self) -> "GeneratorOrder":
-        """The order whose F and H blocks this one orders alike: the default
-        order for an E_l-last order, which moves only e_{l,l+1}, an E; else
-        this order.  An element with no E-part, such as S_{i,j}(A) mod J, has
-        the same normal-ordered terms in both."""
-        return DEFAULT_ORDER if self.kind == "e_last" else self
+        block = 0 if i > j else 2
+        return (block, -i, -j) if self.kind == "alt" else (block, i, j)
 
 
 DEFAULT_ORDER = GeneratorOrder()
-
-
-def e_last_order(l: int) -> GeneratorOrder:
-    return GeneratorOrder(kind="e_last", l=l)
 
 
 def gen_parity(parities: Tuple[int, ...], gen: Gen) -> int:
@@ -305,9 +289,13 @@ class SuperElt:
         )
 
     def reduce_mod_Jl(self, l: int) -> "SuperElt":
-        """Drop monomials containing e_{l,l+1} (left ideal it generates)."""
-        if self.order != e_last_order(l):
-            raise ValueError("reduction mod J_l requires the matching E_l-last order")
+        """Drop monomials containing e_{l,l+1} (left ideal J_l it generates).
+
+        ValueError on a monomial with more than one E factor: E's come last in
+        every order here, so only a lone E factor makes the drop exact.
+        """
+        if any(sum(e for (i, j), e in m if i < j) > 1 for m in self.terms):
+            raise ValueError("reduction mod J_l needs at most one E factor per monomial")
         target = (l, l + 1)
         return SuperElt(
             self.ctx,
@@ -408,18 +396,13 @@ def s_element(
     The factors commute, so the ascending product order is a free choice.
     By convention i = j gives the identity (empty product, no F factor).
     IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).
-    Only S is cached, per (parities, p, i, j, A, order), and only in an order
-    that is its own ``fh_order``.  S mod J has no E-part, so in any other
-    order it is the ``fh_order`` element relabelled, with no product.
+    Only S is cached, per (parities, p, i, j, A, order).
     """
     a_set = frozenset(a_set)
     key = (ctx.parities, ctx.p, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit
-    base = order.fh_order
-    if base is not order:
-        return SuperElt(ctx, s_element(ctx, i, j, a_set, base).terms, order)
     if not 1 <= i <= j <= ctx.rank:
         raise IndexError(f"need 1 <= i <= j <= {ctx.rank}, got ({i}, {j})")
     if not all(i < t < j for t in a_set):
@@ -595,27 +578,24 @@ def commutator_lemma_check(
     case = classify_commutator_case(i, j, a_set, l)
     if case is None:
         return None
-    order = e_last_order(l)
-    lhs = (
-        SuperElt.gen(ctx, l, l + 1, order) * s_element(ctx, i, j, a_set, order)
-    ).reduce_mod_Jl(l)
+    lhs = (SuperElt.gen(ctx, l, l + 1) * s_element(ctx, i, j, a_set)).reduce_mod_Jl(l)
     if case in ("i(a)", "i(b)"):
         return lhs.is_zero()
     if case == "ii":
         # at l = i the sign lacks the (-1)^{p_i} factor
         b = _lemma_sign(ctx, i, l + 1, j) * (ctx.sign(i) if l == i else 1)
-        left = s_element(ctx, i, l, {t for t in a_set if i < t < l}, order)
-        right = s_element(ctx, l + 1, j, {t for t in a_set if l + 1 < t < j}, order)
+        left = s_element(ctx, i, l, {t for t in a_set if i < t < l})
+        right = s_element(ctx, l + 1, j, {t for t in a_set if l + 1 < t < j})
         rhs = (left * right).scale(-b)
         return lhs == rhs.reduce_mod_Jl(l)
     if case == "iii":
-        return lhs == s_element(ctx, i, j - 1, a_set, order).reduce_mod_Jl(l)
+        return lhs == s_element(ctx, i, j - 1, a_set).reduce_mod_Jl(l)
     # case iv: l = j-1 in A
     h = max(x for x in range(i, l) if x not in a_set)
     inner = {t for t in a_set if i < t < j - 1}
-    rhs = s_element(ctx, i, j - 1, inner, order) * b_element(ctx, h, j - 1, order)
+    rhs = s_element(ctx, i, j - 1, inner) * b_element(ctx, h, j - 1)
     if h != i:
-        rhs = rhs + s_element(ctx, i, j - 1, (a_set - {j - 1}) | {h}, order)
+        rhs = rhs + s_element(ctx, i, j - 1, (a_set - {j - 1}) | {h})
     return lhs == rhs.reduce_mod_Jl(l)
 
 

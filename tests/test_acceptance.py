@@ -7,13 +7,12 @@ captured output on failure).
 import time
 
 import pytest
+from helpers import PAPER_LAM, PAPER_PARITIES
 
 from supercrystals import crystal, sweeps
 from supercrystals.linkage import default_order, g_series, g_series_presented
 from supercrystals.weights import build_context, iter_window
 
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
 
 pytestmark = pytest.mark.acceptance
 

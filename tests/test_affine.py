@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+from helpers import PAPER_LAM, paper_ctx
+
 from supercrystals.affine import (
     ab_counts,
     alpha_of,
@@ -16,13 +18,6 @@ from supercrystals.affine import (
     wt_of,
 )
 from supercrystals.weights import build_context, iter_window, residue_vectors
-
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
-
-
-def paper_ctx(p=3):
-    return build_context(3, 2, PAPER_PARITIES, p)
 
 
 def test_affine_arithmetic_p0():

@@ -6,17 +6,11 @@ import random
 from collections import deque
 
 import pytest
+from helpers import PAPER_LAM, paper_ctx
 
 from supercrystals.crystal import e_star, f_star, relevant_residues
 from supercrystals.graph import CrystalGraph, crystal_component
 from supercrystals.weights import build_context
-
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
-
-
-def paper_ctx(p=3):
-    return build_context(3, 2, PAPER_PARITIES, p)
 
 
 def test_depth_zero_single_node():

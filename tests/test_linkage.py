@@ -4,6 +4,7 @@ import itertools
 from math import prod
 
 import pytest
+from helpers import PAPER_LAM, paper_ctx
 
 from supercrystals.affine import ab_counts, wt_of
 from supercrystals.linkage import (
@@ -17,13 +18,6 @@ from supercrystals.linkage import (
     z_scalars,
 )
 from supercrystals.weights import build_context, iter_window, length, residue_vectors
-
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
-
-
-def paper_ctx(p=3):
-    return build_context(3, 2, PAPER_PARITIES, p)
 
 
 def exponential_z(ctx, lam, r):

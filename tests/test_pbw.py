@@ -330,9 +330,9 @@ def test_normalize_word_returns_a_fresh_dict_and_keeps_no_cache():
 
 
 def test_normalize_word_output_is_pinned_on_short_words():
-    # every word of length <= 3, ranks 2-3, every parity sequence, three orders
+    # every word of length <= 3, ranks 2-3, every parity sequence, two orders
     digest = hashlib.sha256()
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in _all_parities((2, 3)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
@@ -340,7 +340,7 @@ def test_normalize_word_output_is_pinned_on_short_words():
             for word in itertools.product(gens, repeat=length):
                 out = sorted(pbw.normalize_word(parities, order, word).items())
                 digest.update(repr((parities, order.kind, word, out)).encode())
-    assert digest.hexdigest()[:16] == "17267df16c04e37a"
+    assert digest.hexdigest()[:16] == "4fe6b15a1fe4f91e"
 
 
 def test_verma_scalar_names_the_first_three_off_line_components():
@@ -453,11 +453,11 @@ def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
 
 def test_products_are_pinned_with_their_term_order():
     # x * y, [x, y] and x reordered, over the generators, the Murphy elements
-    # and every S_{i,j}(A) at ranks 2-3, every parity sequence, three orders;
+    # and every S_{i,j}(A) at ranks 2-3, every parity sequence, two orders;
     # the digest covers the terms in their insertion order, which
     # verma_scalar's error text reads; the x columns pin the row sums
     digest = hashlib.sha256()
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in _all_parities((2, 3)):
         ctx = ctx_of(parities)
         positions = range(1, ctx.rank + 1)
@@ -480,13 +480,13 @@ def test_products_are_pinned_with_their_term_order():
                 for b, y in enumerate(elts):
                     out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
                     digest.update(repr((parities, order.kind, a, b, out)).encode())
-    assert digest.hexdigest()[:16] == "90b5010440780b5e"
+    assert digest.hexdigest()[:16] == "78f9c067cda59348"
 
 
 def test_the_ordered_prefix_hint_never_changes_normalize_word():
-    # every word of length <= 4 at ranks 2-3, three orders, each hint whose
+    # every word of length <= 4 at ranks 2-3, two orders, each hint whose
     # prefix is in order: the same terms in the same insertion order
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"), pbw.e_last_order(1))
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in ((1, 0), (0, 0), (1, 0, 1), (0, 1, 0)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
@@ -507,41 +507,46 @@ def test_the_ordered_prefix_hint_never_changes_normalize_word():
 def test_the_place_table_and_odd_set_follow_their_definitions():
     for rank in (2, 3, 4, 5):
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-        orders = [DEFAULT_ORDER, GeneratorOrder("alt")]
-        orders += [pbw.e_last_order(l) for l in range(1, rank)]
-        for order in orders:
+        for order in (DEFAULT_ORDER, GeneratorOrder("alt")):
             place = pbw._places(order, rank)
             assert sorted(place.values()) == list(range(rank * rank))
             assert sorted(place, key=place.get) == sorted(gens, key=order.key)
-            # fh_order orders the F and H generators alike
-            f_and_h = [(i, j) for i, j in gens if i >= j]
-            assert sorted(f_and_h, key=order.key) == sorted(f_and_h, key=order.fh_order.key)
-        assert pbw.e_last_order(1).fh_order == DEFAULT_ORDER
         for parities in itertools.product((0, 1), repeat=rank):
             odd = pbw._odd_gens(parities)
             assert odd == {g for g in gens if pbw.gen_parity(parities, g)}, parities
 
 
-def test_s_element_in_an_e_last_order_is_the_native_build():
+def test_e_l_times_s_element_has_one_e_factor_and_it_is_e_l():
     # every S_{i,j}(A), i < j, and every E_l at ranks 2-4, every parity
-    # sequence: the relabelled default-order S against the product built in
-    # the E_l-last order, terms and their insertion order
+    # sequence: each monomial of E_l S_{i,j}(A) holds at most one E factor,
+    # and it is E_l, so reduction mod J_l in the default order is exact
     cases = 0
     for parities in _all_parities((2, 3, 4)):
         ctx = ctx_of(parities)
         for i, j in itertools.combinations(range(1, ctx.rank + 1), 2):
             for a_set in _subsets(range(i + 1, j)):
                 for l in range(1, ctx.rank):
-                    order = pbw.e_last_order(l)
-                    native = SuperElt.gen(ctx, j, i, order)
-                    for t in sorted(a_set, reverse=True):
-                        native = pbw._lowering_factor(ctx, i, t, order) * native
-                    native = native.reduce_mod_J()
-                    got = pbw.s_element(ctx, i, j, a_set, order)
-                    assert got.order == order and got == native
-                    assert list(got.terms.items()) == list(native.terms.items())
+                    prod = SuperElt.gen(ctx, l, l + 1) * pbw.s_element(ctx, i, j, a_set)
+                    for mono in prod.terms:
+                        e_part = [(g, e) for g, e in mono if g[0] < g[1]]
+                        assert e_part in ([], [((l, l + 1), 1)]), (parities, i, j, a_set, l)
                     cases += 1
     assert cases == 596
+
+
+def test_reduce_mod_Jl_rejects_a_monomial_with_two_e_factors():
+    ctx = ctx_of((0, 1, 0))
+    two_e = SuperElt.gen(ctx, 1, 2) * SuperElt.gen(ctx, 2, 3)
+    assert list(two_e.terms) == [(((1, 2), 1), ((2, 3), 1))]
+    with pytest.raises(ValueError, match="at most one E factor"):
+        two_e.reduce_mod_Jl(1)
+
+
+def test_generator_order_rejects_an_unknown_kind():
+    for kind in ("e_last", "Default", ""):
+        with pytest.raises(ValueError) as exc:
+            GeneratorOrder(kind)
+        assert str(exc.value) == f"unknown generator order kind {kind!r}"
 
 
 def test_elements_of_different_parities_are_not_equal():

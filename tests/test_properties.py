@@ -40,7 +40,9 @@ def test_reduce_signature_idempotent(sig):
 @given(signatures)
 def test_reduce_signature_preserves_count_difference(sig):
     red = reduce_signature(sig)
-    assert sig.count("+") - sig.count("-") == red.count("+") - red.count("-")
+    assert sig.entries.count("+") - sig.entries.count("-") == (
+        red.entries.count("+") - red.entries.count("-")
+    )
     # in the reduced word all pluses precede all minuses
     word = [e for e in red.entries if e != "0"]
     assert word == sorted(word, key=lambda e: e == "-")

@@ -3,16 +3,10 @@
 import itertools
 
 import pytest
+from helpers import PAPER_LAM, paper_ctx, residue_classes
 
 from supercrystals import crystal, tensorrule
 from supercrystals.weights import build_context, iter_window, residue_vectors
-
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
-
-
-def paper_ctx(p=3):
-    return build_context(3, 2, PAPER_PARITIES, p)
 
 
 def test_letters_roundtrip():
@@ -64,13 +58,6 @@ def test_undefined_moves_agree():
     assert tensorrule.dual_oracle(ctx, PAPER_LAM, 0, "e") is None
 
 
-def _residue_classes(p, keys):
-    """Every class mod p > 0; at p = 0 the keys, their neighbours and a far value."""
-    if p:
-        return range(p)
-    return sorted({k + d for k in keys for d in (-1, 0, 1)} | {max(keys) + 5})
-
-
 def test_dual_table_matches_dual_moves_at_every_residue():
     # one pass gives every class; a class that is not a key has no move
     for rank in range(1, 6):
@@ -85,7 +72,7 @@ def test_dual_table_matches_dual_moves_at_every_residue():
                     # the letters see the classes the signatures see
                     keys = crystal.signature_residues(p, *residue_vectors(ctx, lam))
                     assert sorted(table) == list(keys), (parities, p, lam)
-                    for r in _residue_classes(p, keys):
+                    for r in residue_classes(p, keys):
                         got = table.get(r, (None, None, (0, 0)))
                         want = tensorrule.dual_moves(p, ctx.signs, lam, letters, r)
                         assert got == want, (parities, p, lam, r)

@@ -1,6 +1,7 @@
 """Tests for the weight lattice: contexts, residues, flips, parsing."""
 
 import pytest
+from helpers import PAPER_LAM, paper_ctx
 
 from supercrystals.weights import (
     ContextError,
@@ -16,13 +17,6 @@ from supercrystals.weights import (
     weight_add,
     weight_sub,
 )
-
-PAPER_PARITIES = (1, 1, 0, 0, 0)
-PAPER_LAM = (1, -1, 1, 7, 5)
-
-
-def paper_ctx(p=3):
-    return build_context(3, 2, PAPER_PARITIES, p)
 
 
 def test_build_context_basic():
