@@ -24,6 +24,8 @@ from .weights import ContextError, build_context, parse_ints, parse_weight, resi
 
 
 def _context(args):
+    if args.parities is None:
+        raise ValueError("--parities is required")
     parities = parse_ints(args.parities, "parity list")
     m = parities.count(0)
     return build_context(m, len(parities) - m, parities, args.p)
@@ -44,9 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "operators for GL(m|n) weights in arbitrary characteristic.",
     )
     top.add_argument("--p", type=int, default=0, help="characteristic (0 or prime)")
-    top.add_argument(
-        "--parities", required=True, help="comma-separated 0/1 parity sequence"
-    )
+    top.add_argument("--parities", help="comma-separated 0/1 parity sequence")
     # unset (None) reads as the command's first declared format
     top.add_argument("--format", choices=("text", "json", "dot"), default=None)
     top.add_argument("--out", help="write output to this file instead of stdout")
@@ -121,41 +121,29 @@ def build_parser() -> argparse.ArgumentParser:
     vfy = sub.add_parser("verify", help="run a verification suite", parents=[common])
     vfy.add_argument("suite", choices=sweeps.SUITES + ("all",))
     vfy.add_argument("--max-rank", type=int, default=4)
-    # the four options below exit 2 when given to a suite that does not
-    # read them (sweeps.SUITE_OPTIONS); left out, run_suite's default holds
+    # an option the run does not read exits 2 (cmd_verify); left out,
+    # run_suite's default holds
     vfy.add_argument(
         "--max-r",
         type=int,
         help="largest r of the Z_r checks (default 4); the x-element brackets"
-        " of pbw-identities stop at min(max_r, 3); only pbw-identities and"
-        " verma-scalars read it",
+        " of pbw-identities stop at min(max_r, 3)",
     )
     vfy.add_argument(
-        "--coeff-window",
-        type=int,
-        help="largest |coefficient| of the swept weights (default 4);"
-        " pbw-identities does not read it",
+        "--coeff-window", type=int, help="largest |coefficient| of the swept weights (default 4)"
     )
     vfy.add_argument(
         "--p-list",
-        help="comma-separated characteristics (default 0,2,3,5); not allowed"
-        " with --pin-parities, which sweeps --p only; the lowering part of"
-        " verma-scalars runs at the positive ones only; pbw-identities, which"
-        " runs at p = 0, does not read it",
+        help="comma-separated characteristics of an unpinned sweep (default 0,2,3,5)",
     )
     vfy.add_argument(
-        "--seed",
-        type=int,
-        help="seed of the random words of pbw-identities (default 0), the"
-        " only suite that reads it",
+        "--seed", type=int, help="seed of the random words of pbw-identities (default 0)"
     )
     vfy.add_argument("--processes", type=int, default=None)
     vfy.add_argument(
         "--pin-parities",
         action="store_true",
-        help="restrict the sweep to the context given by --parities and --p;"
-        " a nonzero --p needs it, and pbw-identities, which runs at p = 0,"
-        " rejects a nonzero --p",
+        help="sweep only the context of --parities and --p",
     )
     vfy.set_defaults(handler=cmd_verify, formats=("text", "json"))
     return top
@@ -264,33 +252,38 @@ def cmd_pbw_verma(ctx, args) -> Tuple[int, str]:
     return 0 if got == want else 1, f"{got} (predicted {want}): {status}"
 
 
+# the options a verify run checks, in this order; all but p and parities
+# pass on to run_suite
+_VERIFY_OPTIONS = ("coeff_window", "p_list", "seed", "max_r", "p", "parities")
+
+
+def _verify_reads(suite: str, pinned: bool) -> frozenset:
+    """The options of sweeps.SUITE_OPTIONS[suite] (their union for all); a
+    pinned run reads the one context of --parities and --p in place of
+    --p-list, and --p only when the suite sweeps characteristics."""
+    suites = sweeps.SUITES if suite == "all" else (suite,)
+    reads = frozenset().union(*(sweeps.SUITE_OPTIONS[name] for name in suites))
+    if pinned:
+        reads = reads - {"p_list"} | {"parities"} | ({"p"} if "p_list" in reads else set())
+    return reads
+
+
 def cmd_verify(ctx, args) -> Tuple[int, str]:
-    options = {
-        name: getattr(args, name)
-        for name in ("coeff_window", "p_list", "seed", "max_r")
-        if getattr(args, name) is not None
-    }
-    if args.suite != "all":
-        for name in options:
-            if name not in sweeps.SUITE_OPTIONS[args.suite]:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} does not apply to {args.suite}")
-    # --p is the one characteristic of a pinned sweep; 0 is its default
-    if ctx.p and not args.pin_parities:
-        raise ValueError(f"--p does not apply to {args.suite} without --pin-parities")
-    if ctx.p and args.suite != "all" and "p_list" not in sweeps.SUITE_OPTIONS[args.suite]:
-        raise ValueError(f"--p does not apply to {args.suite}, which runs at p = 0")
+    # an option is given when set; --p, whose default is 0, when nonzero
+    given = [n for n in _VERIFY_OPTIONS if getattr(args, n) is not None and (n != "p" or args.p)]
+    reads = _verify_reads(args.suite, args.pin_parities)
+    for name in [name for name in given if name not in reads]:
+        mode = ""
+        if name in _verify_reads(args.suite, not args.pin_parities):
+            mode = " with --pin-parities" if args.pin_parities else " without --pin-parities"
+        raise ValueError(f"--{name.replace('_', '-')} does not apply to {args.suite}{mode}")
+    options = {name: getattr(args, name) for name in given if name not in ("p", "parities")}
+    pin = None
     if args.pin_parities:
-        if "p_list" in options:
-            raise ValueError(
-                "--p-list does not apply with --pin-parities, which sweeps --p only"
-            )
-        pin = ctx.parities
-        options["p_list"] = [ctx.p]
-    else:
-        pin = None
-        if "p_list" in options:
-            options["p_list"] = parse_ints(options["p_list"], "characteristic list")
+        ctx = _context(args)
+        pin, options["p_list"] = ctx.parities, [ctx.p]
+    elif args.p_list is not None:
+        options["p_list"] = parse_ints(args.p_list, "characteristic list")
     reports = sweeps.run_suite(
         args.suite,
         max_rank=args.max_rank,
@@ -336,7 +329,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--format {args.format} does not apply to {command},"
                 f" which prints {' or '.join(args.formats)}"
             )
-        code, text = args.handler(_context(args), args)
+        # verify reads a context only when pinned, and builds it itself
+        ctx = None if args.command == "verify" else _context(args)
+        code, text = args.handler(ctx, args)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

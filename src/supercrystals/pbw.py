@@ -18,8 +18,9 @@ adds into one dict in ``_accumulate``, which looks up the place table (read
 off ``GeneratorOrder.key``) and the odd set once per product; its normal
 ordering of each word, the kernel of ``normalize_word``, compares places and
 skips the left factor, already in order.  Zeros drop at the end of each sum
-and word.  ``s_element`` and ``raised_s_element`` are the cached lowering
-elements; ``verma_scalar`` evaluates one in one pass.
+and word.  Elements hold parities, not a context, as no relation reads p:
+``s_element`` and ``raised_s_element``, the cached lowering elements, keep
+one per parity sequence; ``verma_scalar`` evaluates one in one pass.
 Normal ordering keeps no cache: the sweeps reuse lowering elements, not
 words, and a word cache held a third to half of their peak memory to save at
 most 5 % of their time.
@@ -34,7 +35,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .crystal import bc_positions, greedy_match
 from .linkage import parity_term
-from .weights import ParityContext, Weight, check_weight, residue_vectors
+from .weights import ParityContext, Weight, residue_vectors
 
 Gen = Tuple[int, int]
 Monomial = Tuple[Tuple[Gen, int], ...]
@@ -182,30 +183,30 @@ def _accumulate(
 
 
 class SuperElt:
-    """Linear combination of normal-ordered monomials; treat as immutable."""
+    """Linear combination of normal-ordered monomials over Z; treat as immutable."""
 
-    __slots__ = ("ctx", "order", "terms")
+    __slots__ = ("parities", "order", "terms")
 
     def __init__(
         self,
-        ctx: ParityContext,
+        parities: Tuple[int, ...],
         terms: Dict[Monomial, Coeff],
         order: GeneratorOrder = DEFAULT_ORDER,
     ):
-        self.ctx = ctx
+        self.parities = parities
         self.order = order
         self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(ctx: ParityContext, order: GeneratorOrder = DEFAULT_ORDER) -> "SuperElt":
-        return SuperElt(ctx, {}, order)
+        return SuperElt(ctx.parities, {}, order)
 
     @staticmethod
     def const(
         ctx: ParityContext, c, order: GeneratorOrder = DEFAULT_ORDER
     ) -> "SuperElt":
-        return SuperElt(ctx, {(): 1}, order).scale(c)
+        return SuperElt(ctx.parities, {(): 1}, order).scale(c)
 
     @staticmethod
     def gen(
@@ -213,11 +214,11 @@ class SuperElt:
     ) -> "SuperElt":
         if not (1 <= i <= ctx.rank and 1 <= j <= ctx.rank):
             raise IndexError(f"generator ({i},{j}) out of range for rank {ctx.rank}")
-        return SuperElt(ctx, {(((i, j), 1),): 1}, order)
+        return SuperElt(ctx.parities, {(((i, j), 1),): 1}, order)
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "SuperElt") -> None:
-        if (self.order, self.ctx.parities) != (other.order, other.ctx.parities):
+        if (self.order, self.parities) != (other.order, other.parities):
             raise ValueError("operands use different contexts or generator orders")
 
     def __add__(self, other: "SuperElt") -> "SuperElt":
@@ -225,7 +226,7 @@ class SuperElt:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return SuperElt(self.ctx, terms, self.order)
+        return SuperElt(self.parities, terms, self.order)
 
     def __sub__(self, other: "SuperElt") -> "SuperElt":
         return self + other.scale(-1)
@@ -235,18 +236,18 @@ class SuperElt:
 
     def scale(self, c) -> "SuperElt":
         c = c if isinstance(c, int) else Fraction(c)
-        return SuperElt(self.ctx, {m: c * v for m, v in self.terms.items()}, self.order)
+        return SuperElt(self.parities, {m: c * v for m, v in self.terms.items()}, self.order)
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
-        out = _accumulate({}, self.ctx.parities, self.order, self.terms, other.terms)
-        return SuperElt(self.ctx, out, self.order)
+        out = _accumulate({}, self.parities, self.order, self.terms, other.terms)
+        return SuperElt(self.parities, out, self.order)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperElt)
             and self.order == other.order
-            and self.ctx.parities == other.ctx.parities
+            and self.parities == other.parities
             and self.terms == other.terms
         )
 
@@ -256,7 +257,7 @@ class SuperElt:
     # -- parity and brackets ------------------------------------------
     def parity(self) -> Optional[int]:
         """Parity if homogeneous (constants count as even), else None."""
-        odd = _odd_gens(self.ctx.parities)
+        odd = _odd_gens(self.parities)
         seen = {sum(e for g, e in m if g in odd) % 2 for m in self.terms}
         if not seen:
             return 0
@@ -268,22 +269,22 @@ class SuperElt:
             raise ValueError("super bracket requires homogeneous arguments")
         sign = -1 if pa and pb else 1
         self._check(other)
-        out = _accumulate({}, self.ctx.parities, self.order, self.terms, other.terms)
-        _accumulate(out, self.ctx.parities, self.order, other.terms, self.terms, -sign)
-        return SuperElt(self.ctx, out, self.order)
+        out = _accumulate({}, self.parities, self.order, self.terms, other.terms)
+        _accumulate(out, self.parities, self.order, other.terms, self.terms, -sign)
+        return SuperElt(self.parities, out, self.order)
 
     # -- order change and ideal reduction ------------------------------
     def reorder(self, order: GeneratorOrder) -> "SuperElt":
         if order == self.order:
             return self
         # the terms are not in the new order, so they go on the right
-        out = _accumulate({}, self.ctx.parities, order, {(): 1}, self.terms)
-        return SuperElt(self.ctx, out, order)
+        out = _accumulate({}, self.parities, order, {(): 1}, self.terms)
+        return SuperElt(self.parities, out, order)
 
     def reduce_mod_J(self) -> "SuperElt":
         """Drop monomials with a nonempty E-part (left ideal of all E's)."""
         return SuperElt(
-            self.ctx,
+            self.parities,
             {m: c for m, c in self.terms.items() if not any(i < j for (i, j), _ in m)},
             self.order,
         )
@@ -298,7 +299,7 @@ class SuperElt:
             raise ValueError("reduction mod J_l needs at most one E factor per monomial")
         target = (l, l + 1)
         return SuperElt(
-            self.ctx,
+            self.parities,
             {m: c for m, c in self.terms.items() if all(g != target for g, _ in m)},
             self.order,
         )
@@ -336,7 +337,7 @@ def _row_sum(
     out: Dict[Monomial, Coeff] = {}
     for s, elt in enumerate(column, 1):
         _accumulate(out, ctx.parities, order, {(((k, s), 1),): 1}, elt.terms, ctx.sign(s))
-    return SuperElt(ctx, out, order)
+    return SuperElt(ctx.parities, out, order)
 
 
 def murphy_element(
@@ -396,10 +397,10 @@ def s_element(
     The factors commute, so the ascending product order is a free choice.
     By convention i = j gives the identity (empty product, no F factor).
     IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).
-    Only S is cached, per (parities, p, i, j, A, order).
+    Only S is cached, per (parities, i, j, A, order): it is defined over Z.
     """
     a_set = frozenset(a_set)
-    key = (ctx.parities, ctx.p, i, j, a_set, order)
+    key = (ctx.parities, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit
@@ -415,13 +416,13 @@ def s_element(
 
 
 def raised_s_element(ctx: ParityContext, i: int, j: int, a_set: Iterable[int]) -> SuperElt:
-    """E_i ... E_{j-1} S_{i,j}(A) mod J, cached per (parities, p, i, j, A).
+    """E_i ... E_{j-1} S_{i,j}(A) mod J, cached per (parities, i, j, A).
 
     J is a left ideal, so each partial product is reduced mod J.  The
     element has weight 0: mod J it is a polynomial in the H's.
     """
     a_set = frozenset(a_set)
-    key = (ctx.parities, ctx.p, i, j, a_set)
+    key = (ctx.parities, i, j, a_set)
     elt = _RAISED_CACHE.get(key)
     if elt is None:
         elt = s_element(ctx, i, j, a_set)
@@ -482,7 +483,8 @@ def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
     vanish, or ArithmeticError names the first three that do not.  An int for
     integral lam unless u carries a Fraction; ValueError unless len(lam) = rank.
     """
-    check_weight(u.ctx, lam)
+    if len(lam) != len(u.parities):
+        raise ValueError(f"weight {list(lam)} has length {len(lam)}, expected {len(u.parities)}")
     scalar: Coeff = 0
     out: Dict[Monomial, Coeff] = {}
     for mono, c in u.terms.items():

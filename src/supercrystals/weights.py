@@ -199,11 +199,10 @@ def parse_ints(text: str, what: str) -> Tuple[int, ...]:
         raise ValueError(f"malformed {what} {text!r}") from None
 
 
-def parse_weight(text: str, ctx: ParityContext = None) -> Weight:
-    """Parse a comma-separated integer list; optionally check the length."""
+def parse_weight(text: str, ctx: ParityContext) -> Weight:
+    """Parse a comma-separated weight of one coefficient per position of ctx."""
     w = parse_ints(text, "weight")
-    if ctx is not None and len(w) != ctx.rank:
-        raise ValueError(f"weight {text!r} has length {len(w)}, expected {ctx.rank}")
+    check_weight(ctx, w)
     return w
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from supercrystals.cli import main
 from supercrystals.weights import build_context
 
 PAPER = ["--p", "3", "--parities", "1,1,0,0,0"]
+P0 = ["--p", "0", "--parities", "1,0"]
 
 
 def run(argv, capsys):
@@ -272,8 +275,8 @@ def _report_rows(reports):
 
 def test_verify_json_reports(capsys):
     code, out, _ = run(
-        ["--p", "0", "--parities", "1,0", "verify", "linkage", "--max-rank", "2",
-         "--p-list", "0,3", "--processes", "1", "--format", "json"],
+        ["verify", "linkage", "--max-rank", "2", "--p-list", "0,3", "--processes", "1",
+         "--format", "json"],
         capsys,
     )
     assert code == 0
@@ -286,7 +289,7 @@ def test_verify_json_failure_exits_1(monkeypatch, capsys):
     failing = [sweeps.PropertyReport("a property", 5, 2, "ctx=... lam=(0, 1)")]
     monkeypatch.setattr(sweeps, "run_suite", lambda *args, **kwargs: failing)
     code, out, _ = run(
-        ["--p", "0", "--parities", "1,0", "--format", "json", "verify", "linkage"],
+        ["--format", "json", "verify", "linkage"],
         capsys,
     )
     assert code == 1
@@ -298,9 +301,8 @@ def test_verify_max_r_bounds_the_x_element_checks(capsys):
     counts = {}
     for max_r in ("1", "2", "4"):
         code, out, _ = run(
-            ["--p", "0", "--parities", "1,0", "--format", "json", "verify",
-             "pbw-identities", "--max-rank", "2", "--processes", "1",
-             "--max-r", max_r],
+            ["--format", "json", "verify", "pbw-identities", "--max-rank", "2",
+             "--processes", "1", "--max-r", max_r],
             capsys,
         )
         assert code == 0
@@ -345,6 +347,40 @@ def test_verify_takes_a_nonzero_p_only_for_a_pinned_sweep_of_characteristics(cap
     assert "[pass] raised lowered vectors give the predicted scalar" in out
 
 
+# each verify option as a run gives it; --p and --parities precede verify
+GIVEN = {"coeff_window": ["--coeff-window", "1"], "p_list": ["--p-list", "0,3"],
+         "seed": ["--seed", "7"], "max_r": ["--max-r", "2"], "p": ["--p", "3"],
+         "parities": ["--parities", "1,0"]}
+
+
+@pytest.mark.parametrize("suite", sweeps.SUITES + ("all",))
+def test_verify_runs_on_an_option_it_reads_and_names_any_other(monkeypatch, capsys, suite):
+    # an unpinned run reads SUITE_OPTIONS (their union for all); a pinned run
+    # reads the context of --parities and --p in place of --p-list, and --p
+    # only where the suite sweeps characteristics
+    monkeypatch.setattr(sweeps, "_run_sharded", lambda worker, jobs, processes: [])
+    suites = sweeps.SUITES if suite == "all" else (suite,)
+    unpinned = set().union(*(sweeps.SUITE_OPTIONS[name] for name in suites))
+    pinned = unpinned - {"p_list"} | {"parities"} | ({"p"} if "p_list" in unpinned else set())
+    reads = {False: unpinned, True: pinned}
+    for pin in (False, True):
+        for name, flag in GIVEN.items():
+            top = flag if name in ("p", "parities") else []
+            context = ["--parities", "1,0"] if pin and name != "parities" else []
+            argv = context + top + ["verify", suite, "--max-rank", "2", "--processes", "1"]
+            argv += (["--pin-parities"] if pin else []) + ([] if top else flag)
+            code = main(argv)
+            out = capsys.readouterr()
+            if name in reads[pin]:
+                assert (code, out.err) == (0, ""), argv
+                continue
+            mode = ""
+            if name in reads[not pin]:
+                mode = " with --pin-parities" if pin else " without --pin-parities"
+            line = f"error: {flag[0]} does not apply to {suite}{mode}\n"
+            assert (code, out.out, out.err) == (2, "", line), argv
+
+
 def test_run_suite_rejects_a_repeated_characteristic():
     # a characteristic listed twice would run each of its shards twice; the
     # CLI run is a USAGE_ERRORS row
@@ -354,8 +390,7 @@ def test_run_suite_rejects_a_repeated_characteristic():
 
 def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):
     code, out, _ = run(
-        ["--p", "0", "--parities", "1,0", "--format", "json", "verify", "linkage",
-         "--max-rank", "2", "--processes", "1"],
+        ["--format", "json", "verify", "linkage", "--max-rank", "2", "--processes", "1"],
         capsys,
     )
     assert code == 0
@@ -367,15 +402,12 @@ def test_verify_sweeps_only_the_characteristics_it_is_given(capsys):
     # the lowering part runs at the positive characteristics it is given:
     # at p = 0 alone it plans no shard and prints no report
     lowered = "raised lowered vectors give the predicted scalar"
-    for option in (["--pin-parities"], ["--p-list", "0"]):
-        code, out, _ = run(
-            ["--p", "0", "--parities", "1,0", "verify", "verma-scalars",
-             "--max-rank", "2", "--processes", "1"] + option,
-            capsys,
-        )
-        assert code == 0, option
-        assert "central elements act on the Verma line by Z_r" in out, option
-        assert lowered not in out, option
+    run_at_0 = ["verify", "verma-scalars", "--max-rank", "2", "--processes", "1"]
+    for argv in (P0 + run_at_0 + ["--pin-parities"], run_at_0 + ["--p-list", "0"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert "central elements act on the Verma line by Z_r" in out, argv
+        assert lowered not in out, argv
     code, out, _ = run(
         ["--p", "3", "--parities", "1,0", "verify", "verma-scalars",
          "--max-rank", "2", "--pin-parities", "--processes", "1"],
@@ -461,6 +493,39 @@ def test_python_m_runs_the_cli():
     assert done.stdout == "1,-1,1,7,6\n"
 
 
+def _readme_examples():
+    # (argv, stdin or None, the stdout lines of its "# -> " comments) of each
+    # supercrystals line in the README's sh blocks
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for line in "".join(re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)).splitlines():
+        if line.startswith("# -> "):
+            examples[-1][2].append(line[len("# -> "):])
+            continue
+        feed, _, command = line.rpartition(" | ")
+        words = shlex.split(command, comments=True)
+        stdin = shlex.split(feed)[1] if feed else None  # echo TEXT |
+        for head in (["supercrystals"], ["python", "-m", "supercrystals"]):
+            if words[: len(head)] == head:
+                examples.append((words[len(head):], stdin, []))
+    return examples
+
+
+def test_the_readme_cli_examples_run(monkeypatch, capsys):
+    # the verify lines check their options and plan their jobs, sweeping nothing
+    monkeypatch.setattr(sweeps, "_run_sharded", lambda worker, jobs, processes: [])
+    examples = _readme_examples()
+    parser = cli.build_parser()
+    commands = {parser.parse_args(argv).command for argv, _, _ in examples}
+    assert commands == {"signature", "apply", "classify", "graph", "blocks", "pbw", "verify"}
+    for argv, stdin, want in examples:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        if want:
+            assert out == "\n".join(want), argv
+
+
 def test_graph_and_blocks_print_json_without_a_format(tmp_path, capsys):
     ctx = build_context(3, 2, (1, 1, 0, 0, 0), 3)
     lam = (1, -1, 1, 7, 5)
@@ -492,14 +557,17 @@ def test_blocks_reads_stdin_without_weights(monkeypatch, capsys):
 # stands for the path of the file a row's JSON text is written to
 WEIGHTS_FILE = "<weights.json>"
 BLOCKS = ["--p", "2", "--parities", "0,1", "blocks", "--weights", WEIGHTS_FILE]
-P0 = ["--p", "0", "--parities", "1,0"]
-VERIFY = P0 + ["verify"]
+# an unpinned verify reads no context; a pinned one reads P0's
+VERIFY = ["verify"]
+PINNED = P0 + ["verify"]
 
 # (argv, the one stderr line, the JSON text behind WEIGHTS_FILE or None)
 USAGE_ERRORS = [
     # malformed integer lists name what they are
     pytest.param(PAPER + ["signature", "--weight", "1,x,3,4,5"],
                  "error: malformed weight '1,x,3,4,5'", None, id="malformed-weight"),
+    pytest.param(P0 + ["signature", "--weight", "0,0,0"],
+                 "error: weight [0, 0, 0] has length 3, expected 2", None, id="weight-length"),
     pytest.param(["--p", "0", "--parities", "1,x", "classify", "--weight", "0,1", "--i", "1"],
                  "error: malformed parity list '1,x'", None, id="malformed-parities"),
     pytest.param(VERIFY + ["linkage", "--p-list", "0,x"],
@@ -538,16 +606,34 @@ USAGE_ERRORS = [
                    ["verma-scalar", "--weight", "2,3,1", "--r", "1"])
       for where, args in (("before", ["--format", "json", "pbw"] + argv),
                           ("after", ["pbw"] + argv + ["--format", "json"]))],
-    # verify: pins, options a suite does not read, characteristics
+    # every command but an unpinned verify reads --parities
+    *[pytest.param(argv, "error: --parities is required", None, id=f"no-parities-{argv[0]}")
+      for argv in (["signature", "--weight", "0,0"],
+                   ["apply", "--op", "fstar", "--r", "0", "--weight", "0,0"],
+                   ["classify", "--weight", "0,0", "--i", "1"],
+                   ["graph", "--weight", "0,0"],
+                   ["blocks"],
+                   ["verify", "linkage", "--max-rank", "2", "--pin-parities"])],
+    *[pytest.param(["pbw"] + argv, "error: --parities is required", None,
+                   id=f"no-parities-pbw-{argv[0]}")
+      for argv in (["lower", "--i", "1", "--j", "2"],
+                   ["check-recurrence", "--i", "1", "--j", "3", "--A", "2", "--k", "2"],
+                   ["check-commutator", "--i", "1", "--j", "3", "--A", "2", "--l", "1"],
+                   ["check-central", "--r", "2"],
+                   ["verma-scalar", "--weight", "2,3", "--r", "1"])],
+    # verify: pins, options a run does not read, characteristics
     pytest.param(["--p", "0", "--parities", "1,0,0,1,0", "verify", "pbw-identities",
                   "--pin-parities", "--processes", "1"],
                  "error: suite pbw-identities plans no shard at max_rank 4"
                  " with parities pinned to (1, 0, 0, 1, 0)", None, id="pin-outside-rank-caps"),
-    pytest.param(VERIFY + ["linkage", "--max-rank", "2", "--pin-parities", "--p-list", "3",
+    pytest.param(PINNED + ["linkage", "--max-rank", "2", "--pin-parities", "--p-list", "3",
                            "--processes", "1"],
-                 "error: --p-list does not apply with --pin-parities, which sweeps --p only",
+                 "error: --p-list does not apply to linkage with --pin-parities",
                  None, id="pin-with-p-list"),
-    pytest.param(VERIFY + ["crystal-axioms", "--max-rank", "2", "--coeff-window", "1",
+    pytest.param(["--parities", "1,0", "verify", "linkage", "--max-rank", "2"],
+                 "error: --parities does not apply to linkage without --pin-parities", None,
+                 id="parities-unpinned"),
+    pytest.param(PINNED + ["crystal-axioms", "--max-rank", "2", "--coeff-window", "1",
                            "--pin-parities", "--processes", "1", "--seed", "7", "--max-r", "9"],
                  "error: --seed does not apply to crystal-axioms", None,
                  id="seed-on-crystal-axioms"),
@@ -563,10 +649,10 @@ USAGE_ERRORS = [
     pytest.param(VERIFY + ["linkage", "--max-rank", "2", "--p-list", "3,3", "--processes", "1"],
                  "error: characteristic listed twice in [3, 3]", None,
                  id="repeated-characteristic"),
-    # the PBW workers run at p = 0, and an unpinned sweep reads --p-list
+    # the PBW workers run at p = 0, and an unpinned sweep reads --p-list, not --p
     pytest.param(["--p", "3", "--parities", "1,0", "verify", "pbw-identities", "--max-rank",
                   "2", "--pin-parities", "--processes", "1"],
-                 "error: --p does not apply to pbw-identities, which runs at p = 0", None,
+                 "error: --p does not apply to pbw-identities", None,
                  id="nonzero-p-on-pbw-identities"),
     pytest.param(["--p", "3", "--parities", "1,0", "verify", "linkage", "--max-rank", "2"],
                  "error: --p does not apply to linkage without --pin-parities", None,

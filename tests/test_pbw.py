@@ -193,12 +193,17 @@ def test_lowering_scalar_check_rejects_bad_preconditions():
         pbw.lowering_scalar_check(ctx, 1, 2, {1}, set(), (0, 0))
 
 
-def test_lowering_cache_keeps_characteristics_apart():
-    # a cached lowering operator, plain or raised, carries the context it
-    # was asked for
-    for p in (0, 3, 0):
-        assert pbw.s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p
-        assert pbw.raised_s_element(ctx_of((1, 0), p), 1, 2, frozenset()).ctx.p == p
+def test_lowering_cache_shares_one_element_across_characteristics(monkeypatch):
+    # a lowering operator, plain or raised, is defined over Z: every p reads
+    # the one element of its parity sequence, and parities stay apart
+    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
+    monkeypatch.setattr(pbw, "_RAISED_CACHE", {})
+    for build in (pbw.s_element, pbw.raised_s_element):
+        at_0 = build(ctx_of((1, 0), 0), 1, 2, frozenset())
+        assert build(ctx_of((1, 0), 3), 1, 2, frozenset()) is at_0
+        assert at_0.parities == (1, 0)
+        assert build(ctx_of((0, 1), 3), 1, 2, frozenset()).parities == (0, 1)
+    assert len(pbw._LOWERING_CACHE) == len(pbw._RAISED_CACHE) == 2
 
 
 def _subsets(items):

@@ -389,7 +389,7 @@ PLANTED = [
                        TECH_LEMMA} | X_ELEMENT_REPORTS, None, id="_expand"),
     pytest.param(
         "pbw-identities", pbw.SuperElt, "reorder",  # relabels the order without reordering
-        lambda real: lambda elt, order: pbw.SuperElt(elt.ctx, elt.terms, order),
+        lambda real: lambda elt, order: pbw.SuperElt(elt.parities, elt.terms, order),
         0, (1, 0, 0), {"S is independent of the order within its class"}, None, id="reorder"),
     pytest.param(
         "pbw-identities", pbw, "_lowering_factor",  # every factor of S halved
