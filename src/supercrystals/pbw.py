@@ -7,10 +7,12 @@ after scaling by a non-integer.  The defining relation is the supercommutator
 
     [e_{i,j}, e_{k,l}] = d_{j,k} e_{i,l} - (-1)^{(pi+pj)(pk+pl)} d_{i,l} e_{k,j}
 
-and normal ordering rewrites any word into the PBW basis of the active
-generator order by adjacent transpositions; odd off-diagonal generators
-square to zero.  The default order puts all F = e_{j,i} (i<j) first, then the
-diagonal H's, then all E = e_{i,j} (i<j), so membership in the left ideal J
+and normal ordering rewrites any word into the PBW basis of a generator
+order by adjacent transpositions; odd off-diagonal generators square to
+zero.  Elements are built in the default order and only normal ordering
+reads an order; ``s_element`` moves its factors into the order it is given.
+The default order puts all F = e_{j,i} (i<j) first, then the diagonal H's,
+then all E = e_{i,j} (i<j), so membership in the left ideal J
 generated by the E's is a per-monomial predicate, and so is membership in the
 left ideal J_l generated by E_l = e_{l,l+1} for a monomial with at most one E
 factor, the only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
@@ -183,7 +185,10 @@ def _accumulate(
 
 
 class SuperElt:
-    """Linear combination of normal-ordered monomials over Z; treat as immutable."""
+    """Linear combination of normal-ordered monomials over Z; treat as immutable.
+
+    Takes the terms dict it is given, which must hold no zero coefficient.
+    """
 
     __slots__ = ("parities", "order", "terms")
 
@@ -195,26 +200,22 @@ class SuperElt:
     ):
         self.parities = parities
         self.order = order
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = terms
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(ctx: ParityContext, order: GeneratorOrder = DEFAULT_ORDER) -> "SuperElt":
-        return SuperElt(ctx.parities, {}, order)
+    def zero(ctx: ParityContext) -> "SuperElt":
+        return SuperElt(ctx.parities, {})
 
     @staticmethod
-    def const(
-        ctx: ParityContext, c, order: GeneratorOrder = DEFAULT_ORDER
-    ) -> "SuperElt":
-        return SuperElt(ctx.parities, {(): 1}, order).scale(c)
+    def const(ctx: ParityContext, c) -> "SuperElt":
+        return SuperElt(ctx.parities, {(): 1}).scale(c)
 
     @staticmethod
-    def gen(
-        ctx: ParityContext, i: int, j: int, order: GeneratorOrder = DEFAULT_ORDER
-    ) -> "SuperElt":
+    def gen(ctx: ParityContext, i: int, j: int) -> "SuperElt":
         if not (1 <= i <= ctx.rank and 1 <= j <= ctx.rank):
             raise IndexError(f"generator ({i},{j}) out of range for rank {ctx.rank}")
-        return SuperElt(ctx.parities, {(((i, j), 1),): 1}, order)
+        return SuperElt(ctx.parities, {(((i, j), 1),): 1})
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "SuperElt") -> None:
@@ -226,6 +227,8 @@ class SuperElt:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
         return SuperElt(self.parities, terms, self.order)
 
     def __sub__(self, other: "SuperElt") -> "SuperElt":
@@ -236,7 +239,8 @@ class SuperElt:
 
     def scale(self, c) -> "SuperElt":
         c = c if isinstance(c, int) else Fraction(c)
-        return SuperElt(self.parities, {m: c * v for m, v in self.terms.items()}, self.order)
+        terms = {m: c * v for m, v in self.terms.items()} if c else {}
+        return SuperElt(self.parities, terms, self.order)
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
@@ -283,11 +287,8 @@ class SuperElt:
 
     def reduce_mod_J(self) -> "SuperElt":
         """Drop monomials with a nonempty E-part (left ideal of all E's)."""
-        return SuperElt(
-            self.parities,
-            {m: c for m, c in self.terms.items() if not any(i < j for (i, j), _ in m)},
-            self.order,
-        )
+        terms = {m: c for m, c in self.terms.items() if not any(i < j for (i, j), _ in m)}
+        return SuperElt(self.parities, terms, self.order)
 
     def reduce_mod_Jl(self, l: int) -> "SuperElt":
         """Drop monomials containing e_{l,l+1} (left ideal J_l it generates).
@@ -298,11 +299,8 @@ class SuperElt:
         if any(sum(e for (i, j), e in m if i < j) > 1 for m in self.terms):
             raise ValueError("reduction mod J_l needs at most one E factor per monomial")
         target = (l, l + 1)
-        return SuperElt(
-            self.parities,
-            {m: c for m, c in self.terms.items() if all(g != target for g, _ in m)},
-            self.order,
-        )
+        terms = {m: c for m, c in self.terms.items() if all(g != target for g, _ in m)}
+        return SuperElt(self.parities, terms, self.order)
 
     # -- rendering ------------------------------------------------------
     def dump(self) -> str:
@@ -330,53 +328,53 @@ class SuperElt:
 # named elements
 
 
-def _row_sum(
-    ctx: ParityContext, k: int, column: List[SuperElt], order: GeneratorOrder
-) -> SuperElt:
+def _check_positions(ctx: ParityContext, *positions: int) -> None:
+    for k in positions:
+        if not 1 <= k <= ctx.rank:
+            raise IndexError(f"position {k} out of range for rank {ctx.rank}")
+
+
+def _row_sum(ctx: ParityContext, k: int, column: List[SuperElt]) -> SuperElt:
     """sum_s (-1)**p_s e_{k,s} column[s-1], s running over the column."""
     out: Dict[Monomial, Coeff] = {}
     for s, elt in enumerate(column, 1):
-        _accumulate(out, ctx.parities, order, {(((k, s), 1),): 1}, elt.terms, ctx.sign(s))
-    return SuperElt(ctx.parities, out, order)
+        e_ks = SuperElt.gen(ctx, k, s)
+        _accumulate(out, ctx.parities, DEFAULT_ORDER, e_ks.terms, elt.terms, ctx.sign(s))
+    return SuperElt(ctx.parities, out)
 
 
-def murphy_element(
-    ctx: ParityContext, j: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def murphy_element(ctx: ParityContext, j: int) -> SuperElt:
     """L_j = sum_{i<j} (-1)**parity_i F_{i,j} E_{i,j}."""
-    return _row_sum(ctx, j, [SuperElt.gen(ctx, i, j, order) for i in range(1, j)], order)
+    _check_positions(ctx, j)
+    return _row_sum(ctx, j, [SuperElt.gen(ctx, i, j) for i in range(1, j)])
 
 
-def c_element(
-    ctx: ParityContext, i: int, j: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def c_element(ctx: ParityContext, i: int, j: int) -> SuperElt:
     """c_{i,j} = si*H_i - sj*H_j + si*theta_i - sj*theta_j with si = (-1)**p_i."""
+    _check_positions(ctx, i, j)
     si, sj = ctx.sign(i), ctx.sign(j)
-    out = SuperElt.gen(ctx, i, i, order).scale(si) - SuperElt.gen(ctx, j, j, order).scale(sj)
-    return out + SuperElt.const(ctx, si * ctx.theta[i - 1] - sj * ctx.theta[j - 1], order)
+    out = SuperElt.gen(ctx, i, i).scale(si) - SuperElt.gen(ctx, j, j).scale(sj)
+    return out + SuperElt.const(ctx, si * ctx.theta[i - 1] - sj * ctx.theta[j - 1])
 
 
-def c_tilde_element(
-    ctx: ParityContext, i: int, j: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
-    return c_element(ctx, i, j, order) + SuperElt.const(ctx, ctx.sign(i), order)
+def c_tilde_element(ctx: ParityContext, i: int, j: int) -> SuperElt:
+    return c_element(ctx, i, j) + SuperElt.const(ctx, ctx.sign(i))
 
 
-def b_element(
-    ctx: ParityContext, i: int, k: int, order: GeneratorOrder = DEFAULT_ORDER
-) -> SuperElt:
+def b_element(ctx: ParityContext, i: int, k: int) -> SuperElt:
     """b_{i,k} = si*H_i - s_{k+1}*H_{k+1} + si*theta_i - s_k*theta_k.
 
     s_k*theta_k = s_{k+1} + s_{k+1}*theta_{k+1}, so b_{i,k} = c_{i,k+1} - s_{k+1}.
     """
-    return c_element(ctx, i, k + 1, order) - SuperElt.const(ctx, ctx.sign(k + 1), order)
+    _check_positions(ctx, k)
+    return c_element(ctx, i, k + 1) - SuperElt.const(ctx, ctx.sign(k + 1))
 
 
-def _lowering_factor(ctx: ParityContext, i: int, t: int, order: GeneratorOrder) -> SuperElt:
+def _lowering_factor(ctx: ParityContext, i: int, t: int) -> SuperElt:
     """The factor c~_{i,t} - L_{i+1} - ... - L_t of a lowering operator."""
-    factor = c_tilde_element(ctx, i, t, order)
+    factor = c_tilde_element(ctx, i, t)
     for u in range(i + 1, t + 1):
-        factor = factor - murphy_element(ctx, u, order)
+        factor = factor - murphy_element(ctx, u)
     return factor
 
 
@@ -385,11 +383,7 @@ _RAISED_CACHE: Dict[tuple, SuperElt] = {}
 
 
 def s_element(
-    ctx: ParityContext,
-    i: int,
-    j: int,
-    a_set: Iterable[int],
-    order: GeneratorOrder = DEFAULT_ORDER,
+    ctx: ParityContext, i: int, j: int, a_set: Iterable[int], order: GeneratorOrder = DEFAULT_ORDER
 ) -> SuperElt:
     """The lowering operator S_{i,j}(A): S-tilde mod J, where S-tilde =
     (prod over t in A of (c-tilde_{i,t} - L_{i+1} - ... - L_t)) F_{i,j}.
@@ -408,9 +402,9 @@ def s_element(
         raise IndexError(f"need 1 <= i <= j <= {ctx.rank}, got ({i}, {j})")
     if not all(i < t < j for t in a_set):
         raise IndexError(f"A = {sorted(a_set)} not inside ({i}..{j})")
-    s_tilde = SuperElt.gen(ctx, j, i, order) if i < j else SuperElt.const(ctx, 1, order)
+    s_tilde = (SuperElt.gen(ctx, j, i) if i < j else SuperElt.const(ctx, 1)).reorder(order)
     for t in sorted(a_set, reverse=True):
-        s_tilde = _lowering_factor(ctx, i, t, order) * s_tilde
+        s_tilde = _lowering_factor(ctx, i, t).reorder(order) * s_tilde
     _LOWERING_CACHE[key] = s_tilde.reduce_mod_J()
     return _LOWERING_CACHE[key]
 
@@ -439,7 +433,7 @@ def x_column(ctx: ParityContext, l: int, r: int) -> List[SuperElt]:
     positions = range(1, ctx.rank + 1)
     column = [SuperElt.gen(ctx, k, l) for k in positions]
     for _ in range(r - 1):
-        column = [_row_sum(ctx, k, column, DEFAULT_ORDER) for k in positions]
+        column = [_row_sum(ctx, k, column) for k in positions]
     return column
 
 
@@ -447,7 +441,7 @@ def x_element(ctx: ParityContext, k: int, l: int, r: int) -> SuperElt:
     """x^[1]_{k,l} = e_{k,l}; x^[r]_{k,l} = sum_s (-1)**p_s e_{k,s} x^[r-1]_{s,l}."""
     if r == 1:
         return SuperElt.gen(ctx, k, l)
-    return _row_sum(ctx, k, x_column(ctx, l, r - 1), DEFAULT_ORDER)
+    return _row_sum(ctx, k, x_column(ctx, l, r - 1))
 
 
 def z_tilde_element(ctx: ParityContext, r: int) -> SuperElt:
@@ -525,7 +519,7 @@ def tech_lemma_check(ctx: ParityContext, i: int, t: int, j: int) -> bool:
     lhs1 = (murphy_element(ctx, t) * f_ij).reduce_mod_J()
     a = _lemma_sign(ctx, i, t, j)
     rhs1 = (SuperElt.gen(ctx, t, i) * SuperElt.gen(ctx, j, t)).scale(-a)
-    factor = _lowering_factor(ctx, i, t, DEFAULT_ORDER)
+    factor = _lowering_factor(ctx, i, t)
     lhs2 = (factor * murphy_element(ctx, t) * f_ij).reduce_mod_J()
     return lhs1 == rhs1 and lhs2.is_zero()
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from test_linkage import exponential_z
 
-from supercrystals import pbw
+from supercrystals import pbw, sweeps
 from supercrystals.crystal import b_scalar
 from supercrystals.linkage import z_scalar
 from supercrystals.pbw import DEFAULT_ORDER, GeneratorOrder, SuperElt
@@ -276,8 +276,9 @@ def _nonzero(terms):
 
 
 def test_zero_coefficients_are_dropped_everywhere():
-    # SuperElt.__init__ is the one place zeros are dropped; every operation
-    # below can cancel a term and must still leave none behind
+    # SuperElt.__init__ keeps the dict it is given, so a sum, a product and
+    # scale(0) drop their zeros; every operation below can cancel a term and
+    # must still leave none behind
     for parities in ((1, 0), (0, 0), (1, 0, 1), (0, 1, 0)):
         ctx = ctx_of(parities)
         rank = ctx.rank
@@ -406,6 +407,63 @@ def test_s_element_rejects_positions_outside_the_context():
         pbw.s_element(ctx, 1, 1, {1})
 
 
+def test_named_elements_reject_positions_outside_the_context():
+    ctx = ctx_of((1, 0))
+    for build, args, position in (
+        (pbw.x_element, (5, 1, 2), "generator (5,1)"),
+        (pbw.x_element, (0, 1, 2), "generator (0,1)"),
+        (pbw.x_element, (1, 3, 1), "generator (1,3)"),
+        (pbw.murphy_element, (0,), "position 0"),
+        (pbw.murphy_element, (3,), "position 3"),
+        (pbw.c_element, (1, 3), "position 3"),
+        (pbw.c_element, (0, 1), "position 0"),
+        (pbw.c_tilde_element, (3, 1), "position 3"),
+        (pbw.b_element, (1, 2), "position 3"),
+        (pbw.b_element, (1, 0), "position 0"),
+        (pbw._lowering_factor, (1, 3), "position 3"),
+    ):
+        with pytest.raises(IndexError) as exc:
+            build(ctx, *args)
+        assert str(exc.value) == f"{position} out of range for rank 2", (build, args)
+
+
+def test_named_elements_have_the_same_terms_in_both_orders():
+    # s_element builds its factors in the default order and reorders them:
+    # every named element keeps its terms and their insertion order in alt
+    alt = GeneratorOrder("alt")
+    for parities in _all_parities((2, 3, 4)):
+        ctx = ctx_of(parities)
+        positions = range(1, ctx.rank + 1)
+        pairs = list(itertools.product(positions, repeat=2))
+        elts = [SuperElt.gen(ctx, i, j) for i, j in pairs]
+        elts += [pbw.murphy_element(ctx, j) for j in positions]
+        for build in (pbw.c_element, pbw.c_tilde_element, pbw._lowering_factor):
+            elts += [build(ctx, i, j) for i, j in pairs]
+        elts += [pbw.b_element(ctx, i, k) for i in positions for k in range(1, ctx.rank)]
+        for x in elts:
+            assert list(x.reorder(alt).terms.items()) == list(x.terms.items()), x.dump()
+
+
+def test_no_element_of_the_pbw_suites_is_built_with_a_zero(monkeypatch):
+    # SuperElt.__init__ keeps the dict it is given: no construction of the
+    # two suites that build elements may hand it a zero coefficient
+    real = SuperElt.__init__
+    built = []
+
+    def checked(self, parities, terms, order=DEFAULT_ORDER):
+        assert 0 not in terms.values(), terms
+        built.append(1)
+        real(self, parities, terms, order)
+
+    monkeypatch.setattr(SuperElt, "__init__", checked)
+    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
+    monkeypatch.setattr(pbw, "_RAISED_CACHE", {})
+    for suite in ("pbw-identities", "verma-scalars"):
+        reports = sweeps.run_suite(suite, max_rank=3, coeff_window=1, processes=1)
+        assert all(rep.passed for rep in reports), suite
+    assert built
+
+
 def test_recurrence_check_validates_A_before_reading_it():
     with pytest.raises(IndexError) as exc:
         pbw.recurrence_check(ctx_of((1, 0, 1)), 2, 3, {1}, 1)
@@ -470,8 +528,8 @@ def test_products_are_pinned_with_their_term_order():
             for elt in pbw.x_column(ctx, l, r):
                 digest.update(repr((parities, l, r, list(elt.terms.items()))).encode())
         for order in orders:
-            elts = [SuperElt.gen(ctx, i, j, order) for i in positions for j in positions]
-            elts += [pbw.murphy_element(ctx, j, order) for j in positions]
+            elts = [SuperElt.gen(ctx, i, j).reorder(order) for i in positions for j in positions]
+            elts += [pbw.murphy_element(ctx, j).reorder(order) for j in positions]
             elts += [
                 pbw.s_element(ctx, i, j, a_set, order)
                 for i in positions

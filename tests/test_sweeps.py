@@ -393,7 +393,7 @@ PLANTED = [
         0, (1, 0, 0), {"S is independent of the order within its class"}, None, id="reorder"),
     pytest.param(
         "pbw-identities", pbw, "_lowering_factor",  # every factor of S halved
-        lambda real: lambda ctx, i, t, order: real(ctx, i, t, order).scale(Fraction(1, 2)),
+        lambda real: lambda ctx, i, t: real(ctx, i, t).scale(Fraction(1, 2)),
         0, (1, 0, 0), {"lowering-operator recurrence", COMMUTATION_LEMMA,
                        "lowering operators have integer coefficients"}, None,
         id="_lowering_factor"),
