@@ -9,13 +9,14 @@ after scaling by a non-integer.  The defining relation is the supercommutator
 
 and normal ordering rewrites any word into the PBW basis of a generator
 order by adjacent transpositions; odd off-diagonal generators square to
-zero.  Elements are built in the default order and only normal ordering
-reads an order; ``s_element`` moves its factors into the order it is given.
-The default order puts all F = e_{j,i} (i<j) first, then the diagonal H's,
-then all E = e_{i,j} (i<j), so membership in the left ideal J
-generated by the E's is a per-monomial predicate, and so is membership in the
-left ideal J_l generated by E_l = e_{l,l+1} for a monomial with at most one E
-factor, the only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
+zero.  Every element is in the PBW basis of the default order, and only
+normal ordering reads an order: ``s_element`` normal-orders its products in
+the order it is given and then changes S into the default basis.  The
+default order puts all F = e_{j,i} (i<j) first, then the diagonal H's, then
+all E = e_{i,j} (i<j), so membership in the left ideal J generated by the
+E's is a per-monomial predicate, and so is membership in the left ideal J_l
+generated by E_l = e_{l,l+1} for a monomial with at most one E factor, the
+only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
 adds into one dict in ``_accumulate``, which looks up the place table (read
 off ``GeneratorOrder.key``) and the odd set once per product; its normal
 ordering of each word, the kernel of ``normalize_word``, compares places and
@@ -184,22 +185,21 @@ def _accumulate(
     return out
 
 
+def _mod_J(terms: Dict[Monomial, Coeff]) -> Dict[Monomial, Coeff]:
+    """The terms with an empty E-part: their sum is the rest mod J in either order."""
+    return {m: c for m, c in terms.items() if not any(i < j for (i, j), _ in m)}
+
+
 class SuperElt:
-    """Linear combination of normal-ordered monomials over Z; treat as immutable.
+    """Linear combination of default-basis PBW monomials over Z; treat as immutable.
 
     Takes the terms dict it is given, which must hold no zero coefficient.
     """
 
-    __slots__ = ("parities", "order", "terms")
+    __slots__ = ("parities", "terms")
 
-    def __init__(
-        self,
-        parities: Tuple[int, ...],
-        terms: Dict[Monomial, Coeff],
-        order: GeneratorOrder = DEFAULT_ORDER,
-    ):
+    def __init__(self, parities: Tuple[int, ...], terms: Dict[Monomial, Coeff]):
         self.parities = parities
-        self.order = order
         self.terms = terms
 
     # -- constructors -------------------------------------------------
@@ -219,8 +219,8 @@ class SuperElt:
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "SuperElt") -> None:
-        if (self.order, self.parities) != (other.order, other.parities):
-            raise ValueError("operands use different contexts or generator orders")
+        if self.parities != other.parities:
+            raise ValueError("operands use different contexts")
 
     def __add__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
@@ -229,7 +229,7 @@ class SuperElt:
             terms[m] = terms.get(m, 0) + c
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return SuperElt(self.parities, terms, self.order)
+        return SuperElt(self.parities, terms)
 
     def __sub__(self, other: "SuperElt") -> "SuperElt":
         return self + other.scale(-1)
@@ -240,17 +240,16 @@ class SuperElt:
     def scale(self, c) -> "SuperElt":
         c = c if isinstance(c, int) else Fraction(c)
         terms = {m: c * v for m, v in self.terms.items()} if c else {}
-        return SuperElt(self.parities, terms, self.order)
+        return SuperElt(self.parities, terms)
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
-        out = _accumulate({}, self.parities, self.order, self.terms, other.terms)
-        return SuperElt(self.parities, out, self.order)
+        out = _accumulate({}, self.parities, DEFAULT_ORDER, self.terms, other.terms)
+        return SuperElt(self.parities, out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperElt)
-            and self.order == other.order
             and self.parities == other.parities
             and self.terms == other.terms
         )
@@ -273,34 +272,29 @@ class SuperElt:
             raise ValueError("super bracket requires homogeneous arguments")
         sign = -1 if pa and pb else 1
         self._check(other)
-        out = _accumulate({}, self.parities, self.order, self.terms, other.terms)
-        _accumulate(out, self.parities, self.order, other.terms, self.terms, -sign)
-        return SuperElt(self.parities, out, self.order)
+        out = _accumulate({}, self.parities, DEFAULT_ORDER, self.terms, other.terms)
+        _accumulate(out, self.parities, DEFAULT_ORDER, other.terms, self.terms, -sign)
+        return SuperElt(self.parities, out)
 
-    # -- order change and ideal reduction ------------------------------
-    def reorder(self, order: GeneratorOrder) -> "SuperElt":
-        if order == self.order:
-            return self
-        # the terms are not in the new order, so they go on the right
-        out = _accumulate({}, self.parities, order, {(): 1}, self.terms)
-        return SuperElt(self.parities, out, order)
-
+    # -- ideal reduction -----------------------------------------------
     def reduce_mod_J(self) -> "SuperElt":
         """Drop monomials with a nonempty E-part (left ideal of all E's)."""
-        terms = {m: c for m, c in self.terms.items() if not any(i < j for (i, j), _ in m)}
-        return SuperElt(self.parities, terms, self.order)
+        return SuperElt(self.parities, _mod_J(self.terms))
 
     def reduce_mod_Jl(self, l: int) -> "SuperElt":
         """Drop monomials containing e_{l,l+1} (left ideal J_l it generates).
 
-        ValueError on a monomial with more than one E factor: E's come last in
-        every order here, so only a lone E factor makes the drop exact.
+        IndexError unless 1 <= l < rank, so that E_l exists.  ValueError on a
+        monomial with more than one E factor: E's come last in the default
+        order, so only a lone E factor makes the drop exact.
         """
+        if not 1 <= l < len(self.parities):
+            raise IndexError(f"l = {l} out of range 1..{len(self.parities) - 1}")
         if any(sum(e for (i, j), e in m if i < j) > 1 for m in self.terms):
             raise ValueError("reduction mod J_l needs at most one E factor per monomial")
         target = (l, l + 1)
         terms = {m: c for m, c in self.terms.items() if all(g != target for g, _ in m)}
-        return SuperElt(self.parities, terms, self.order)
+        return SuperElt(self.parities, terms)
 
     # -- rendering ------------------------------------------------------
     def dump(self) -> str:
@@ -308,7 +302,7 @@ class SuperElt:
         if not self.terms:
             return "0"
         lines = []
-        for mono in sorted(self.terms, key=lambda m: tuple(self.order.key(g) + (e,) for g, e in m)):
+        for mono in sorted(self.terms, key=lambda m: tuple(DEFAULT_ORDER.key(g) + (e,) for g, e in m)):
             c = self.terms[mono]
             parts = []
             for (i, j), e in mono:
@@ -390,7 +384,8 @@ def s_element(
 
     The factors commute, so the ascending product order is a free choice.
     By convention i = j gives the identity (empty product, no F factor).
-    IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).
+    IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).  The
+    products are normal-ordered in ``order``; S comes back in the default basis.
     Only S is cached, per (parities, i, j, A, order): it is defined over Z.
     """
     a_set = frozenset(a_set)
@@ -402,10 +397,14 @@ def s_element(
         raise IndexError(f"need 1 <= i <= j <= {ctx.rank}, got ({i}, {j})")
     if not all(i < t < j for t in a_set):
         raise IndexError(f"A = {sorted(a_set)} not inside ({i}..{j})")
-    s_tilde = (SuperElt.gen(ctx, j, i) if i < j else SuperElt.const(ctx, 1)).reorder(order)
+    # no monomial of a factor holds two F's or two E's: each is in both orders
+    terms = {(((j, i), 1),): 1} if i < j else {(): 1}
     for t in sorted(a_set, reverse=True):
-        s_tilde = _lowering_factor(ctx, i, t).reorder(order) * s_tilde
-    _LOWERING_CACHE[key] = s_tilde.reduce_mod_J()
+        terms = _accumulate({}, ctx.parities, order, _lowering_factor(ctx, i, t).terms, terms)
+    terms = _mod_J(terms)  # both orders put the F, H and E blocks in the same places
+    if order != DEFAULT_ORDER:  # the terms go on the right of 1 to be put in order
+        terms = _accumulate({}, ctx.parities, DEFAULT_ORDER, {(): 1}, terms)
+    _LOWERING_CACHE[key] = SuperElt(ctx.parities, terms)
     return _LOWERING_CACHE[key]
 
 
@@ -472,7 +471,7 @@ def z_element(ctx: ParityContext, r: int) -> SuperElt:
 def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
     """The v-coefficient of u.v for the highest-weight vector v of weight lam.
 
-    One pass over the terms of u, in a B-minus-first order (every order here):
+    One pass over the terms of u, in the B-minus-first default basis:
     an E-part kills v, an H-part evaluates at lam, and the sum per F-part must
     vanish, or ArithmeticError names the first three that do not.  An int for
     integral lam unless u carries a Fraction; ValueError unless len(lam) = rank.

@@ -27,9 +27,10 @@ pair of letters there.  C4 reads the matching criterion for normality and
 goodness at every position off one ``crystal.matching_flags`` pass per
 weight.  C7 reads only public ``pbw`` names: ``_relation`` states the
 defining relation once, from the parities alone, for the brackets of the
-generators with each other and with the x elements, and C7 brackets
-``pbw.z_tilde_element`` for centrality.  C8's Z_r check reads every r of a
-weight off one ``linkage.z_scalars`` call.  C8 leaves case selection to
+generators with each other and with the x elements, C7 brackets
+``pbw.z_tilde_element`` for centrality, and C7 checks that ``pbw.s_element``
+normal-ordered in the alt order returns S.  C8's Z_r check reads every r of
+a weight off one ``linkage.z_scalars`` call.  C8 leaves case selection to
 ``pbw.lowering_scalar_check`` (a ValueError is no case); C8/C9 evaluate one
 cached ``pbw.raised_s_element`` per (i, j, A).
 """
@@ -441,6 +442,7 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     orderfree = PropertyReport("S is independent of the order within its class")
     integral = PropertyReport("lowering operators have integer coefficients")
     positions = range(1, rank + 1)
+    alt = pbw.GeneratorOrder(kind="alt")
     gen = {(i, j): pbw.SuperElt.gen(ctx, i, j) for i in positions for j in positions}
     gens = list(gen)
 
@@ -489,10 +491,8 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
                 integral.checks += 1
                 if any(c.denominator != 1 for c in s_elt.terms.values()):
                     _fail(integral, spec, i=i, j=j, A=sorted(a_set))
-                alt = pbw.GeneratorOrder(kind="alt")
                 orderfree.checks += 1
-                s_alt = pbw.s_element(ctx, i, j, a_set, alt)
-                if s_alt.reorder(pbw.DEFAULT_ORDER) != s_elt:
+                if pbw.s_element(ctx, i, j, a_set, alt) != s_elt:
                     _fail(orderfree, spec, i=i, j=j, A=sorted(a_set))
                 for k in sorted(a_set):
                     recur.checks += 1

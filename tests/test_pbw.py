@@ -134,11 +134,11 @@ def test_the_h_term_of_recurrence_and_case_iv_at_rank_4():
 
 
 def test_lowering_order_independence():
+    # S normal-ordered in alt comes back in the default basis, equal to S
     ctx = ctx_of((1, 0, 1), 0)
     alt = GeneratorOrder(kind="alt")
     for a_set in (frozenset(), frozenset({2})):
-        s_alt = pbw.s_element(ctx, 1, 3, a_set, alt)
-        assert s_alt.reorder(DEFAULT_ORDER) == pbw.s_element(ctx, 1, 3, a_set)
+        assert pbw.s_element(ctx, 1, 3, a_set, alt) == pbw.s_element(ctx, 1, 3, a_set)
 
 
 def test_central_elements_commute_with_generators():
@@ -292,13 +292,17 @@ def test_zero_coefficients_are_dropped_everywhere():
                     xy + (-xy),
                     xy.scale(0),
                     x.bracket(y),
-                    xy.reorder(GeneratorOrder(kind="alt")),
                     xy.reduce_mod_J(),
                     xy * y,
                 ]
                 for elt in built:
                     assert _nonzero(elt.terms), (parities, x.dump(), y.dump(), elt.terms)
                 assert (xy - xy).terms == {}
+        # normal-ordered in alt, then changed into the default basis
+        for i, j in itertools.combinations_with_replacement(range(1, rank + 1), 2):
+            for a_set in _subsets(range(i + 1, j)):
+                s_alt = pbw.s_element(ctx, i, j, a_set, GeneratorOrder(kind="alt"))
+                assert _nonzero(s_alt.terms), (parities, i, j, a_set, s_alt.terms)
     ctx = ctx_of((1, 0))
     h1, h2 = SuperElt.gen(ctx, 1, 1), SuperElt.gen(ctx, 2, 2)
     assert h1.bracket(h2).terms == {}
@@ -428,8 +432,9 @@ def test_named_elements_reject_positions_outside_the_context():
 
 
 def test_named_elements_have_the_same_terms_in_both_orders():
-    # s_element builds its factors in the default order and reorders them:
-    # every named element keeps its terms and their insertion order in alt
+    # s_element builds its factors in the default order and multiplies them
+    # on the left as they are in alt, so every monomial of a named element
+    # must already be in alt order
     alt = GeneratorOrder("alt")
     for parities in _all_parities((2, 3, 4)):
         ctx = ctx_of(parities)
@@ -441,19 +446,25 @@ def test_named_elements_have_the_same_terms_in_both_orders():
             elts += [build(ctx, i, j) for i, j in pairs]
         elts += [pbw.b_element(ctx, i, k) for i in positions for k in range(1, ctx.rank)]
         for x in elts:
-            assert list(x.reorder(alt).terms.items()) == list(x.terms.items()), x.dump()
+            for mono in x.terms:
+                assert pbw.normalize_word(parities, alt, pbw._expand(mono)) == {mono: 1}, x.dump()
 
 
 def test_no_element_of_the_pbw_suites_is_built_with_a_zero(monkeypatch):
     # SuperElt.__init__ keeps the dict it is given: no construction of the
-    # two suites that build elements may hand it a zero coefficient
+    # two suites that build elements may hand it a zero coefficient, nor a
+    # monomial outside the default basis, S normal-ordered in alt included
     real = SuperElt.__init__
     built = []
 
-    def checked(self, parities, terms, order=DEFAULT_ORDER):
+    def checked(self, parities, terms):
         assert 0 not in terms.values(), terms
+        place = pbw._places(DEFAULT_ORDER, len(parities))
+        for mono in terms:
+            places = [place[g] for g, _ in mono]
+            assert places == sorted(set(places)), mono
         built.append(1)
-        real(self, parities, terms, order)
+        real(self, parities, terms)
 
     monkeypatch.setattr(SuperElt, "__init__", checked)
     monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
@@ -515,35 +526,34 @@ def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
 
 
 def test_products_are_pinned_with_their_term_order():
-    # x * y, [x, y] and x reordered, over the generators, the Murphy elements
-    # and every S_{i,j}(A) at ranks 2-3, every parity sequence, two orders;
-    # the digest covers the terms in their insertion order, which
+    # x, x * y and [x, y] over the generators, the Murphy elements and every
+    # S_{i,j}(A) normal-ordered in either order, at ranks 2-3, every parity
+    # sequence; the digest covers the terms in their insertion order, which
     # verma_scalar's error text reads; the x columns pin the row sums
     digest = hashlib.sha256()
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
+    alt = GeneratorOrder("alt")
     for parities in _all_parities((2, 3)):
         ctx = ctx_of(parities)
         positions = range(1, ctx.rank + 1)
         for l, r in itertools.product(positions, (2, 3)):
             for elt in pbw.x_column(ctx, l, r):
                 digest.update(repr((parities, l, r, list(elt.terms.items()))).encode())
-        for order in orders:
-            elts = [SuperElt.gen(ctx, i, j).reorder(order) for i in positions for j in positions]
-            elts += [pbw.murphy_element(ctx, j).reorder(order) for j in positions]
-            elts += [
-                pbw.s_element(ctx, i, j, a_set, order)
-                for i in positions
-                for j in range(i, ctx.rank + 1)
-                for a_set in _subsets(range(i + 1, j))
-            ]
-            for a, x in enumerate(elts):
-                for other in orders:
-                    out = list(x.reorder(other).terms.items())
-                    digest.update(repr((parities, order.kind, other.kind, a, out)).encode())
-                for b, y in enumerate(elts):
-                    out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
-                    digest.update(repr((parities, order.kind, a, b, out)).encode())
-    assert digest.hexdigest()[:16] == "78f9c067cda59348"
+        lowering = [
+            (i, j, a_set)
+            for i in positions
+            for j in range(i, ctx.rank + 1)
+            for a_set in _subsets(range(i + 1, j))
+        ]
+        elts = [SuperElt.gen(ctx, i, j) for i in positions for j in positions]
+        elts += [pbw.murphy_element(ctx, j) for j in positions]
+        elts += [pbw.s_element(ctx, *args) for args in lowering]
+        elts += [pbw.s_element(ctx, *args, alt) for args in lowering]
+        for a, x in enumerate(elts):
+            digest.update(repr((parities, a, list(x.terms.items()))).encode())
+            for b, y in enumerate(elts):
+                out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
+                digest.update(repr((parities, a, b, out)).encode())
+    assert digest.hexdigest()[:16] == "fd5a87c816e824db"
 
 
 def test_the_ordered_prefix_hint_never_changes_normalize_word():
@@ -603,6 +613,11 @@ def test_reduce_mod_Jl_rejects_a_monomial_with_two_e_factors():
     assert list(two_e.terms) == [(((1, 2), 1), ((2, 3), 1))]
     with pytest.raises(ValueError, match="at most one E factor"):
         two_e.reduce_mod_Jl(1)
+    # outside 1 <= l < rank there is no E_l to reduce by
+    for l in (0, 3, -1):
+        with pytest.raises(IndexError) as exc:
+            SuperElt.gen(ctx, 2, 1).reduce_mod_Jl(l)
+        assert str(exc.value) == f"l = {l} out of range 1..2"
 
 
 def test_generator_order_rejects_an_unknown_kind():
