@@ -196,7 +196,8 @@ class SuperElt:
     Takes the terms dict it is given, which must hold no zero coefficient.
     """
 
-    __slots__ = ("parities", "terms")
+    # _parity is filled by the first parity() call
+    __slots__ = ("parities", "terms", "_parity")
 
     def __init__(self, parities: Tuple[int, ...], terms: Dict[Monomial, Coeff]):
         self.parities = parities
@@ -259,12 +260,18 @@ class SuperElt:
 
     # -- parity and brackets ------------------------------------------
     def parity(self) -> Optional[int]:
-        """Parity if homogeneous (constants count as even), else None."""
+        """Parity if homogeneous (constants count as even), else None.
+
+        Computed on the first call and kept, since the terms never change.
+        """
+        try:
+            return self._parity
+        except AttributeError:
+            pass
         odd = _odd_gens(self.parities)
         seen = {sum(e for g, e in m if g in odd) % 2 for m in self.terms}
-        if not seen:
-            return 0
-        return seen.pop() if len(seen) == 1 else None
+        self._parity = 0 if not seen else seen.pop() if len(seen) == 1 else None
+        return self._parity
 
     def bracket(self, other: "SuperElt") -> "SuperElt":
         pa, pb = self.parity(), other.parity()

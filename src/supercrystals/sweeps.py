@@ -3,13 +3,15 @@
 Each suite checks one family of identities over windows of weights, all
 parity sequences of the requested ranks, and a list of characteristics.
 Workers are top-level functions on picklable arguments so suites can be
-sharded across processes.  One table, ``_SUITE_TABLE``, declares every
-suite as its ordered parts (worker, rank cap, characteristics, reads): the
-ranks and characteristics its shards cover and the ``run_suite`` options
-each shard's job reads, with their caps.  ``run_suite`` builds every job
-from it, ``SUITE_OPTIONS`` (the options a suite reads, which ``verify``
-checks its flags against) is derived from it, and ``_fail`` formats every
-counterexample from the context spec and the loop variables.
+sharded across processes; the process pool is imported only when a run
+shards, so a run in one process never loads it.  One table,
+``_SUITE_TABLE``, declares every suite as its ordered parts (worker, rank
+cap, characteristics, reads): the ranks and characteristics its shards
+cover and the ``run_suite`` options each shard's job reads, with their
+caps.  ``run_suite`` builds every job from it, ``SUITE_OPTIONS`` (the
+options a suite reads, which ``verify`` checks its flags against) is
+derived from it, and ``_fail`` formats every counterexample from the
+context spec and the loop variables.
 
 The crystal, odd-reflection and linkage workers compute the residue vectors
 of each weight once and call the kernels of ``crystal``, ``tensorrule``,
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -118,6 +119,9 @@ def _merge_reports(shards: Iterable[List[PropertyReport]]) -> List[PropertyRepor
 def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[PropertyReport]:
     if processes == 1:
         return _merge_reports(worker(job) for job in jobs)
+    # imported on first use: a run in this process never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return _merge_reports(pool.map(worker, jobs))
 

@@ -1,9 +1,11 @@
 """Weight lattice of GL(m|n) with its parity-dependent combinatorial data.
 
 A context fixes the parity sequence of the chosen homogeneous basis, the
-characteristic p, and the derived vectors theta and rho.  Weights are plain
-integer tuples (coefficients on epsilon_1..epsilon_{m+n}); all positions are
-1-based to match the usual conventions.
+characteristic p, and the derived vectors theta and rho.  ``build_context``
+returns one shared immutable context per (m, n, parities, p), so every
+caller of a spec holds the same object; its errors are not cached.  Weights
+are plain integer tuples (coefficients on epsilon_1..epsilon_{m+n}); all
+positions are 1-based to match the usual conventions.
 """
 
 from __future__ import annotations
@@ -75,13 +77,20 @@ class ParityContext:
 
 
 def build_context(m: int, n: int, parities: Sequence[int], p: int) -> ParityContext:
-    """Build the context for the parity sequence; validates counts and p.
+    """The context of the parity sequence; validates counts and p.
 
     theta_j = sum_{i>j} (-1)^{parity_i + parity_j} and rho = theta plus the
     sum of the even epsilon_i.  rho is re-checked against its defining
-    pairings, which pin it uniquely.
+    pairings, which pin it uniquely.  Every call with the same (m, n,
+    parities, p) returns the same shared immutable context, built and
+    checked once; a ContextError is raised on every call, never cached.
     """
-    parities = tuple(int(x) for x in parities)
+    return _build_context(m, n, tuple(int(x) for x in parities), p)
+
+
+# one entry per distinct spec; typed, so a p given as 2.0 never reaches callers of p=2
+@functools.lru_cache(maxsize=None, typed=True)
+def _build_context(m: int, n: int, parities: Tuple[int, ...], p: int) -> ParityContext:
     if any(x not in (EVEN, ODD) for x in parities):
         raise ContextError("parities must consist of 0 (even) and 1 (odd)")
     if len(parities) != m + n:

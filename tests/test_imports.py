@@ -1,7 +1,9 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports only the standard library, and no process pool on import."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import supercrystals
@@ -22,3 +24,17 @@ def test_every_absolute_import_is_in_the_standard_library():
                 continue  # not an import, or a relative one
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a run in one process never shards, so the pool is imported on first use
+    code = (
+        "import sys; import supercrystals.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

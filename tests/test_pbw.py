@@ -62,6 +62,26 @@ def test_bracket_defining_relation():
                     assert x.bracket(y) == expect, (i, j, k, l)
 
 
+def test_parity_is_kept_and_bracket_rejects_an_inhomogeneous_operand(monkeypatch):
+    ctx = ctx_of((1, 0))
+    e, h = SuperElt.gen(ctx, 1, 2), SuperElt.gen(ctx, 1, 1)
+    mixed = e + h
+    elements = (e, h, mixed, SuperElt.const(ctx, 3), SuperElt.zero(ctx))
+    want = [1, 0, None, 0, 0]
+    assert [x.parity() for x in elements] == want
+    assert e.bracket(h) == e.scale(-1)
+
+    def recount(parities):
+        raise AssertionError("parity recomputed")
+
+    # a second call reads the kept parity and never counts odd factors again
+    monkeypatch.setattr(pbw, "_odd_gens", recount)
+    assert [x.parity() for x in elements] == want
+    for a, b in ((mixed, e), (e, mixed)):
+        with pytest.raises(ValueError, match="super bracket requires homogeneous arguments"):
+            a.bracket(b)
+
+
 def test_super_jacobi_spot_checks():
     ctx = ctx_of((1, 0, 0), 0)
     gens = [SuperElt.gen(ctx, i, j) for i in range(1, 4) for j in range(1, 4)]

@@ -477,7 +477,7 @@ def test_a_plan_with_no_shard_is_rejected():
     )
 
 
-@pytest.mark.parametrize("suite", ["crystal-axioms", "verma-scalars"])
+@pytest.mark.parametrize("suite", ["oracle-equivalence", "crystal-axioms", "verma-scalars"])
 def test_a_process_pool_gives_the_single_process_reports(suite):
     def rows(processes):
         reports = sweeps.run_suite(suite, max_rank=2, coeff_window=1, processes=processes)

@@ -3,6 +3,7 @@
 import pytest
 from helpers import PAPER_LAM, paper_ctx
 
+from supercrystals.crystal import s_i_map
 from supercrystals.weights import (
     ContextError,
     build_context,
@@ -27,15 +28,43 @@ def test_build_context_basic():
     assert [ctx.parity(i) for i in range(1, 6)] == [1, 1, 0, 0, 0]
 
 
+def raises_every_time(spec, message):
+    """build_context(*spec) raises ContextError(message) on a first and a second call."""
+    for _ in range(2):
+        with pytest.raises(ContextError) as info:
+            build_context(*spec)
+        assert str(info.value) == message
+
+
 def test_build_context_rejects_composite_characteristic():
     for p in (4, 6, 9, 15):
-        with pytest.raises(ContextError):
-            build_context(1, 1, (0, 1), p)
+        raises_every_time((1, 1, (0, 1), p), f"characteristic must be 0 or prime, got {p}")
 
 
 def test_build_context_rejects_mismatched_parities():
-    with pytest.raises(ContextError):
-        build_context(2, 1, (0, 1, 1), 0)  # two odd entries, n says one
+    # two odd entries, n says one
+    raises_every_time((2, 1, (0, 1, 1), 0), "parity counts (1 even, 2 odd) do not match (m=2, n=1)")
+    raises_every_time((2, 1, (0, 1), 0), "parity sequence has length 2, expected 3")
+    raises_every_time((2, 1, (0, 2, 1), 0), "parities must consist of 0 (even) and 1 (odd)")
+
+
+def test_build_context_returns_one_shared_context_per_spec():
+    ctx = build_context(2, 1, (0, 1, 0), 3)
+    assert build_context(2, 1, [0, 1, 0], 3) is ctx
+    assert build_context(2, 1, (x for x in (0, 1, 0)), 3) is ctx
+    # another characteristic or parity sequence gets a context of its own spec
+    specs = [(2, 1, (0, 1, 0), p) for p in (3, 0, 2, 5)]
+    specs += [(2, 1, (1, 0, 0), 3), (2, 1, (0, 0, 1), 3), (1, 2, (1, 0, 1), 3)]
+    contexts = [build_context(*spec) for spec in specs]
+    assert len({id(c) for c in contexts}) == len(specs)
+    assert [(c.m, c.n, c.parities, c.p) for c in contexts] == specs
+
+
+def test_flips_and_odd_reflections_return_the_shared_context():
+    ctx = paper_ctx()
+    assert flip_map(*flip_map(ctx, PAPER_LAM))[0] is ctx
+    # positions 2 and 3 of the paper's parities (1, 1, 0, 0, 0) differ
+    assert s_i_map(*s_i_map(ctx, PAPER_LAM, 2), 2)[0] is ctx
 
 
 def test_congruence_and_reduce():
