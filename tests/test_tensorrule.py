@@ -76,3 +76,45 @@ def test_dual_table_matches_dual_moves_at_every_residue():
                         got = table.get(r, (None, None, (0, 0)))
                         want = tensorrule.dual_moves(p, ctx.signs, lam, letters, r)
                         assert got == want, (parities, p, lam, r)
+
+
+def _tensor_rule(word):
+    """(eps, phi, e_at, f_at) of the letters (eps, phi) of word, folded left.
+
+    Each step applies the two-factor Kashiwara rule to b1 = the prefix and
+    b2 = the next letter: e(b1 x b2) = e b1 x b2 iff phi(b1) >= eps(b2), and
+    f(b1 x b2) = f b1 x b2 iff phi(b1) > eps(b2), else each acts on b2.
+    e_at and f_at index the letter e resp. f acts on, None where it gives 0.
+    """
+    eps = phi = 0  # the empty product is the trivial crystal
+    e_at = f_at = None
+    for j, (eps2, phi2) in enumerate(word):
+        if phi < eps2:
+            e_at = j
+        if phi <= eps2:
+            f_at = j if phi2 else None
+        eps, phi = max(eps, eps2 - (phi - eps)), max(phi2, phi + (phi2 - eps2))
+    return eps, phi, e_at, f_at
+
+
+def test_fold_is_the_two_factor_tensor_rule_folded_left():
+    # after the dual twist the counters are (phi, eps), e* lowers lam at the
+    # letter f acts on and f* raises it at the letter e acts on
+    assert tensorrule._fold((), []) == (None, None, (0, 0))
+    words = 0
+    for length in range(1, 9):
+        lam = tuple(range(10, 10 + 2 * length))
+        for word in itertools.product(((1, 0), (0, 1)), repeat=length):
+            eps, phi, e_at, f_at = _tensor_rule(word)
+            # letter j sits at position 2j + 1, so the fold must read q
+            bucket = [(2 * j + 1, e, f) for j, (e, f) in enumerate(word)]
+            e_w = f_w = None
+            if f_at is not None:
+                q = 2 * f_at + 1
+                e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
+            if e_at is not None:
+                q = 2 * e_at + 1
+                f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
+            assert tensorrule._fold(lam, bucket) == (e_w, f_w, (phi, eps)), word
+            words += 1
+    assert words == 510
