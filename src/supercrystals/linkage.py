@@ -43,16 +43,17 @@ class TruncatedSeries:
 def series_coeffs(down: Sequence[int], up: Sequence[int], n: int) -> List[int]:
     """Coefficients of prod_i (1 - up_i u) / (1 - down_i u) up to u^n.
 
-    Each factor is applied in place with an O(n) recurrence: dividing by
-    1 - d u sets c_k += d c_{k-1} in ascending k, multiplying by 1 - a u
-    sets c_k -= a c_{k-1} in descending k.
+    Each factor (1 - a u) / (1 - d u) is applied in place in one ascending
+    O(n) pass: new c_k = old c_k - a old c_{k-1} + d new c_{k-1}, which
+    multiplies by 1 - a u and divides by 1 - d u at once; c_0 stays 1.
     """
     coeffs = [1] + [0] * n
     for d, a in zip(down, up):
-        for k in range(n, 0, -1):
-            coeffs[k] -= a * coeffs[k - 1]
+        old_prev = new_prev = 1
         for k in range(1, n + 1):
-            coeffs[k] += d * coeffs[k - 1]
+            old = coeffs[k]
+            new_prev = coeffs[k] = old - a * old_prev + d * new_prev
+            old_prev = old
     return coeffs
 
 

@@ -11,9 +11,11 @@ rule.  None of the signature machinery is used here.
 
 The rule is one fold, ``_fold``, over the letters of the negated word that
 are nontrivial for one residue; the caller computes the word b once per
-weight with ``letters_of``.  ``dual_moves`` builds the bucket of one
-residue and folds it, and ``dual_table`` buckets every letter in one pass
-and folds every bucket.
+weight with ``letters_of``.  The fold is a plain-int pass that starts from
+the first letter of the bucket (an empty bucket is the trivial crystal).
+``dual_moves`` builds the bucket of one residue, comparing r, r+1 and each
+letter mod p, and folds it; ``dual_table`` puts each letter straight into
+its two buckets, r = b-1 and r = b, in one pass and folds every bucket.
 ``dual_oracle`` and ``dual_eps_phi`` are thin wrappers over ``dual_moves``;
 the oracle sweep reads ``dual_table``.
 """
@@ -23,9 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .weights import ParityContext, Weight, check_weight
-
-NEG_INF = float("-inf")
-
 
 def letters_of(ctx: ParityContext, lam: Weight) -> List[int]:
     """The letter word b_i = (lam+rho, eps_i) = sign_i * (lam_i + rho_i)."""
@@ -49,19 +48,19 @@ def dual_moves(
     sends c to c+1 where defined.  At an odd position r' and r'+1 trade
     places and e, f move c the other way.  A letter with eps and phi both 0
     is the trivial crystal and leaves the tensor product unchanged, so only
-    c = r' (b = r+1) and c = r'+1 (b = r) go into the bucket ``_fold`` reads.
+    c = r' (b = r+1) and c = r'+1 (b = r) go into the bucket ``_fold`` reads;
+    at p > 0, r, r+1 and each letter are compared mod p.
     """
+    at_r, at_r1 = r + 1, r  # the letters b with c = r' and c = r'+1
+    if p:
+        at_r, at_r1 = at_r % p, at_r1 % p
     bucket = []
     for q in range(len(letters)):
-        b = letters[q]
-        if p:
-            at_r = 1 if (b - r - 1) % p == 0 else 0
-            at_r1 = 1 if (b - r) % p == 0 else 0
-        else:
-            at_r = 1 if b == r + 1 else 0
-            at_r1 = 1 if b == r else 0
-        if at_r or at_r1:
-            bucket.append((q, at_r1, at_r) if signs[q] > 0 else (q, at_r, at_r1))
+        b = letters[q] % p if p else letters[q]
+        if b == at_r:
+            bucket.append((q, 0, 1) if signs[q] > 0 else (q, 1, 0))
+        elif b == at_r1:
+            bucket.append((q, 1, 0) if signs[q] > 0 else (q, 0, 1))
     return _fold(lam, bucket)
 
 
@@ -78,17 +77,23 @@ def dual_table(
     buckets: Dict[int, list] = {}
     for q in range(len(letters)):
         b = letters[q]
-        even = signs[q] > 0
-        # at_r = [r' = c], and then [r'+1 = c] = 1 - at_r
-        for r, at_r in ((b - 1, 1), (b, 0)):
-            if p:
-                r %= p
-            entry = (q, 1 - at_r, at_r) if even else (q, at_r, 1 - at_r)
-            bucket = buckets.get(r)
-            if bucket is None:
-                buckets[r] = [entry]
-            else:
-                bucket.append(entry)
+        # (q, [r'+1 = c], [r' = c]) at r = b-1, then at r = b
+        if signs[q] > 0:
+            low, high = (q, 0, 1), (q, 1, 0)
+        else:
+            low, high = (q, 1, 0), (q, 0, 1)
+        r = (b - 1) % p if p else b - 1
+        bucket = buckets.get(r)
+        if bucket is None:
+            buckets[r] = [low]
+        else:
+            bucket.append(low)
+        r = b % p if p else b
+        bucket = buckets.get(r)
+        if bucket is None:
+            buckets[r] = [high]
+        else:
+            bucket.append(high)
     return {r: _fold(lam, bucket) for r, bucket in buckets.items()}
 
 
@@ -98,20 +103,29 @@ def _fold(
     """The tensor rule on the letters (q, eps_q, phi_q) of one r', q increasing.
 
     Folding (((x1 x2) x3) ...) with the Kashiwara rule gives, for the prefix
-    of length j,
+    of length j > 1,
         eps = max(eps_prev, eps_j - h_sum_prev)
         phi = max(phi_j, phi_prev + h_j)
-    where h = phi - eps per letter and h_sum is its running total.  The twist
-    swaps eps and phi, so (eps*, phi*) = (phi, eps) of the whole word.
+    where h = phi - eps per letter and h_sum is its running total; the
+    prefix of length 1 is the first letter itself, so every value is a
+    nonnegative int.  The twist swaps eps and phi, so (eps*, phi*) = (phi,
+    eps) of the whole word.  An empty bucket is the trivial crystal.
     """
-    eps_all = phi_all = NEG_INF  # the empty prefix: nothing to raise
-    phi_before = []  # phi of the prefix before each letter
-    h_sum = 0
-    for _, e, f in bucket:
+    if not bucket:
+        return None, None, (0, 0)
+    _, eps_all, phi_all = bucket[0]
+    h_sum = phi_all - eps_all
+    phi_before = [0]  # phi of the prefix before each letter; the first is never read
+    for j in range(1, len(bucket)):
+        _, e, f = bucket[j]
         phi_before.append(phi_all)
-        eps_all = max(eps_all, e - h_sum)
-        phi_all = max(f, phi_all + (f - e))
-        h_sum += f - e
+        if e - h_sum > eps_all:
+            eps_all = e - h_sum
+        h = f - e
+        phi_all += h
+        if f > phi_all:
+            phi_all = f
+        h_sum += h
     # lam_q = -sign_q * c_q - rho_q, and the letter c_q moves by sign_q under
     # f_r' and by -sign_q under e_r', so lam_q moves by -1 resp. +1
     # e*_r(x) = -f_r'(-x): f acts on the last letter q whose eps is at least
@@ -134,7 +148,7 @@ def _fold(
         q, e, _ = bucket[k]
         if e:
             f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
-    return e_w, f_w, (max(0, phi_all), max(0, eps_all))
+    return e_w, f_w, (phi_all, eps_all)
 
 
 def _moves(ctx: ParityContext, lam: Weight, r: int):

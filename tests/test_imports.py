@@ -1,4 +1,5 @@
-"""The package imports only the standard library, and no process pool on import."""
+"""The package imports only the standard library, no process pool on import, and
+the tensor-rule oracle nothing of the package but `weights`."""
 
 import ast
 import os
@@ -38,3 +39,24 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_the_tensor_rule_oracle_imports_no_package_module_but_weights():
+    # the oracle is checked against the signature rule, so it must not come
+    # to borrow that rule (or anything else of the package) to compute
+    path = PACKAGE / "tensorrule.py"
+    package = PACKAGE.name
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join([package] + ([base] if base else []))
+            # `from package import name` may import a module by its name
+            dotted = [base] if base != package else [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        modules.update(name for name in dotted if name.split(".")[0] == package)
+    assert modules == {f"{package}.weights"}

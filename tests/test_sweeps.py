@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercrystals import crystal, pbw, sweeps
+from supercrystals import crystal, pbw, sweeps, tensorrule
 from supercrystals.affine import wt_key
 from supercrystals.cli import main
 from supercrystals.weights import build_context, iter_window, residue_vectors
@@ -417,6 +417,12 @@ PLANTED = [
         lambda real: lambda ctx, lam: tuple([v[0] + 1] + v[1:] for v in real(ctx, lam)),
         0, (1, 0), {"star operators match the tensor-rule oracle",
                     "star counters match the tensor-rule oracle"}, None, id="residue_vectors"),
+    # the oracle side of C2: each bucket folds only its last letter
+    pytest.param(
+        "oracle-equivalence", tensorrule, "_fold",
+        lambda real: lambda lam, bucket: real(lam, bucket[-1:]),
+        0, (1, 0), {"star operators match the tensor-rule oracle",
+                    "star counters match the tensor-rule oracle"}, None, id="_fold"),
 ]
 assert len({row.id for row in PLANTED}) == len(PLANTED)  # pytest renumbers repeated ids
 
