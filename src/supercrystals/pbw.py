@@ -608,14 +608,14 @@ def lowering_scalar_check(
     a_set: Iterable[int],
     b_set: Iterable[int],
     lam: Weight,
-) -> Tuple[int, Optional[int]]:
+) -> int:
     """Raise the lowered vector and compare with the predicted product.
 
     Evaluates ``raised_s_element`` at lam: E_i ... E_{j-1} S_{i,j}(A) . v_lam
-    lies on the highest-weight line.  Checks |scalar| = |prod over t in {i} u B of
-    b_{i,t}(lam)| in the scalar domain (mod p when p > 0).  Returns the
-    scalar (reduced mod p) and the sign, or None when the product vanishes.
-    IndexError unless 1 <= i < j <= rank.
+    lies on the highest-weight line.  Checks scalar = (-1)^{p_i} times the
+    product over t in {i} u B of b_{i,t}(lam) in the scalar domain (mod p
+    when p > 0), or raises AssertionError, and returns the scalar, reduced
+    mod p.  IndexError unless 1 <= i < j <= rank.
 
     The preconditions c_{i,h}(lam) = 0 off A and b_{i,h}(lam) = 0 off B
     (ValueError if not) read ``crystal.bc_positions`` of one
@@ -633,21 +633,14 @@ def lowering_scalar_check(
             raise ValueError(f"c_{{{i},{h}}}(lam) not 0 mod p")
         if h not in b_set and h not in b_zero:
             raise ValueError(f"b_{{{i},{h}}}(lam) not 0 mod p")
-    scalar = verma_scalar(raised_s_element(ctx, i, j, a_set), lam)
-    predicted = 1
+    scalar = ctx.reduce(verma_scalar(raised_s_element(ctx, i, j, a_set), lam))
+    predicted = ctx.sign(i)
     for t in {i} | b_set:
         predicted *= down[i - 1] - up[t]
-    lhs, rhs = ctx.reduce(scalar), ctx.reduce(predicted)
-    if rhs == 0:
-        if lhs != 0:
-            raise AssertionError(
-                f"scalar {lhs} nonzero but predicted product vanishes"
-            )
-        return 0, None
-    if lhs != rhs and lhs != ctx.reduce(-predicted):
+    predicted = ctx.reduce(predicted)
+    if scalar != predicted:
         raise AssertionError(
-            f"scalar {lhs} does not match +/-{rhs} for ({i},{j},{sorted(a_set)},"
-            f"{sorted(b_set)},{lam})"
+            f"scalar {scalar} does not match {predicted} for ({i},{j},"
+            f"{sorted(a_set)},{sorted(b_set)},{lam})"
         )
-    sign = 1 if lhs == rhs else -1
-    return lhs, sign
+    return scalar

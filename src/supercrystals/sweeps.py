@@ -6,12 +6,13 @@ Workers are top-level functions on picklable arguments so suites can be
 sharded across processes; the process pool is imported only when a run
 shards, so a run in one process never loads it.  One table,
 ``_SUITE_TABLE``, declares every suite as its ordered parts (worker, rank
-cap, characteristics, reads): the ranks and characteristics its shards
-cover and the ``run_suite`` options each shard's job reads, with their
-caps.  ``run_suite`` builds every job from it, ``SUITE_OPTIONS`` (the
-options a suite reads, which ``verify`` checks its flags against) is
-derived from it, and ``_fail`` formats every counterexample from the
-context spec and the loop variables.
+cap, characteristics, reads): the ranks its shards cover, whether they
+sweep the run's characteristics or run at p = 0, and the ``run_suite``
+options each shard's job reads, with their caps.  ``run_suite`` builds
+every job from it, a context spec (m, n, parities, p) followed by those
+options, ``SUITE_OPTIONS`` (the options a suite reads, which ``verify``
+checks its flags against) is derived from it, and ``_fail`` formats every
+counterexample from the context spec and the loop variables.
 
 The crystal, odd-reflection and linkage workers compute the residue vectors
 of each weight once and call the kernels of ``crystal``, ``tensorrule``,
@@ -33,8 +34,9 @@ generators with each other and with the x elements, C7 brackets
 ``pbw.z_tilde_element`` for centrality, and C7 checks that ``pbw.s_element``
 normal-ordered in the alt order returns S.  C8's Z_r check reads every r of
 a weight off one ``linkage.z_scalars`` call.  C8 leaves case selection to
-``pbw.lowering_scalar_check`` (a ValueError is no case); C8/C9 evaluate one
-cached ``pbw.raised_s_element`` per (i, j, A).
+``pbw.lowering_scalar_check`` (a ValueError is no case), which pins the
+scalar to (-1)^{p_i} times the product at every characteristic; C8/C9
+evaluate one cached ``pbw.raised_s_element`` per (i, j, A).
 """
 
 from __future__ import annotations
@@ -86,13 +88,7 @@ def context_specs(
 ) -> List[CtxSpec]:
     """All (m, n, parities, p) combinations for the sweep; see _parity_seqs for a pin."""
     seqs = _parity_seqs(ranks, parities_pin)
-    return [_spec(parities, p) for parities in seqs for p in p_list]
-
-
-def _spec(parities: Tuple[int, ...], p: int) -> CtxSpec:
-    """The context spec (m, n, parities, p) of a parity sequence at p."""
-    m = parities.count(0)
-    return (m, len(parities) - m, parities, p)
+    return [(s.count(0), s.count(1), s, p) for s in seqs for p in p_list]
 
 
 def _fail(report: PropertyReport, spec: CtxSpec, label: str = "", **where) -> None:
@@ -431,9 +427,8 @@ def _relation(ctx: ParityContext, x: pbw.Gen, y: pbw.Gen, elt) -> pbw.SuperElt:
     return want
 
 
-def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
-    parities, seed = job
-    spec = _spec(parities, 0)
+def pbw_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
+    spec, seed = job
     ctx = build_context(*spec)
     rank = ctx.rank
     bracket_tab = PropertyReport("generator brackets match the defining relation")
@@ -512,9 +507,8 @@ def pbw_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
     return [bracket_tab, jacobi, assoc, murphy, tech, recur, comm, orderfree, integral]
 
 
-def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
-    parities, max_r = job
-    spec = _spec(parities, 0)
+def central_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
+    spec, max_r = job
     ctx = build_context(*spec)
     basic = PropertyReport("brackets of generators with the x elements")
     central = PropertyReport("the summed x elements are central")
@@ -540,9 +534,8 @@ def central_worker(job: Tuple[Tuple[int, ...], int]) -> List[PropertyReport]:
 # Verma scalars
 
 
-def verma_z_worker(job: Tuple[Tuple[int, ...], int, int]) -> List[PropertyReport]:
-    parities, max_r, window = job
-    spec = _spec(parities, 0)
+def verma_z_worker(job: Tuple[CtxSpec, int, int]) -> List[PropertyReport]:
+    spec, max_r, window = job
     ctx = build_context(*spec)
     rep = PropertyReport("central elements act on the Verma line by Z_r")
     zs = [pbw.z_element(ctx, r).reduce_mod_J() for r in range(1, max_r + 1)]
@@ -599,7 +592,7 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             a_set = interval - set(chosen)
             b_set = interval - b_full
             try:
-                scalar, _ = pbw.lowering_scalar_check(ctx, i, rank, a_set, b_set, lam)
+                scalar = pbw.lowering_scalar_check(ctx, i, rank, a_set, b_set, lam)
             except (AssertionError, ArithmeticError, ValueError) as exc:
                 _fail(rep, spec, lam=lam, i=i, error=exc)
                 continue
@@ -614,10 +607,10 @@ def witness_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
 
 # suite -> its parts in run order: (worker, rank cap, characteristics, reads).
 # A part covers the parity sequences of ranks 2..max_rank, capped at its
-# rank cap.  Characteristics None runs one shard per parity sequence at
-# p = 0; "every" runs one per context spec (m, n, parities, p) for p in
-# p_list, "positive" likewise for the positive p only.  reads names the
-# run_suite options that follow the key in the shard's job, in job order,
+# rank cap.  Characteristics "every" runs one shard per context spec
+# (m, n, parities, p) for p in p_list; None runs one per parity sequence at
+# p = 0 alone, keyed by its spec (m, n, parities, 0).  reads names the
+# run_suite options that follow the spec in the shard's job, in job order,
 # each with its cap or None.  The caps keep the exhaustive searches
 # tractable; the x elements grow fast in r, so their brackets stop at r = 3.
 _SUITE_TABLE = {
@@ -632,7 +625,7 @@ _SUITE_TABLE = {
     ],
     "verma-scalars": [
         ("verma_z_worker", 4, None, (("max_r", None), ("coeff_window", 3))),
-        ("lowering_scalar_worker", 3, "positive", (("coeff_window", 3),)),
+        ("lowering_scalar_worker", 3, "every", (("coeff_window", 3),)),
         ("witness_worker", 3, "every", (("coeff_window", 2),)),
     ],
 }
@@ -685,11 +678,7 @@ def run_suite(
         for worker, rank_cap, characteristics, reads in _SUITE_TABLE[suite]:
             top = max_rank if rank_cap is None else min(max_rank, rank_cap)
             ranks = range(2, top + 1)
-            if characteristics is None:
-                keys = _parity_seqs(ranks, parities_pin)
-            else:
-                ps = p_list if characteristics == "every" else [p for p in p_list if p]
-                keys = context_specs(ranks, ps, parities_pin)
+            keys = context_specs(ranks, p_list if characteristics else (0,), parities_pin)
             args = tuple(
                 options[opt] if cap is None else min(options[opt], cap) for opt, cap in reads
             )

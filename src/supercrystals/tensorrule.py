@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .weights import ParityContext, Weight, check_weight
 
+
 def letters_of(ctx: ParityContext, lam: Weight) -> List[int]:
     """The letter word b_i = (lam+rho, eps_i) = sign_i * (lam_i + rho_i)."""
     check_weight(ctx, lam)

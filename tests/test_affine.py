@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from helpers import PAPER_LAM, paper_ctx
 
 from supercrystals.affine import (
@@ -65,6 +66,12 @@ def test_dual_basis_pairings():
                 assert pair_P(lambda_of(p, r), alpha_of(p, s)) == (
                     1 if r == s else 0
                 )
+    # neither basis exists at p = 0
+    with pytest.raises(ValueError, match="^delta exists only in positive characteristic$"):
+        delta_of(0)
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="^Lambda_r exists only in positive characteristic$"):
+            lambda_of(0, r)
 
 
 def test_gamma_alpha_pairing_against_form():

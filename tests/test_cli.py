@@ -336,8 +336,8 @@ def test_verify_takes_a_nonzero_p_only_for_a_pinned_sweep_of_characteristics(cap
          "--pin-parities", "--processes", "1"],
         capsys,
     )[0] == 0
-    # all sweeps at p = 3 where a suite sweeps characteristics: the lowering
-    # part of verma-scalars runs at positive p only
+    # all sweeps at p = 3 where a suite sweeps characteristics, the lowering
+    # part of verma-scalars among them
     code, out, _ = run(
         ["--p", "3", "--parities", "1,0", "verify", "all", "--max-rank", "2",
          "--coeff-window", "1", "--pin-parities", "--processes", "1"],
@@ -399,22 +399,21 @@ def test_verify_unpinned_p_list_defaults_to_0_2_3_5(capsys):
 
 
 def test_verify_sweeps_only_the_characteristics_it_is_given(capsys):
-    # the lowering part runs at the positive characteristics it is given:
-    # at p = 0 alone it plans no shard and prints no report
+    # the lowering part runs at each characteristic it is given, p = 0 too:
+    # at rank 2, A = B = {} and each of the 49 weights of the window 3 is
+    # one check per context spec, of which there are four per p unpinned
     lowered = "raised lowered vectors give the predicted scalar"
-    run_at_0 = ["verify", "verma-scalars", "--max-rank", "2", "--processes", "1"]
-    for argv in (P0 + run_at_0 + ["--pin-parities"], run_at_0 + ["--p-list", "0"]):
+    verma = ["verify", "verma-scalars", "--max-rank", "2", "--processes", "1"]
+    for argv, checks in (
+        (P0 + verma + ["--pin-parities"], 49),
+        (["--p", "3", "--parities", "1,0"] + verma + ["--pin-parities"], 49),
+        (verma + ["--p-list", "0"], 4 * 49),
+        (verma + ["--p-list", "0,3"], 8 * 49),
+    ):
         code, out, _ = run(argv, capsys)
         assert code == 0, argv
         assert "central elements act on the Verma line by Z_r" in out, argv
-        assert lowered not in out, argv
-    code, out, _ = run(
-        ["--p", "3", "--parities", "1,0", "verify", "verma-scalars",
-         "--max-rank", "2", "--pin-parities", "--processes", "1"],
-        capsys,
-    )
-    assert code == 0
-    assert f"[pass] {lowered}: 49 checks" in out
+        assert f"[pass] {lowered}: {checks} checks" in out, argv
 
 
 def _outcome(argv, capsys):

@@ -91,6 +91,10 @@ def test_bc_sets_worked_example():
     ctx = paper_ctx()
     c_set, b_set = crystal.bc_sets(ctx, PAPER_LAM, 1, 5)
     assert c_set == {2} and b_set == {2}
+    for i, j in ((2, 2), (3, 2)):
+        with pytest.raises(IndexError) as exc:
+            crystal.bc_sets(ctx, PAPER_LAM, i, j)
+        assert str(exc.value) == f"need 1 <= i < j <= 5, got ({i}, {j})"
 
 
 def test_c_scalar_is_residue_difference():
@@ -133,6 +137,10 @@ def test_odd_reflection_worked_example():
     assert olam == (1, 1, -1, 7, 5)
     with pytest.raises(ValueError):
         crystal.s_i_map(ctx, PAPER_LAM, 3)  # both parities even
+    for i in (0, 5):  # no position i + 1 to swap with i
+        with pytest.raises(IndexError) as exc:
+            crystal.s_i_map(ctx, PAPER_LAM, i)
+        assert str(exc.value) == f"position {i} out of range 1..4"
 
 
 def test_odd_reflection_nonzero_pairing():

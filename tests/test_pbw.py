@@ -197,14 +197,14 @@ def test_verma_base_case():
 
 
 def test_lowering_scalar_check_adjacent():
-    ctx = build_context(1, 1, (0, 1), 2)
-    for lam in iter_window(2, 2):
-        scalar, sign = pbw.lowering_scalar_check(ctx, 1, 2, set(), set(), lam)
-        expect = ctx.reduce(b_scalar(ctx, lam, 1, 1))
-        if expect == 0:
-            assert scalar == 0 and sign is None
-        else:
-            assert scalar in (expect, ctx.reduce(-expect)) and sign in (-1, 1)
+    # E_1 F_21 . v = (-1)^{p_1} b_{1,1}(lam) v; away from p = 2 the two signs differ
+    for parities in ((0, 1), (1, 0)):
+        for p in (0, 2, 3, 5):
+            ctx = ctx_of(parities, p)
+            for lam in iter_window(2, 2):
+                scalar = pbw.lowering_scalar_check(ctx, 1, 2, set(), set(), lam)
+                assert scalar == ctx.reduce(ctx.sign(1) * b_scalar(ctx, lam, 1, 1)), (
+                    parities, p, lam)
 
 
 def test_lowering_scalar_check_rejects_bad_preconditions():
@@ -429,6 +429,11 @@ def test_s_element_rejects_positions_outside_the_context():
         assert str(exc.value) == f"need 1 <= i <= j <= 2, got ({i}, {j})"
     with pytest.raises(IndexError, match=r"A = \[1\] not inside \(1..1\)"):
         pbw.s_element(ctx, 1, 1, {1})
+    # A holds the open interval: neither end i nor end j is inside it
+    for t in (1, 3):
+        with pytest.raises(IndexError) as exc:
+            pbw.s_element(ctx_of((1, 0, 0)), 1, 3, {t})
+        assert str(exc.value) == f"A = [{t}] not inside (1..3)"
 
 
 def test_named_elements_reject_positions_outside_the_context():
@@ -541,7 +546,7 @@ def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
     # the cached element is the full product, reduced mod J
     raised = SuperElt.gen(ctx, 1, 2) * (SuperElt.gen(ctx, 2, 3) * s)
     assert pbw.raised_s_element(ctx, 1, 3, frozenset()) == raised.reduce_mod_J()
-    for (scalar, _), lam in zip(results, ((0, 1, 1), (1, 2, 2))):
+    for scalar, lam in zip(results, ((0, 1, 1), (1, 2, 2))):
         assert scalar == pbw.verma_scalar(raised, lam)
 
 

@@ -1,5 +1,6 @@
 """Job plans, check counts and the failure path of the verification suites."""
 
+import collections
 import hashlib
 import itertools
 import re
@@ -43,23 +44,27 @@ def test_pinned_runs_stay_inside_the_gate(monkeypatch):
 
 
 def test_job_plans_are_pinned(monkeypatch):
-    # the suite table must hand _run_sharded the same shards, in the same order
-    text = "".join(
-        repr(planned_jobs(monkeypatch, name)) for name in sweeps.SUITES + ("all",)
-    )
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1c47aeb76c7bf9e4"
+    # the suite table must hand _run_sharded the same shards, in the same
+    # order; every job starts with its context spec, so a mismatch also
+    # shows the shards per (worker, p)
+    plans = [planned_jobs(monkeypatch, name) for name in sweeps.SUITES + ("all",)]
+    digest = hashlib.sha256("".join(map(repr, plans)).encode()).hexdigest()[:16]
+    shards = collections.Counter((name, job[0][3]) for plan in plans for name, job in plan)
+    assert digest == "0b71e263cf409c7e", sorted(shards.items())
 
 
-def test_the_lowering_part_runs_at_the_positive_characteristics_given(monkeypatch):
-    def lowering_ps(**overrides):
+def test_the_lowering_part_runs_at_every_characteristic_given(monkeypatch):
+    def planned_ps(worker, **overrides):
         jobs = planned_jobs(monkeypatch, "verma-scalars", **overrides)
-        return {job[0][3] for name, job in jobs if name == "lowering_scalar_worker"}
+        return {job[0][3] for name, job in jobs if name == worker}
 
-    assert lowering_ps() == {2, 3, 5}
-    assert lowering_ps(p_list=(0, 3)) == {3}
-    assert lowering_ps(p_list=(0,)) == set()
-    assert lowering_ps(p_list=(0,), parities_pin=(1, 0)) == set()
-    assert lowering_ps(p_list=(5,), parities_pin=(1, 0)) == {5}
+    assert planned_ps("lowering_scalar_worker") == {0, 2, 3, 5}
+    assert planned_ps("lowering_scalar_worker", p_list=(0, 3)) == {0, 3}
+    assert planned_ps("lowering_scalar_worker", p_list=(0,)) == {0}
+    assert planned_ps("lowering_scalar_worker", p_list=(0,), parities_pin=(1, 0)) == {0}
+    assert planned_ps("lowering_scalar_worker", p_list=(5,), parities_pin=(1, 0)) == {5}
+    # the Z_r part runs at p = 0 whatever the run's characteristics
+    assert planned_ps("verma_z_worker", p_list=(5,), parities_pin=(1, 0)) == {0}
 
 
 def test_odd_reflection_and_linkage_check_counts():
@@ -79,7 +84,7 @@ def test_pbw_and_verma_check_counts():
     }
     assert counts == {
         "pbw-identities": [712, 288, 288, 148, 8, 8, 48, 36, 36, 2136, 264],
-        "verma-scalars": [11760, 26388, 5400],
+        "verma-scalars": [11760, 34864, 5400],
     }
 
 
@@ -380,13 +385,19 @@ PLANTED = [
                     "lowering-operator recurrence",
                     "the L elements commute pairwise and with H"} | X_ELEMENT_REPORTS,
         {BRACKET_TABLE_REPORT} | X_ELEMENT_REPORTS, id="_bracket_gens"),
-    # the scalar is one off, so both AssertionErrors of lowering_scalar_check
-    # fire; twice the scalar would pass its +- check at p = 3, where 2 = -1
+    # the raised scalar one off, then negated: lowering_scalar_check pins the
+    # sign, which only p = 2, where -1 = 1, cannot see
     pytest.param(
         "verma-scalars", pbw, "raised_s_element",
         lambda real: lambda ctx, i, j, a: real(ctx, i, j, a) + pbw.SuperElt.const(ctx, 1),
         3, (1, 0), {"raised lowered vectors give the predicted scalar",
                     "every normal index certifies a nonzero scalar"}, None, id="raised_s_element"),
+    pytest.param(
+        "verma-scalars", pbw, "raised_s_element",
+        lambda real: lambda ctx, i, j, a: -real(ctx, i, j, a),
+        3, (1, 0), {"raised lowered vectors give the predicted scalar",
+                    "every normal index certifies a nonzero scalar"}, None,
+        id="raised_s_element-negated"),
     # super Jacobi, associativity, order independence and integrality: each
     # CLI run is pinned at rank 3, since at parities 1,0 the one S is F_21,
     # which neither the change of basis nor the factors reach
