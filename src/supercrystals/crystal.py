@@ -185,11 +185,13 @@ def read_moves(
     """
     e_w = f_w = None
     if minus:
-        q = minus[0]
-        e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
+        w = list(lam)
+        w[minus[0]] -= 1
+        e_w = tuple(w)
     if plus:
-        q = plus[-1]
-        f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
+        w = list(lam)
+        w[plus[-1]] += 1
+        f_w = tuple(w)
     return e_w, f_w, (len(minus), len(plus))
 
 
@@ -308,10 +310,12 @@ def odd_weight(p: int, signs: Sequence[int], lam: Weight, i: int) -> Weight:
     Swaps lam_i and lam_{i+1}, then adds eps_i - eps_{i+1} unless the pairing
     (lam, eps_i - eps_{i+1}) = signs_i lam_i - signs_{i+1} lam_{i+1} is 0 mod p.
     """
-    a, b = lam[i - 1], lam[i]
+    w = list(lam)
+    a, b = w[i - 1], w[i]
     pairing = signs[i - 1] * a - signs[i] * b
     shift = 1 if (pairing % p if p else pairing) else 0
-    return lam[: i - 1] + (b + shift, a - shift) + lam[i + 1 :]
+    w[i - 1], w[i] = b + shift, a - shift
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

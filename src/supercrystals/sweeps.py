@@ -21,10 +21,11 @@ wrap, so every check runs library code.  The crystal workers (C2-C5) read
 every residue of a weight off one table: ``crystal.reduced_table`` for the
 signature rule and ``tensorrule.dual_table`` of ``letters_of`` for the
 tensor rule.  A check that reads one r of a moved weight (the e*/f* round
-trip of the axioms, the one-step-down check of normality) keeps the
-per-residue kernel.  C3 takes the wt shift of a move as ``affine.wt_key``
-of the moved position after the move minus before it, since wt is a sum
-over positions; C5 likewise compares ``wt_key`` of lam and of its odd
+trip of C3, the one-step-down check of C4) keeps the per-residue kernel and
+reads the weight's own vectors, patched in place at the moved position and
+restored right after.  C3 takes the wt shift of a move as ``affine.wt_key``
+of the moved position after the move minus before it, as wt sums over
+positions; C5 likewise compares ``wt_key`` of lam and of its odd
 reflection at i on the two positions i, i+1 the reflection moves, once per
 pair of letters there.  C4 reads the matching criterion for normality and
 goodness at every position off one ``crystal.matching_flags`` pass per
@@ -160,9 +161,10 @@ def oracle_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
         # the tensor rule reads its own letter word, not the residues
         dual = tensorrule.dual_table(p, signs, lam, tensorrule.letters_of(ctx, lam))
         # a class only one route sees is checked too, as vacuous on the other
-        for r in _residue_candidates(p, table.keys() | dual.keys()):
-            ops.checks += 2
-            counts.checks += 1
+        rs = _residue_candidates(p, table.keys() | dual.keys())
+        ops.checks += 2 * len(rs)
+        counts.checks += len(rs)
+        for r in rs:
             minus, plus = table.get(r, crystal.VACUOUS)
             got_e, got_f, got_counts = crystal.read_moves(lam, minus, plus)
             want_e, want_f, want_counts = dual.get(r, _NO_MOVES)
@@ -205,12 +207,14 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if not ends:
                     continue
                 q = minus[0] if step < 0 else plus[-1]
-                moved = lam[:q] + (lam[q] + step,) + lam[q + 1 :]
-                down2 = down[:]
-                down2[q] += step * signs[q]
-                up2 = up[:]
-                up2[q] += step * signs[q]
-                e_back, f_back, cnt2 = crystal.star_moves(p, moved, down2, up2, r)
+                moved = list(lam)
+                moved[q] += step
+                d = step * signs[q]  # moved is read on lam's own vectors, patched at q
+                down[q] += d
+                up[q] += d
+                e_back, f_back, cnt2 = crystal.star_moves(p, tuple(moved), down, up, r)
+                down[q] -= d
+                up[q] -= d
                 c4.checks += 1
                 if (f_back if step < 0 else e_back) != lam:
                     _fail(c4, spec, op, lam=lam, r=r)
@@ -222,7 +226,7 @@ def axioms_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 ok = shift_ok.get(key)
                 if ok is None:
                     sign = signs[q : q + 1]
-                    after = AffineWeight.from_key(p, wt_key(p, sign, (down2[q],)))
+                    after = AffineWeight.from_key(p, wt_key(p, sign, (down[q] + d,)))
                     before = AffineWeight.from_key(p, wt_key(p, sign, (down[q],)))
                     ok = shift_ok[key] = after - before == alpha_of(p, r).scale(-step)
                 if not ok:
@@ -269,14 +273,15 @@ def normal_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
             if sig_good != good[i - 1]:
                 _fail(goodcrit, spec, lam=lam, i=i)
             npc.checks += 1
-            # position i of lam - eps_i, read only when i is normal for lam
+            # lam - eps_i on lam's own vectors, patched at i: read only when i is normal
             conormal_below = False
             if sig_normal:
-                down2 = down[:]
-                down2[i - 1] -= ctx.signs[i - 1]
-                up2 = up[:]
-                up2[i - 1] -= ctx.signs[i - 1]
-                minus2, plus2 = crystal.reduced_positions(p, down2, up2, r)
+                d = ctx.signs[i - 1]
+                down[i - 1] -= d
+                up[i - 1] -= d
+                minus2, plus2 = crystal.reduced_positions(p, down, up, r)
+                down[i - 1] += d
+                up[i - 1] += d
                 conormal_below = crystal.index_kind(minus2, plus2, i - 1) in conormal_kinds
             if sig_good != conormal_below:
                 _fail(npc, spec, lam=lam, i=i)

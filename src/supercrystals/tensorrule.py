@@ -11,8 +11,8 @@ rule.  None of the signature machinery is used here.
 
 The rule is one fold, ``_fold``, over the letters of the negated word that
 are nontrivial for one residue; the caller computes the word b once per
-weight with ``letters_of``.  The fold is a plain-int pass that starts from
-the first letter of the bucket (an empty bucket is the trivial crystal).
+weight with ``letters_of``.  The fold is one plain-int forward pass that
+also records the letters e and f act on (an empty bucket is trivial).
 ``dual_moves`` builds the bucket of one residue, comparing r, r+1 and each
 letter mod p, and folds it; ``dual_table`` puts each letter straight into
 its two buckets, r = b-1 and r = b, in one pass and folds every bucket.
@@ -110,16 +110,22 @@ def _fold(
     where h = phi - eps per letter and h_sum is its running total; the
     prefix of length 1 is the first letter itself, so every value is a
     nonnegative int.  The twist swaps eps and phi, so (eps*, phi*) = (phi,
-    eps) of the whole word.  An empty bucket is the trivial crystal.
+    eps) of the whole word.  The same pass records, with no back-walk, where
+    e and f act: the last letter whose eps exceeds, resp. is at least, the
+    phi of the prefix before it, else the first.  An empty bucket is trivial.
     """
     if not bucket:
         return None, None, (0, 0)
     _, eps_all, phi_all = bucket[0]
     h_sum = phi_all - eps_all
-    phi_before = [0]  # phi of the prefix before each letter; the first is never read
+    e_at = f_at = 0  # the letters e resp. f acts on
     for j in range(1, len(bucket)):
         _, e, f = bucket[j]
-        phi_before.append(phi_all)
+        # phi_all is still the phi of the prefix before letter j
+        if e >= phi_all:
+            f_at = j
+            if e > phi_all:
+                e_at = j
         if e - h_sum > eps_all:
             eps_all = e - h_sum
         h = f - e
@@ -128,27 +134,21 @@ def _fold(
             phi_all = f
         h_sum += h
     # lam_q = -sign_q * c_q - rho_q, and the letter c_q moves by sign_q under
-    # f_r' and by -sign_q under e_r', so lam_q moves by -1 resp. +1
-    # e*_r(x) = -f_r'(-x): f acts on the last letter q whose eps is at least
-    # the phi of the prefix before it
-    e_w = None
+    # f_r' and by -sign_q under e_r', so lam_q moves by -1 resp. +1:
+    # e*_r(x) = -f_r'(-x) lowers lam at f_at, f*_r(x) = -e_r'(-x) raises it at e_at
+    e_w = f_w = None
     if phi_all > 0:
-        k = len(bucket) - 1
-        while k > 0 and phi_before[k] > bucket[k][1]:
-            k -= 1
-        q, _, f = bucket[k]
+        q, _, f = bucket[f_at]
         if f:
-            e_w = lam[:q] + (lam[q] - 1,) + lam[q + 1 :]
-    # f*_r(x) = -e_r'(-x): e acts on the last letter q whose eps exceeds the
-    # phi of the prefix before it
-    f_w = None
+            w = list(lam)
+            w[q] -= 1
+            e_w = tuple(w)
     if eps_all > 0:
-        k = len(bucket) - 1
-        while k > 0 and phi_before[k] >= bucket[k][1]:
-            k -= 1
-        q, e, _ = bucket[k]
+        q, e, _ = bucket[e_at]
         if e:
-            f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
+            w = list(lam)
+            w[q] += 1
+            f_w = tuple(w)
     return e_w, f_w, (phi_all, eps_all)
 
 

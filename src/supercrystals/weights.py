@@ -169,7 +169,8 @@ def residue_vectors(ctx: ParityContext, lam: Weight) -> Tuple[List[int], List[in
     """(down, up): the residues r_j(lam) and r_j(lam + eps_j), j = 1..k.
 
     r_j(lam + eps_j) = r_j(lam) + (-1)**parity_j by bilinearity.  These are
-    the inputs of the kernels in ``crystal``.
+    the inputs of the kernels in ``crystal``.  Every call returns two fresh
+    lists, which the caller owns and may patch in place.
     """
     check_weight(ctx, lam)
     down = []

@@ -9,6 +9,7 @@ from supercrystals import crystal
 from supercrystals.weights import (
     build_context,
     eps,
+    form_pair,
     iter_window,
     residue_vectors,
     weight_add,
@@ -255,6 +256,35 @@ def test_reduced_table_matches_reduced_positions_at_every_residue():
                         assert crystal.read_moves(lam, minus, plus) == crystal.star_moves(
                             p, lam, down, up, r
                         ), (parities, p, lam, r)
+
+
+def test_the_weight_builders_match_weight_arithmetic():
+    # read_moves and odd_weight build lam +- eps_q on a list copy of lam;
+    # check them against the tuple arithmetic of weights, not against a
+    # route that reads through them
+    for rank in range(1, 5):
+        for parities in itertools.product((0, 1), repeat=rank):
+            m = parities.count(0)
+            for p in (0, 3):
+                ctx = build_context(m, rank - m, parities, p)
+                adjacents = [i for i in range(1, rank) if parities[i - 1] != parities[i]]
+                for lam in iter_window(rank, 2):
+                    down, up = residue_vectors(ctx, lam)
+                    for minus, plus in crystal.reduced_table(p, down, up).values():
+                        e_w = weight_sub(lam, eps(ctx, minus[0] + 1)) if minus else None
+                        f_w = weight_add(lam, eps(ctx, plus[-1] + 1)) if plus else None
+                        got = crystal.read_moves(lam, minus, plus)
+                        assert got == (e_w, f_w, (len(minus), len(plus))), (parities, p, lam)
+                        assert all(type(w) is tuple for w in got[:2] if w is not None)
+                    for i in adjacents:
+                        root = weight_sub(eps(ctx, i), eps(ctx, i + 1))
+                        swapped = list(lam)
+                        swapped[i - 1], swapped[i] = lam[i], lam[i - 1]
+                        want = tuple(swapped)
+                        if not ctx.congruent(form_pair(ctx, lam, root), 0):
+                            want = weight_add(want, root)
+                        got = crystal.odd_weight(p, ctx.signs, lam, i)
+                        assert type(got) is tuple and got == want, (parities, p, lam, i)
 
 
 def test_matching_flags_match_the_per_position_routes():

@@ -142,6 +142,62 @@ def test_the_odd_reflection_sweep_compares_wt_once_per_letter_pair(monkeypatch):
     assert all(rep.failures == 0 for rep in reports)
 
 
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize(
+    "worker, kernel",
+    [(sweeps.axioms_worker, "star_moves"), (sweeps.normal_worker, "reduced_positions")],
+    ids=["axioms", "normality"],
+)
+def test_a_moved_weight_is_read_on_patched_vectors_that_are_restored(
+    monkeypatch, worker, kernel, p
+):
+    # C3 and C4 read one r of a moved weight on the weight's own residue
+    # vectors, patched at the moved position for that read: each read must
+    # see the residues of its moved weight alone, so a patch left over from
+    # the read before fails it, and lam's own vectors must be back to lam's
+    # residues when the worker moves on to the next weight or returns
+    real_kernel = getattr(crystal, kernel)
+    state = {}  # the shard's ctx, its current weight and that weight's own vectors
+
+    def assert_restored():
+        if "lam" in state:
+            assert state["own"] == residue_vectors(state["ctx"], state["lam"]), state["lam"]
+
+    def vectors(ctx, lam):
+        got = residue_vectors(ctx, lam)
+        if ctx is state["ctx"]:
+            assert_restored()
+            state.update(lam=lam, own=got)
+        return got
+
+    def read(*args):
+        ctx, lam = state["ctx"], state["lam"]
+        down, up = args[-3], args[-2]
+        if kernel == "star_moves":  # C3: lam +- eps_q, handed over as args[1]
+            moved = args[1]
+            assert sum(abs(a - b) for a, b in zip(moved, lam)) == 1, (lam, moved)
+        else:  # C4: lam - eps_i at the position i whose residue is r
+            lam_down = residue_vectors(ctx, lam)[0]
+            at = [q for q in range(ctx.rank) if down[q] != lam_down[q]]
+            assert len(at) == 1 and lam_down[at[0]] == args[-1], (lam, down)
+            moved = list(lam)
+            moved[at[0]] -= 1
+        assert (list(down), list(up)) == residue_vectors(ctx, tuple(moved)), (lam, moved)
+        reads.append(moved)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(sweeps, "residue_vectors", vectors)
+    monkeypatch.setattr(crystal, kernel, read)
+    reads = []
+    for spec in sweeps.context_specs((3,), (p,)):
+        state.clear()
+        state["ctx"] = build_context(*spec)
+        reports = worker((spec, 2))
+        assert_restored()
+        assert all(rep.failures == 0 for rep in reports), spec
+    assert reads
+
+
 def test_central_worker_follows_max_r_up_to_3(monkeypatch):
     for max_r, central_r in ((1, 1), (2, 2), (3, 3), (4, 3), (9, 3)):
         jobs = planned_jobs(monkeypatch, "pbw-identities", max_r=max_r)

@@ -99,10 +99,12 @@ def _tensor_rule(word):
 
 def test_fold_is_the_two_factor_tensor_rule_folded_left():
     # after the dual twist the counters are (phi, eps), e* lowers lam at the
-    # letter f acts on and f* raises it at the letter e acts on
+    # letter f acts on and f* raises it at the letter e acts on; the fold
+    # picks both letters in its forward pass, where a tie eps = phi of the
+    # prefix sends f to the new letter and leaves e where it was
     assert tensorrule._fold((), []) == (None, None, (0, 0))
     words = 0
-    for length in range(1, 9):
+    for length in range(1, 11):
         lam = tuple(range(10, 10 + 2 * length))
         for word in itertools.product(((1, 0), (0, 1)), repeat=length):
             eps, phi, e_at, f_at = _tensor_rule(word)
@@ -117,4 +119,4 @@ def test_fold_is_the_two_factor_tensor_rule_folded_left():
                 f_w = lam[:q] + (lam[q] + 1,) + lam[q + 1 :]
             assert tensorrule._fold(lam, bucket) == (e_w, f_w, (phi, eps)), word
             words += 1
-    assert words == 510
+    assert words == 2046

@@ -92,6 +92,23 @@ def test_residue_int_matches_residues():
         assert residue_int(ctx, PAPER_LAM, j) == residue_vectors(ctx, PAPER_LAM)[0][j - 1]
 
 
+def test_residue_vectors_returns_fresh_lists_the_caller_owns():
+    # the C3 and C4 sweeps patch a weight's own vectors in place for one
+    # read of a moved weight; that is sound only if no call shares a list
+    ctx = paper_ctx()
+    first = residue_vectors(ctx, PAPER_LAM)
+    second = residue_vectors(ctx, PAPER_LAM)
+    lists = [*first, *second]
+    assert all(type(v) is list for v in lists)
+    assert len({id(v) for v in lists}) == 4
+    want = tuple(list(v) for v in second)
+    for vec in first:
+        vec[0] += 7
+        vec.append(0)
+    assert residue_vectors(ctx, PAPER_LAM) == want
+    assert second == want
+
+
 def test_form_pair_diagonal():
     ctx = paper_ctx(0)
     for i in range(1, 6):
