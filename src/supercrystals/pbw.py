@@ -18,12 +18,15 @@ E's is a per-monomial predicate, and so is membership in the left ideal J_l
 generated by E_l = e_{l,l+1} for a monomial with at most one E factor, the
 only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
 adds into one dict in ``_accumulate``, which looks up the place table (read
-off ``GeneratorOrder.key``) and the odd set once per product; its normal
-ordering of each word, the kernel of ``normalize_word``, compares places and
-skips the left factor, already in order.  Zeros drop at the end of each sum
-and word.  Elements hold parities, not a context, as no relation reads p:
-``s_element`` and ``raised_s_element``, the cached lowering elements, keep
-one per parity sequence; ``verma_scalar`` evaluates one in one pass.
+off ``GeneratorOrder.key``, keyed by the order's kind) and the odd set once
+per product; its normal ordering of each word, the kernel of
+``normalize_word``, compares places, skips the left factor, already in order,
+and adds straight into that dict: a word in order as it stands is collapsed
+into it, and only a word with a descent is rewritten in a dict of its own.
+Zeros drop at the end of each sum and of each rewritten word.  Elements hold
+parities, not a context, as no relation reads p: ``s_element`` and
+``raised_s_element``, the cached lowering elements, keep one per parity
+sequence; ``verma_scalar`` evaluates one in one pass.
 Normal ordering keeps no cache: the sweeps reuse lowering elements, not
 words, and a word cache held a third to half of their peak memory to save at
 most 5 % of their time.
@@ -76,14 +79,16 @@ def gen_parity(parities: Tuple[int, ...], gen: Gen) -> int:
 
 
 @lru_cache(maxsize=None)
-def _places(order: GeneratorOrder, rank: int) -> Dict[Gen, int]:
+def _places(kind: str, rank: int) -> Dict[Gen, int]:
+    """Generator -> place in ``GeneratorOrder(kind)``; keyed by the kind, a str,
+    so that no lookup hashes a ``GeneratorOrder``."""
     gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-    return {g: place for place, g in enumerate(sorted(gens, key=order.key))}
+    return {g: place for place, g in enumerate(sorted(gens, key=GeneratorOrder(kind).key))}
 
 
 @lru_cache(maxsize=None)
 def _odd_gens(parities: Tuple[int, ...]) -> FrozenSet[Gen]:
-    return frozenset(g for g in _places(DEFAULT_ORDER, len(parities)) if gen_parity(parities, g))
+    return frozenset(g for g in _places("default", len(parities)) if gen_parity(parities, g))
 
 
 def _bracket_gens(parities: Tuple[int, ...], x: Gen, y: Gen) -> List[Tuple[int, Gen]]:
@@ -119,42 +124,58 @@ def normalize_word(
     parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
 ) -> Dict[Monomial, int]:
     """Normal-order a word.  Returns a fresh monomial -> int dict."""
-    place = _places(order, len(parities))
-    return _normal_form(parities, place, _odd_gens(parities), word, 0)
+    out: Dict[Monomial, int] = {}
+    place = _places(order.kind, len(parities))
+    _normal_form(out, parities, place, _odd_gens(parities), word, 0, 1)
+    return out
 
 
 def _normal_form(
+    out: Dict[Monomial, Coeff],
     parities: Tuple[int, ...],
     place: Dict[Gen, int],
     odd: FrozenSet[Gen],
     word: Tuple[Gen, ...],
     ordered: int,
-) -> Dict[Monomial, int]:
-    """``normalize_word`` on the place table and odd set it reads, for a word
-    whose first ``ordered`` letters are in order: the scan for the first
-    descent starts at the last of them, and after a rewrite one place before
-    it."""
-    out: Dict[Monomial, int] = {}
-    stack: List[Tuple[int, Tuple[Gen, ...], int]] = [(1, word, max(ordered - 1, 0))]
+    coeff: Coeff,
+) -> None:
+    """Add coeff times the normal form of word into out, on the place table
+    and odd set it reads, for a word whose first ``ordered`` letters are in
+    order: the scan for the first descent starts at the last of them, and
+    after a rewrite one place before it.  A word with no descent is collapsed
+    straight into out.  A word with one is rewritten into a dict of its own,
+    whose zeros drop before its terms are added into out in their order, so
+    out sees the same keys in the same order as from ``normalize_word``."""
+    start = max(ordered - 1, 0)
+    for idx in range(start, len(word) - 1):
+        if place[word[idx]] > place[word[idx + 1]]:
+            break
+    else:
+        mono = _collapse(odd, word)
+        if mono is not None:
+            out[mono] = out.get(mono, 0) + coeff
+        return
+    terms: Dict[Monomial, Coeff] = {}
+    stack: List[Tuple[Coeff, Tuple[Gen, ...], int]] = [(coeff, word, idx)]
     while stack:
-        coeff, w, start = stack.pop()
+        c, w, start = stack.pop()
         for idx in range(start, len(w) - 1):
             if place[w[idx]] > place[w[idx + 1]]:
                 break
         else:
             mono = _collapse(odd, w)
             if mono is not None:
-                out[mono] = out.get(mono, 0) + coeff
+                terms[mono] = terms.get(mono, 0) + c
             continue
         x, y = w[idx], w[idx + 1]
         head, tail, start = w[:idx], w[idx + 2 :], idx - 1 if idx else 0
         sign = -1 if x in odd and y in odd else 1
-        stack.append((coeff * sign, head + (y, x) + tail, start))
+        stack.append((c * sign, head + (y, x) + tail, start))
         for bc, g in _bracket_gens(parities, x, y):
-            stack.append((coeff * bc, head + (g,) + tail, start))
-    if 0 in out.values():
-        out = {mono: c for mono, c in out.items() if c}
-    return out
+            stack.append((c * bc, head + (g,) + tail, start))
+    for mono, c in terms.items():
+        if c:
+            out[mono] = out.get(mono, 0) + c
 
 
 def _expand(mono: Monomial) -> Tuple[Gen, ...]:
@@ -168,17 +189,18 @@ def _accumulate(
     out: Dict, parities: Tuple[int, ...], order: GeneratorOrder, left: Dict, right: Dict, scale=1
 ) -> Dict[Monomial, Coeff]:
     """Add scale * left * right, normal-ordered, into out; left must be in
-    order.  The zeros of out then drop in place, as in a sum of built elements.
-    The place table and the odd set are looked up once per call.
+    order.  Each pair of monomials is one ``_normal_form`` call that adds
+    into out.  The zeros of out then drop in place, as in a sum of built
+    elements.  The place table, keyed by the order's kind, and the odd set
+    are looked up once per call.
     """
-    place, odd = _places(order, len(parities)), _odd_gens(parities)
+    place, odd = _places(order.kind, len(parities)), _odd_gens(parities)
     rights = [(_expand(m2), scale * c2) for m2, c2 in right.items()]
     for m1, c1 in left.items():
         w1 = _expand(m1)
+        n1 = len(w1)
         for w2, c2 in rights:
-            c12 = c1 * c2
-            for mono, c in _normal_form(parities, place, odd, w1 + w2, len(w1)).items():
-                out[mono] = out.get(mono, 0) + c12 * c
+            _normal_form(out, parities, place, odd, w1 + w2, n1, c1 * c2)
     if 0 in out.values():
         for mono in [m for m, c in out.items() if not c]:
             del out[mono]
@@ -393,10 +415,10 @@ def s_element(
     By convention i = j gives the identity (empty product, no F factor).
     IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).  The
     products are normal-ordered in ``order``; S comes back in the default basis.
-    Only S is cached, per (parities, i, j, A, order): it is defined over Z.
+    Only S is cached, per (parities, i, j, A, order kind): it is defined over Z.
     """
     a_set = frozenset(a_set)
-    key = (ctx.parities, i, j, a_set, order)
+    key = (ctx.parities, i, j, a_set, order.kind)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit

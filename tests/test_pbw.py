@@ -484,7 +484,7 @@ def test_no_element_of_the_pbw_suites_is_built_with_a_zero(monkeypatch):
 
     def checked(self, parities, terms):
         assert 0 not in terms.values(), terms
-        place = pbw._places(DEFAULT_ORDER, len(parities))
+        place = pbw._places(DEFAULT_ORDER.kind, len(parities))
         for mono in terms:
             places = [place[g] for g, _ in mono]
             assert places == sorted(set(places)), mono
@@ -581,6 +581,23 @@ def test_products_are_pinned_with_their_term_order():
     assert digest.hexdigest()[:16] == "fd5a87c816e824db"
 
 
+def test_rank_4_products_are_pinned_with_their_term_order():
+    # x * y and [x, y] over the generators and the Murphy elements of every
+    # rank-4 parity sequence, where the C7 bracket table spends most of its
+    # time; the terms in their insertion order
+    digest = hashlib.sha256()
+    for parities in _all_parities((4,)):
+        ctx = ctx_of(parities)
+        positions = range(1, ctx.rank + 1)
+        elts = [SuperElt.gen(ctx, i, j) for i in positions for j in positions]
+        elts += [pbw.murphy_element(ctx, j) for j in positions]
+        for a, x in enumerate(elts):
+            for b, y in enumerate(elts):
+                out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
+                digest.update(repr((parities, a, b, out)).encode())
+    assert digest.hexdigest()[:16] == "0505fccdcf4476af"
+
+
 def test_the_ordered_prefix_hint_never_changes_normalize_word():
     # every word of length <= 4 at ranks 2-3, two orders, each hint whose
     # prefix is in order: the same terms in the same insertion order
@@ -596,17 +613,84 @@ def test_the_ordered_prefix_hint_never_changes_normalize_word():
                 for k in range(2, len(word) + 1):  # a hint of 0 or 1 scans from 0
                     if order.key(word[k - 2]) > order.key(word[k - 1]):
                         break
-                    got = pbw._normal_form(
-                        parities, pbw._places(order, rank), pbw._odd_gens(parities), word, k
+                    got = {}
+                    pbw._normal_form(
+                        got, parities, pbw._places(order.kind, rank), pbw._odd_gens(parities),
+                        word, k, 1,
                     )
                     assert list(got.items()) == want, (parities, order, word, k)
+
+
+def test_normal_form_adds_coeff_times_normalize_word_into_out():
+    # every word of length <= 3 at ranks 2-3, two orders, each in-order hint,
+    # coeff 1 and -2, into an out that already holds a sentinel and, first,
+    # the last key of the word's normal form: out gains coeff times
+    # normalize_word term by term, present keys keep their place and new
+    # keys follow in normalize_word order; no zero of a word reaches out
+    sentinel = (((1, 1), 5),)
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
+    for parities in _all_parities((2, 3)):
+        rank = len(parities)
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        odd = pbw._odd_gens(parities)
+        for order in orders:
+            place = pbw._places(order.kind, rank)
+            for word in itertools.chain.from_iterable(
+                itertools.product(gens, repeat=n) for n in range(4)
+            ):
+                terms = pbw.normalize_word(parities, order, word)
+                before = {mono: 1 for mono in list(terms)[-1:]}
+                before[sentinel] = 3
+                hints = [0, 1]
+                for k in range(2, len(word) + 1):
+                    if place[word[k - 2]] > place[word[k - 1]]:
+                        break
+                    hints.append(k)
+                for k, coeff in itertools.product(hints, (1, -2)):
+                    want = dict(before)
+                    for mono, c in terms.items():
+                        want[mono] = want.get(mono, 0) + coeff * c
+                    out = dict(before)
+                    pbw._normal_form(out, parities, place, odd, word, k, coeff)
+                    assert list(out.items()) == list(want.items()), (parities, order, word, k)
+    # e_{1,2} e_{1,2} e_{2,1} cancels inside its own normal form: out is untouched
+    parities = (1, 0)
+    out = {sentinel: 3}
+    for coeff in (1, -2):
+        pbw._normal_form(
+            out, parities, pbw._places("default", 2), pbw._odd_gens(parities),
+            ((1, 2), (1, 2), (2, 1)), 2, coeff,
+        )
+        assert list(out.items()) == [(sentinel, 3)]
+
+
+def test_no_product_or_warm_lookup_hashes_a_generator_order(monkeypatch):
+    # the place table and the lowering cache are keyed by the order's kind
+    ctx = ctx_of((1, 0, 1))
+    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
+    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
+    warm = [pbw.s_element(ctx, 1, 3, {2}, order) for order in orders]
+
+    def unhashable(self):
+        raise AssertionError("a GeneratorOrder was hashed")
+
+    monkeypatch.setattr(GeneratorOrder, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(DEFAULT_ORDER)
+    e, f = SuperElt.gen(ctx, 1, 2), SuperElt.gen(ctx, 2, 1)
+    assert e * f == -(f * e) + SuperElt.gen(ctx, 1, 1) + SuperElt.gen(ctx, 2, 2)
+    assert e.bracket(f) == SuperElt.gen(ctx, 1, 1) + SuperElt.gen(ctx, 2, 2)
+    for order in orders:
+        assert pbw.normalize_word(ctx.parities, order, ((1, 2), (2, 1))), order.kind
+    for order, elt in zip(orders, warm):
+        assert pbw.s_element(ctx, 1, 3, {2}, order) is elt, order.kind
 
 
 def test_the_place_table_and_odd_set_follow_their_definitions():
     for rank in (2, 3, 4, 5):
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
         for order in (DEFAULT_ORDER, GeneratorOrder("alt")):
-            place = pbw._places(order, rank)
+            place = pbw._places(order.kind, rank)
             assert sorted(place.values()) == list(range(rank * rank))
             assert sorted(place, key=place.get) == sorted(gens, key=order.key)
         for parities in itertools.product((0, 1), repeat=rank):
