@@ -11,7 +11,14 @@ exact rationals.
 ``ab_counts``: plain-int passes over the residue vectors ``down``/``up`` of
 ``weights.residue_vectors`` and the sign vector ``ctx.signs``.
 ``alpha_pairing`` reads <wt, alpha_r> off a ``wt_key``.
-``AffineWeight`` is the boundary type for JSON, the CLI and equality.
+``AffineWeight`` is the boundary type for JSON, the CLI and equality: a
+slotted dataclass compared and hashed by value, built positionally on the hot
+paths.  It is not frozen, since a frozen constructor pays one
+``object.__setattr__`` per field on every ``wt_of``; its instances are shared
+(``alpha_of`` and ``gamma_of`` hand out cached ones), so callers treat them as
+immutable.  ``weights.ParityContext`` and ``pbw.GeneratorOrder`` stay frozen:
+each is built once per spec or kind and shared by every caller, so freezing
+costs no call anything.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 from .weights import ParityContext, Weight, residue_vectors
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AffineWeight:
     """Canonical element of P.
 
@@ -45,9 +52,10 @@ class AffineWeight:
                 acc[idx] = acc.get(idx, 0) + c
             return gamma_weight(acc)
         return AffineWeight(
-            p=self.p,
-            delta=self.delta + other.delta,
-            lambdas=tuple(a + b for a, b in zip(self.lambdas, other.lambdas)),
+            self.p,
+            (),
+            self.delta + other.delta,
+            tuple(a + b for a, b in zip(self.lambdas, other.lambdas)),
         )
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
@@ -55,16 +63,14 @@ class AffineWeight:
 
     def __neg__(self) -> "AffineWeight":
         if self.p == 0:
-            return AffineWeight(p=0, gamma=tuple((i, -c) for i, c in self.gamma))
-        return AffineWeight(
-            p=self.p, delta=-self.delta, lambdas=tuple(-c for c in self.lambdas)
-        )
+            return AffineWeight(0, tuple((i, -c) for i, c in self.gamma))
+        return AffineWeight(self.p, (), -self.delta, tuple(-c for c in self.lambdas))
 
     def scale(self, k: int) -> "AffineWeight":
         if self.p == 0:
             return gamma_weight({i: k * c for i, c in self.gamma})
         return AffineWeight(
-            p=self.p, delta=k * self.delta, lambdas=tuple(k * c for c in self.lambdas)
+            self.p, (), k * self.delta, tuple(k * c for c in self.lambdas)
         )
 
     def _check(self, other: "AffineWeight") -> None:
@@ -80,15 +86,13 @@ class AffineWeight:
     def from_key(p: int, key: tuple) -> "AffineWeight":
         """The weight whose ``wt_key`` form is key."""
         if p == 0:
-            return AffineWeight(p=0, gamma=key)
-        return AffineWeight(p=p, delta=key[0], lambdas=key[1:])
+            return AffineWeight(0, key)
+        return AffineWeight(p, (), key[0], key[1:])
 
 
 def gamma_weight(coeffs: Dict[int, int]) -> AffineWeight:
     """Build a p=0 affine weight from a gamma-coefficient map."""
-    return AffineWeight(
-        p=0, gamma=tuple(sorted((i, c) for i, c in coeffs.items() if c))
-    )
+    return AffineWeight(0, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
 
 
 def lambda_of(p: int, r: int) -> AffineWeight:
@@ -97,13 +101,13 @@ def lambda_of(p: int, r: int) -> AffineWeight:
         raise ValueError("Lambda_r exists only in positive characteristic")
     lambdas = [0] * p
     lambdas[r % p] = 1
-    return AffineWeight(p=p, lambdas=tuple(lambdas))
+    return AffineWeight(p, (), 0, tuple(lambdas))
 
 
 def delta_of(p: int) -> AffineWeight:
     if p <= 0:
         raise ValueError("delta exists only in positive characteristic")
-    return AffineWeight(p=p, delta=1, lambdas=(0,) * p)
+    return AffineWeight(p, (), 1, (0,) * p)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +124,7 @@ def gamma_of(p: int, a: int) -> AffineWeight:
     s = ((a - 1) % p) + 1
     d = (a - s) // p
     out = lambda_of(p, s) - lambda_of(p, s - 1)
-    return AffineWeight(p=p, delta=out.delta - d, lambdas=out.lambdas)
+    return AffineWeight(p, (), out.delta - d, out.lambdas)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,10 @@ single-r functions (``e_star``, ``f_star``, ``reduced_signature``,
 of a moved weight.  The functions taking a context validate their input,
 compute the residues once and call the kernels.
 ``Signature``, with its "+"/"-"/"0" entries, is the boundary type.
+``Signature`` and ``IndexClass`` are slotted dataclasses compared and hashed
+by value; they are not frozen, which would cost ``reduced_signature`` and
+``classify_index`` one ``object.__setattr__`` per field, so callers treat them
+as immutable, as they do ``affine.AffineWeight``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ NORMAL_KINDS = (NORMAL, GOOD)
 CONORMAL_KINDS = (CONORMAL, COGOOD)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Signature:
     """A +/-/0 word of length m+n, raw or with its -+ pairs canceled."""
 
@@ -67,7 +71,7 @@ class Signature:
         return "".join(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndexClass:
     """Classification of a position for a residue r."""
 
@@ -390,7 +394,7 @@ def classify_index(ctx: ParityContext, lam: Weight, i: int, r: int) -> IndexClas
         raise IndexError(f"position {i} out of range 1..{ctx.rank}")
     down, up = residue_vectors(ctx, lam)
     minus, plus = reduced_positions(ctx.p, down, up, r)
-    return IndexClass(kind=index_kind(minus, plus, i - 1), r=ctx.reduce(r))
+    return IndexClass(index_kind(minus, plus, i - 1), ctx.reduce(r))
 
 
 def c_scalar(ctx: ParityContext, lam: Weight, i: int, j: int) -> int:

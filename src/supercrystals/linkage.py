@@ -2,7 +2,11 @@
 
 One kernel, ``series_coeffs``, expands the residue series; ``parity_term`` is
 the Z_r shift that ``z_scalar``, ``z_scalars`` and ``pbw.z_element`` read.
-``z_scalars`` reads every Z_r(lam) up to a bound off one series per weight."""
+``z_scalars`` reads every Z_r(lam) up to a bound off one series per weight.
+``TruncatedSeries`` is a slotted dataclass compared and hashed by value; it is
+not frozen, which would cost every ``g_series`` and product an
+``object.__setattr__``, so callers treat it as immutable, as they do
+``affine.AffineWeight``."""
 
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from .affine import AffineWeight, wt_of
 from .weights import ParityContext, Weight, residue_vectors
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TruncatedSeries:
     """Series in u = t^{-1} truncated at order N: coeffs[k] is the u^k term.
 

@@ -3,7 +3,8 @@
 perfbench/ drives the library from outside: its workload plans name sweep
 workers, its tracer wraps the public functions of every layer, and a
 ``--trace 1`` pass reads three caches.  A renamed worker drops out of a plan
-silently, and a renamed cache breaks only a traced benchmark pass, so this
+silently, a renamed cache breaks only a traced benchmark pass, and a dunder
+the tracer no longer reaches reads 0 calls, so this
 test resolves every hook in a fresh interpreter with perfbench/ and src/ on
 the path.  It reads perfbench/ and edits nothing there.
 """
@@ -20,7 +21,7 @@ HOOKS = """
 import json
 import sys
 
-from supercrystals import affine, pbw, sweeps
+from supercrystals import affine, linkage, pbw, sweeps
 import tracer
 import workloads
 
@@ -33,7 +34,15 @@ sliced = {w for suites in workloads.SWEEP_SLICES.values() for caps in suites.val
 assert planned == sliced, sorted(planned ^ sliced)
 for worker in sorted(planned):
     assert callable(getattr(sweeps, worker)), worker
-tracer.Tracer().install()
+# operands built before the install, so only the two dunder calls count
+weights = affine.AffineWeight(3, (), 1, (0, 1, -1)), affine.AffineWeight(3, (), -2, (2, 0, 1))
+series = linkage.TruncatedSeries((1, 2, 3)), linkage.TruncatedSeries((1, -1, 4))
+traced = tracer.Tracer()
+traced.install()
+weights[0] + weights[1]
+series[0] * series[1]
+for counter in ("affine.AffineWeight.add", "linkage.TruncatedSeries.mul"):
+    assert traced.calls[counter] == 1, (counter, dict(traced.calls))
 gamma_of.cache_info(), len(pbw._NORMALIZE_CACHE), len(pbw._LOWERING_CACHE)
 print(json.dumps(sorted(planned)))
 """
