@@ -16,9 +16,8 @@ slotted dataclass compared and hashed by value, built positionally on the hot
 paths.  It is not frozen, since a frozen constructor pays one
 ``object.__setattr__`` per field on every ``wt_of``; its instances are shared
 (``alpha_of`` and ``gamma_of`` hand out cached ones), so callers treat them as
-immutable.  ``weights.ParityContext`` and ``pbw.GeneratorOrder`` stay frozen:
-each is built once per spec or kind and shared by every caller, so freezing
-costs no call anything.
+immutable.  ``weights.ParityContext`` stays frozen: it is built once per spec
+and shared by every caller, so freezing costs no call anything.
 """
 
 from __future__ import annotations

@@ -9,17 +9,18 @@ after scaling by a non-integer.  The defining relation is the supercommutator
 
 and normal ordering rewrites any word into the PBW basis of a generator
 order by adjacent transpositions; odd off-diagonal generators square to
-zero.  Every element is in the PBW basis of the default order, and only
-normal ordering reads an order: ``s_element`` normal-orders its products in
-the order it is given and then changes S into the default basis.  The
-default order puts all F = e_{j,i} (i<j) first, then the diagonal H's, then
-all E = e_{i,j} (i<j), so membership in the left ideal J generated by the
-E's is a per-monomial predicate, and so is membership in the left ideal J_l
+zero.  An order is its kind, the string "default" or "alt".  Every element
+is in the PBW basis of the default order, and only normal ordering reads an
+order: ``s_element`` normal-orders its products in the order it is given
+and then changes S into the default basis.  The default order puts all
+F = e_{j,i} (i<j) first, then the diagonal H's, then all E = e_{i,j}
+(i<j), so membership in the left ideal J generated by the E's is a
+per-monomial predicate, and so is membership in the left ideal J_l
 generated by E_l = e_{l,l+1} for a monomial with at most one E factor, the
-only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum
-adds into one dict in ``_accumulate``, which looks up the place table (read
-off ``GeneratorOrder.key``, keyed by the order's kind) and the odd set once
-per product; its normal ordering of each word, the kernel of
+only kind E_l S_{i,j}(A) has.  Every product, bracket and row sum adds
+into one dict in ``_accumulate``, which looks up the place table of
+the order (``_places``, the one statement of both orders) and the odd set
+once per product; its normal ordering of each word, the kernel of
 ``normalize_word``, compares places, skips the left factor, already in order,
 and adds straight into that dict: a word in order as it stands is collapsed
 into it, and only a word with a descent is rewritten in a dict of its own.
@@ -34,7 +35,6 @@ most 5 % of their time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
@@ -48,31 +48,6 @@ Monomial = Tuple[Tuple[Gen, int], ...]
 Coeff = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class GeneratorOrder:
-    """Total order on the e_{i,j}: F block, H block, E block.
-
-    kind "default" orders each block lexicographically; kind "alt" reverses
-    the order inside the F and E blocks.  ValueError on any other kind.
-    """
-
-    kind: str = "default"
-
-    def __post_init__(self):
-        if self.kind not in ("default", "alt"):
-            raise ValueError(f"unknown generator order kind {self.kind!r}")
-
-    def key(self, gen: Gen):
-        i, j = gen
-        if i == j:
-            return (1, i)
-        block = 0 if i > j else 2
-        return (block, -i, -j) if self.kind == "alt" else (block, i, j)
-
-
-DEFAULT_ORDER = GeneratorOrder()
-
-
 def gen_parity(parities: Tuple[int, ...], gen: Gen) -> int:
     i, j = gen
     return (parities[i - 1] + parities[j - 1]) % 2
@@ -80,10 +55,19 @@ def gen_parity(parities: Tuple[int, ...], gen: Gen) -> int:
 
 @lru_cache(maxsize=None)
 def _places(kind: str, rank: int) -> Dict[Gen, int]:
-    """Generator -> place in ``GeneratorOrder(kind)``; keyed by the kind, a str,
-    so that no lookup hashes a ``GeneratorOrder``."""
-    gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-    return {g: place for place, g in enumerate(sorted(gens, key=GeneratorOrder(kind).key))}
+    """Generator -> place in the order ``kind``, the one statement of both
+    orders: the F block (e_{i,j}, i > j), then the H's, then the E block
+    (e_{i,j}, i < j).  "default" runs each block lexicographically in (i, j);
+    "alt" reverses the F and E blocks.  ValueError on any other kind."""
+    if kind not in ("default", "alt"):
+        raise ValueError(f"unknown generator order kind {kind!r}")
+    f_block = [(i, j) for i in range(1, rank + 1) for j in range(1, i)]
+    e_block = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    if kind == "alt":
+        f_block.reverse()
+        e_block.reverse()
+    gens = f_block + [(i, i) for i in range(1, rank + 1)] + e_block
+    return {g: place for place, g in enumerate(gens)}
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +105,11 @@ def _collapse(odd: FrozenSet[Gen], word: Tuple[Gen, ...]) -> Optional[Monomial]:
 
 
 def normalize_word(
-    parities: Tuple[int, ...], order: GeneratorOrder, word: Tuple[Gen, ...]
+    parities: Tuple[int, ...], kind: str, word: Tuple[Gen, ...]
 ) -> Dict[Monomial, int]:
-    """Normal-order a word.  Returns a fresh monomial -> int dict."""
+    """Normal-order a word in the order ``kind``.  Returns a fresh monomial -> int dict."""
     out: Dict[Monomial, int] = {}
-    place = _places(order.kind, len(parities))
+    place = _places(kind, len(parities))
     _normal_form(out, parities, place, _odd_gens(parities), word, 0, 1)
     return out
 
@@ -186,15 +170,15 @@ def _expand(mono: Monomial) -> Tuple[Gen, ...]:
 
 
 def _accumulate(
-    out: Dict, parities: Tuple[int, ...], order: GeneratorOrder, left: Dict, right: Dict, scale=1
+    out: Dict, parities: Tuple[int, ...], kind: str, left: Dict, right: Dict, scale=1
 ) -> Dict[Monomial, Coeff]:
     """Add scale * left * right, normal-ordered, into out; left must be in
     order.  Each pair of monomials is one ``_normal_form`` call that adds
     into out.  The zeros of out then drop in place, as in a sum of built
-    elements.  The place table, keyed by the order's kind, and the odd set
-    are looked up once per call.
+    elements.  The place table of the order ``kind`` and the odd set are
+    looked up once per call.
     """
-    place, odd = _places(order.kind, len(parities)), _odd_gens(parities)
+    place, odd = _places(kind, len(parities)), _odd_gens(parities)
     rights = [(_expand(m2), scale * c2) for m2, c2 in right.items()]
     for m1, c1 in left.items():
         w1 = _expand(m1)
@@ -267,7 +251,7 @@ class SuperElt:
 
     def __mul__(self, other: "SuperElt") -> "SuperElt":
         self._check(other)
-        out = _accumulate({}, self.parities, DEFAULT_ORDER, self.terms, other.terms)
+        out = _accumulate({}, self.parities, "default", self.terms, other.terms)
         return SuperElt(self.parities, out)
 
     def __eq__(self, other) -> bool:
@@ -301,8 +285,8 @@ class SuperElt:
             raise ValueError("super bracket requires homogeneous arguments")
         sign = -1 if pa and pb else 1
         self._check(other)
-        out = _accumulate({}, self.parities, DEFAULT_ORDER, self.terms, other.terms)
-        _accumulate(out, self.parities, DEFAULT_ORDER, other.terms, self.terms, -sign)
+        out = _accumulate({}, self.parities, "default", self.terms, other.terms)
+        _accumulate(out, self.parities, "default", other.terms, self.terms, -sign)
         return SuperElt(self.parities, out)
 
     # -- ideal reduction -----------------------------------------------
@@ -331,7 +315,8 @@ class SuperElt:
         if not self.terms:
             return "0"
         lines = []
-        for mono in sorted(self.terms, key=lambda m: tuple(DEFAULT_ORDER.key(g) + (e,) for g, e in m)):
+        place = _places("default", len(self.parities))
+        for mono in sorted(self.terms, key=lambda m: tuple((place[g], e) for g, e in m)):
             c = self.terms[mono]
             parts = []
             for (i, j), e in mono:
@@ -362,7 +347,7 @@ def _row_sum(ctx: ParityContext, k: int, column: List[SuperElt]) -> SuperElt:
     out: Dict[Monomial, Coeff] = {}
     for s, elt in enumerate(column, 1):
         e_ks = SuperElt.gen(ctx, k, s)
-        _accumulate(out, ctx.parities, DEFAULT_ORDER, e_ks.terms, elt.terms, ctx.sign(s))
+        _accumulate(out, ctx.parities, "default", e_ks.terms, elt.terms, ctx.sign(s))
     return SuperElt(ctx.parities, out)
 
 
@@ -406,7 +391,7 @@ _RAISED_CACHE: Dict[tuple, SuperElt] = {}
 
 
 def s_element(
-    ctx: ParityContext, i: int, j: int, a_set: Iterable[int], order: GeneratorOrder = DEFAULT_ORDER
+    ctx: ParityContext, i: int, j: int, a_set: Iterable[int], order: str = "default"
 ) -> SuperElt:
     """The lowering operator S_{i,j}(A): S-tilde mod J, where S-tilde =
     (prod over t in A of (c-tilde_{i,t} - L_{i+1} - ... - L_t)) F_{i,j}.
@@ -414,14 +399,16 @@ def s_element(
     The factors commute, so the ascending product order is a free choice.
     By convention i = j gives the identity (empty product, no F factor).
     IndexError unless 1 <= i <= j <= rank and A lies inside (i..j).  The
-    products are normal-ordered in ``order``; S comes back in the default basis.
-    Only S is cached, per (parities, i, j, A, order kind): it is defined over Z.
+    products are normal-ordered in the order kind ``order``, "default" or
+    "alt" (ValueError on any other); S comes back in the default basis.
+    Only S is cached, per (parities, i, j, A, order): it is defined over Z.
     """
     a_set = frozenset(a_set)
-    key = (ctx.parities, i, j, a_set, order.kind)
+    key = (ctx.parities, i, j, a_set, order)
     hit = _LOWERING_CACHE.get(key)
     if hit is not None:
         return hit
+    _places(order, ctx.rank)  # an unknown kind raises before anything is cached
     if not 1 <= i <= j <= ctx.rank:
         raise IndexError(f"need 1 <= i <= j <= {ctx.rank}, got ({i}, {j})")
     if not all(i < t < j for t in a_set):
@@ -431,8 +418,8 @@ def s_element(
     for t in sorted(a_set, reverse=True):
         terms = _accumulate({}, ctx.parities, order, _lowering_factor(ctx, i, t).terms, terms)
     terms = _mod_J(terms)  # both orders put the F, H and E blocks in the same places
-    if order != DEFAULT_ORDER:  # the terms go on the right of 1 to be put in order
-        terms = _accumulate({}, ctx.parities, DEFAULT_ORDER, {(): 1}, terms)
+    if order != "default":  # the terms go on the right of 1 to be put in order
+        terms = _accumulate({}, ctx.parities, "default", {(): 1}, terms)
     _LOWERING_CACHE[key] = SuperElt(ctx.parities, terms)
     return _LOWERING_CACHE[key]
 

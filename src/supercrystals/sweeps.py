@@ -43,6 +43,7 @@ evaluate one cached ``pbw.raised_s_element`` per (i, j, A).
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -87,8 +88,17 @@ def context_specs(
     p_list: Sequence[int],
     parities_pin: Optional[Tuple[int, ...]] = None,
 ) -> List[CtxSpec]:
-    """All (m, n, parities, p) combinations for the sweep; see _parity_seqs for a pin."""
-    seqs = _parity_seqs(ranks, parities_pin)
+    """All (m, n, parities, p) combinations for the sweep, over every parity
+    sequence of the given ranks.
+
+    A pin yields itself alone, and nothing unless it is a 0/1 sequence of a
+    rank among the ranks, so a pinned run is always part of the unpinned one.
+    """
+    if parities_pin is None:
+        seqs = [s for rank in ranks for s in itertools.product((0, 1), repeat=rank)]
+    else:
+        pin = tuple(parities_pin)
+        seqs = [pin] if len(pin) in ranks and set(pin) <= {0, 1} else []
     return [(s.count(0), s.count(1), s, p) for s in seqs for p in p_list]
 
 
@@ -114,12 +124,14 @@ def _merge_reports(shards: Iterable[List[PropertyReport]]) -> List[PropertyRepor
 
 
 def _run_sharded(worker, jobs: List[tuple], processes: Optional[int]) -> List[PropertyReport]:
-    if processes == 1:
+    if processes == 1 or not jobs:
         return _merge_reports(worker(job) for job in jobs)
     # imported on first use: a run in this process never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    # the pool starts all its workers at the first submit: none beyond the jobs
+    workers = min(processes or os.cpu_count() or 1, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return _merge_reports(pool.map(worker, jobs))
 
 
@@ -349,16 +361,11 @@ def oddrefl_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 )
                 if cnt1 != cnt2:
                     _fail(stats, spec, "counters", lam=lam, i=i, r=r)
-                # s_i e* = e* s_i and s_i f* = f* s_i, undefined on both sides or neither
-                if e1 is None or e2 is None:
-                    if e1 is not e2:
-                        _fail(commute, spec, "e*", lam=lam, i=i, r=r)
-                elif crystal.odd_weight(p, signs, e1, i) != e2:
+                # s_i e* = e* s_i and s_i f* = f* s_i, undefined on both sides or
+                # neither: a weight is a nonempty tuple, so None stays None
+                if (e1 and crystal.odd_weight(p, signs, e1, i)) != e2:
                     _fail(commute, spec, "e*", lam=lam, i=i, r=r)
-                if f1 is None or f2 is None:
-                    if f1 is not f2:
-                        _fail(commute, spec, "f*", lam=lam, i=i, r=r)
-                elif crystal.odd_weight(p, signs, f1, i) != f2:
+                if (f1 and crystal.odd_weight(p, signs, f1, i)) != f2:
                     _fail(commute, spec, "f*", lam=lam, i=i, r=r)
     return [commute, stats]
 
@@ -446,7 +453,6 @@ def pbw_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
     orderfree = PropertyReport("S is independent of the order within its class")
     integral = PropertyReport("lowering operators have integer coefficients")
     positions = range(1, rank + 1)
-    alt = pbw.GeneratorOrder(kind="alt")
     gen = {(i, j): pbw.SuperElt.gen(ctx, i, j) for i in positions for j in positions}
     gens = list(gen)
 
@@ -496,7 +502,7 @@ def pbw_worker(job: Tuple[CtxSpec, int]) -> List[PropertyReport]:
                 if any(c.denominator != 1 for c in s_elt.terms.values()):
                     _fail(integral, spec, i=i, j=j, A=sorted(a_set))
                 orderfree.checks += 1
-                if pbw.s_element(ctx, i, j, a_set, alt) != s_elt:
+                if pbw.s_element(ctx, i, j, a_set, "alt") != s_elt:
                     _fail(orderfree, spec, i=i, j=j, A=sorted(a_set))
                 for k in sorted(a_set):
                     recur.checks += 1
@@ -663,7 +669,8 @@ def run_suite(
     in ``SUITES`` order, each as one ``_run_sharded`` call.  ``max_r`` is
     the largest r of the Z_r checks of verma-scalars; the x-element
     brackets of pbw-identities run r = 1..min(max_r, 3).  ``processes``
-    None is the pool default and 1 runs in this process.  Raises ValueError
+    None is the pool default and 1 runs in this process; a pool never has
+    more workers than its part has jobs.  Raises ValueError
     for an unknown suite, processes < 1, a characteristic listed twice, a
     window or r range that would leave checks empty, or a plan with no shard.
     """
@@ -696,17 +703,3 @@ def run_suite(
         # looked up at call time, so a wrapper bound in the worker's place runs
         reports += _run_sharded(globals()[worker], jobs, processes)
     return reports
-
-
-def _parity_seqs(
-    ranks: Iterable[int], parities_pin: Optional[Tuple[int, ...]] = None
-) -> List[Tuple[int, ...]]:
-    """All parity sequences of the given ranks.
-
-    A pin keeps only itself, and nothing when its rank is not among the
-    ranks, so a pinned run is always part of the unpinned one.
-    """
-    seqs = [s for rank in ranks for s in itertools.product((0, 1), repeat=rank)]
-    if parities_pin is None:
-        return seqs
-    return [s for s in seqs if s == tuple(parities_pin)]

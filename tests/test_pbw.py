@@ -10,7 +10,7 @@ from test_linkage import exponential_z
 from supercrystals import pbw, sweeps
 from supercrystals.crystal import b_scalar
 from supercrystals.linkage import z_scalar
-from supercrystals.pbw import DEFAULT_ORDER, GeneratorOrder, SuperElt
+from supercrystals.pbw import SuperElt
 from supercrystals.weights import build_context, iter_window
 
 
@@ -156,9 +156,8 @@ def test_the_h_term_of_recurrence_and_case_iv_at_rank_4():
 def test_lowering_order_independence():
     # S normal-ordered in alt comes back in the default basis, equal to S
     ctx = ctx_of((1, 0, 1), 0)
-    alt = GeneratorOrder(kind="alt")
     for a_set in (frozenset(), frozenset({2})):
-        assert pbw.s_element(ctx, 1, 3, a_set, alt) == pbw.s_element(ctx, 1, 3, a_set)
+        assert pbw.s_element(ctx, 1, 3, a_set, "alt") == pbw.s_element(ctx, 1, 3, a_set)
 
 
 def test_central_elements_commute_with_generators():
@@ -321,7 +320,7 @@ def test_zero_coefficients_are_dropped_everywhere():
         # normal-ordered in alt, then changed into the default basis
         for i, j in itertools.combinations_with_replacement(range(1, rank + 1), 2):
             for a_set in _subsets(range(i + 1, j)):
-                s_alt = pbw.s_element(ctx, i, j, a_set, GeneratorOrder(kind="alt"))
+                s_alt = pbw.s_element(ctx, i, j, a_set, "alt")
                 assert _nonzero(s_alt.terms), (parities, i, j, a_set, s_alt.terms)
     ctx = ctx_of((1, 0))
     h1, h2 = SuperElt.gen(ctx, 1, 1), SuperElt.gen(ctx, 2, 2)
@@ -332,12 +331,12 @@ def test_zero_coefficients_are_dropped_everywhere():
 
 def test_normalize_word_and_verma_scalar_return_no_zeros():
     # e_{1,2} e_{1,2} e_{2,1} cancels while it is normal-ordered: e_{1,2} is odd
-    assert pbw.normalize_word((1, 0), DEFAULT_ORDER, ((1, 2), (1, 2), (2, 1))) == {}
+    assert pbw.normalize_word((1, 0), "default", ((1, 2), (1, 2), (2, 1))) == {}
     for parities in ((1, 0), (0, 1, 0), (1, 0, 1)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
         for word in itertools.product(gens, repeat=3):
-            assert _nonzero(pbw.normalize_word(parities, DEFAULT_ORDER, word)), word
+            assert _nonzero(pbw.normalize_word(parities, "default", word)), word
     # F[2,1] (H[1] - H[2]) + H[1] - H[2]: the F-part cancels where lam_1 = lam_2
     ctx = ctx_of((1, 0))
     f = SuperElt.gen(ctx, 2, 1)
@@ -351,25 +350,24 @@ def test_normalize_word_and_verma_scalar_return_no_zeros():
 
 def test_normalize_word_returns_a_fresh_dict_and_keeps_no_cache():
     word = ((1, 2), (2, 1))
-    first = pbw.normalize_word((1, 0), DEFAULT_ORDER, word)
+    first = pbw.normalize_word((1, 0), "default", word)
     want = dict(first)
     assert want
     first.clear()
-    assert pbw.normalize_word((1, 0), DEFAULT_ORDER, word) == want
+    assert pbw.normalize_word((1, 0), "default", word) == want
     assert pbw._NORMALIZE_CACHE == {}
 
 
 def test_normalize_word_output_is_pinned_on_short_words():
     # every word of length <= 3, ranks 2-3, every parity sequence, two orders
     digest = hashlib.sha256()
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in _all_parities((2, 3)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-        for order, length in itertools.product(orders, range(4)):
+        for kind, length in itertools.product(("default", "alt"), range(4)):
             for word in itertools.product(gens, repeat=length):
-                out = sorted(pbw.normalize_word(parities, order, word).items())
-                digest.update(repr((parities, order.kind, word, out)).encode())
+                out = sorted(pbw.normalize_word(parities, kind, word).items())
+                digest.update(repr((parities, kind, word, out)).encode())
     assert digest.hexdigest()[:16] == "4fe6b15a1fe4f91e"
 
 
@@ -460,7 +458,6 @@ def test_named_elements_have_the_same_terms_in_both_orders():
     # s_element builds its factors in the default order and multiplies them
     # on the left as they are in alt, so every monomial of a named element
     # must already be in alt order
-    alt = GeneratorOrder("alt")
     for parities in _all_parities((2, 3, 4)):
         ctx = ctx_of(parities)
         positions = range(1, ctx.rank + 1)
@@ -472,7 +469,7 @@ def test_named_elements_have_the_same_terms_in_both_orders():
         elts += [pbw.b_element(ctx, i, k) for i in positions for k in range(1, ctx.rank)]
         for x in elts:
             for mono in x.terms:
-                assert pbw.normalize_word(parities, alt, pbw._expand(mono)) == {mono: 1}, x.dump()
+                assert pbw.normalize_word(parities, "alt", pbw._expand(mono)) == {mono: 1}, x.dump()
 
 
 def test_no_element_of_the_pbw_suites_is_built_with_a_zero(monkeypatch):
@@ -484,7 +481,7 @@ def test_no_element_of_the_pbw_suites_is_built_with_a_zero(monkeypatch):
 
     def checked(self, parities, terms):
         assert 0 not in terms.values(), terms
-        place = pbw._places(DEFAULT_ORDER.kind, len(parities))
+        place = pbw._places("default", len(parities))
         for mono in terms:
             places = [place[g] for g, _ in mono]
             assert places == sorted(set(places)), mono
@@ -556,7 +553,6 @@ def test_products_are_pinned_with_their_term_order():
     # sequence; the digest covers the terms in their insertion order, which
     # verma_scalar's error text reads; the x columns pin the row sums
     digest = hashlib.sha256()
-    alt = GeneratorOrder("alt")
     for parities in _all_parities((2, 3)):
         ctx = ctx_of(parities)
         positions = range(1, ctx.rank + 1)
@@ -572,7 +568,7 @@ def test_products_are_pinned_with_their_term_order():
         elts = [SuperElt.gen(ctx, i, j) for i in positions for j in positions]
         elts += [pbw.murphy_element(ctx, j) for j in positions]
         elts += [pbw.s_element(ctx, *args) for args in lowering]
-        elts += [pbw.s_element(ctx, *args, alt) for args in lowering]
+        elts += [pbw.s_element(ctx, *args, "alt") for args in lowering]
         for a, x in enumerate(elts):
             digest.update(repr((parities, a, list(x.terms.items()))).encode())
             for b, y in enumerate(elts):
@@ -601,24 +597,21 @@ def test_rank_4_products_are_pinned_with_their_term_order():
 def test_the_ordered_prefix_hint_never_changes_normalize_word():
     # every word of length <= 4 at ranks 2-3, two orders, each hint whose
     # prefix is in order: the same terms in the same insertion order
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in ((1, 0), (0, 0), (1, 0, 1), (0, 1, 0)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-        for order in orders:
+        for kind in ("default", "alt"):
+            place = pbw._places(kind, rank)
             for word in itertools.chain.from_iterable(
                 itertools.product(gens, repeat=n) for n in range(5)
             ):
-                want = list(pbw.normalize_word(parities, order, word).items())
+                want = list(pbw.normalize_word(parities, kind, word).items())
                 for k in range(2, len(word) + 1):  # a hint of 0 or 1 scans from 0
-                    if order.key(word[k - 2]) > order.key(word[k - 1]):
+                    if place[word[k - 2]] > place[word[k - 1]]:
                         break
                     got = {}
-                    pbw._normal_form(
-                        got, parities, pbw._places(order.kind, rank), pbw._odd_gens(parities),
-                        word, k, 1,
-                    )
-                    assert list(got.items()) == want, (parities, order, word, k)
+                    pbw._normal_form(got, parities, place, pbw._odd_gens(parities), word, k, 1)
+                    assert list(got.items()) == want, (parities, kind, word, k)
 
 
 def test_normal_form_adds_coeff_times_normalize_word_into_out():
@@ -628,17 +621,16 @@ def test_normal_form_adds_coeff_times_normalize_word_into_out():
     # normalize_word term by term, present keys keep their place and new
     # keys follow in normalize_word order; no zero of a word reaches out
     sentinel = (((1, 1), 5),)
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     for parities in _all_parities((2, 3)):
         rank = len(parities)
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
         odd = pbw._odd_gens(parities)
-        for order in orders:
-            place = pbw._places(order.kind, rank)
+        for kind in ("default", "alt"):
+            place = pbw._places(kind, rank)
             for word in itertools.chain.from_iterable(
                 itertools.product(gens, repeat=n) for n in range(4)
             ):
-                terms = pbw.normalize_word(parities, order, word)
+                terms = pbw.normalize_word(parities, kind, word)
                 before = {mono: 1 for mono in list(terms)[-1:]}
                 before[sentinel] = 3
                 hints = [0, 1]
@@ -652,7 +644,7 @@ def test_normal_form_adds_coeff_times_normalize_word_into_out():
                         want[mono] = want.get(mono, 0) + coeff * c
                     out = dict(before)
                     pbw._normal_form(out, parities, place, odd, word, k, coeff)
-                    assert list(out.items()) == list(want.items()), (parities, order, word, k)
+                    assert list(out.items()) == list(want.items()), (parities, kind, word, k)
     # e_{1,2} e_{1,2} e_{2,1} cancels inside its own normal form: out is untouched
     parities = (1, 0)
     out = {sentinel: 3}
@@ -664,35 +656,37 @@ def test_normal_form_adds_coeff_times_normalize_word_into_out():
         assert list(out.items()) == [(sentinel, 3)]
 
 
-def test_no_product_or_warm_lookup_hashes_a_generator_order(monkeypatch):
-    # the place table and the lowering cache are keyed by the order's kind
+def test_a_warm_s_element_returns_its_cached_element_in_either_order(monkeypatch):
     ctx = ctx_of((1, 0, 1))
-    orders = (DEFAULT_ORDER, GeneratorOrder("alt"))
     monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
-    warm = [pbw.s_element(ctx, 1, 3, {2}, order) for order in orders]
-
-    def unhashable(self):
-        raise AssertionError("a GeneratorOrder was hashed")
-
-    monkeypatch.setattr(GeneratorOrder, "__hash__", unhashable)
-    with pytest.raises(AssertionError, match="hashed"):
-        hash(DEFAULT_ORDER)
-    e, f = SuperElt.gen(ctx, 1, 2), SuperElt.gen(ctx, 2, 1)
-    assert e * f == -(f * e) + SuperElt.gen(ctx, 1, 1) + SuperElt.gen(ctx, 2, 2)
-    assert e.bracket(f) == SuperElt.gen(ctx, 1, 1) + SuperElt.gen(ctx, 2, 2)
-    for order in orders:
-        assert pbw.normalize_word(ctx.parities, order, ((1, 2), (2, 1))), order.kind
-    for order, elt in zip(orders, warm):
-        assert pbw.s_element(ctx, 1, 3, {2}, order) is elt, order.kind
+    for kind in ("default", "alt"):
+        elt = pbw.s_element(ctx, 1, 3, {2}, kind)
+        assert pbw.s_element(ctx, 1, 3, {2}, kind) is elt, kind
 
 
 def test_the_place_table_and_odd_set_follow_their_definitions():
+    # both orders written out at rank 3: F block, H's, E block, with the F
+    # and E blocks reversed in alt
+    literal = {
+        "default": [(2, 1), (3, 1), (3, 2), (1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)],
+        "alt": [(3, 2), (3, 1), (2, 1), (1, 1), (2, 2), (3, 3), (2, 3), (1, 3), (1, 2)],
+    }
+    for kind, gens in literal.items():
+        assert pbw._places(kind, 3) == {g: place for place, g in enumerate(gens)}, kind
+
+    # at every rank: blocks F, H, E, each lexicographic in (i, j), F and E
+    # reversed in alt
+    def key(sign, gen):
+        i, j = gen
+        return (1, i) if i == j else (0 if i > j else 2, sign * i, sign * j)
+
     for rank in (2, 3, 4, 5):
         gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
-        for order in (DEFAULT_ORDER, GeneratorOrder("alt")):
-            place = pbw._places(order.kind, rank)
+        for kind, sign in (("default", 1), ("alt", -1)):
+            place = pbw._places(kind, rank)
             assert sorted(place.values()) == list(range(rank * rank))
-            assert sorted(place, key=place.get) == sorted(gens, key=order.key)
+            want = sorted(gens, key=lambda g: key(sign, g))
+            assert sorted(place, key=place.get) == want, (kind, rank)
         for parities in itertools.product((0, 1), repeat=rank):
             odd = pbw._odd_gens(parities)
             assert odd == {g for g in gens if pbw.gen_parity(parities, g)}, parities
@@ -729,11 +723,21 @@ def test_reduce_mod_Jl_rejects_a_monomial_with_two_e_factors():
         assert str(exc.value) == f"l = {l} out of range 1..2"
 
 
-def test_generator_order_rejects_an_unknown_kind():
-    for kind in ("e_last", "Default", ""):
-        with pytest.raises(ValueError) as exc:
-            GeneratorOrder(kind)
-        assert str(exc.value) == f"unknown generator order kind {kind!r}"
+def test_generator_order_rejects_an_unknown_kind(monkeypatch):
+    # s_element checks the kind before its cache can store anything, also
+    # where it normal-orders nothing (i = j, and i < j with A empty)
+    monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
+    ctx = ctx_of((1, 0, 1))
+    for kind in ("e_last", "Default", "bogus", ""):
+        for i, j, a_set in ((1, 1, ()), (3, 3, ()), (1, 2, ()), (1, 3, {2})):
+            with pytest.raises(ValueError) as exc:
+                pbw.s_element(ctx, i, j, a_set, kind)
+            assert str(exc.value) == f"unknown generator order kind {kind!r}", (i, j)
+        for word in ((), ((1, 2),), ((1, 2), (2, 1))):
+            with pytest.raises(ValueError) as exc:
+                pbw.normalize_word(ctx.parities, kind, word)
+            assert str(exc.value) == f"unknown generator order kind {kind!r}", word
+    assert pbw._LOWERING_CACHE == {}
 
 
 def test_elements_of_different_parities_are_not_equal():

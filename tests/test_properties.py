@@ -71,11 +71,11 @@ def _check_matching(a, b):
 
 
 @given(subsets, subsets)
-def test_downarrow_definitions_agree(a, b):
+def test_greedy_match_agrees_with_brute_force(a, b):
     _check_matching(a, b)
 
 
-def test_downarrow_definitions_agree_on_all_small_subsets():
+def test_greedy_match_agrees_with_brute_force_on_all_small_subsets():
     universe = range(1, 7)
     small = [
         set(c) for k in range(len(universe) + 1) for c in itertools.combinations(universe, k)
@@ -86,7 +86,7 @@ def test_downarrow_definitions_agree_on_all_small_subsets():
 
 
 @given(subsets, subsets)
-def test_downarrow_monotone_in_targets(a, b):
+def test_greedy_match_is_monotone_in_targets(a, b):
     if greedy_match(a, b) is not None:
         assert greedy_match(a, b | {1}) is not None
 

@@ -1,8 +1,10 @@
 """Job plans, check counts and the failure path of the verification suites."""
 
 import collections
+import concurrent.futures
 import hashlib
 import itertools
+import os
 import re
 from fractions import Fraction
 
@@ -41,6 +43,27 @@ def test_pinned_runs_stay_inside_the_gate(monkeypatch):
                         monkeypatch, suite, parities_pin=pin, p_list=p_list
                     )
                     assert set(pinned) <= gate, (suite, pin, p_list)
+
+
+def test_a_pinned_plan_enumerates_no_other_parity_sequence(monkeypatch):
+    # a pin is its own plan: at max_rank 12 the run must not build the
+    # 2^2 + ... + 2^12 unpinned sequences to keep one of them
+    yielded = []
+    real = itertools.product
+
+    def counting(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(sweeps.itertools, "product", counting)
+    jobs = planned_jobs(
+        monkeypatch, "oracle-equivalence", max_rank=12, parities_pin=(0, 1), p_list=(0, 3)
+    )
+    assert yielded == []
+    assert jobs == [("oracle_worker", ((1, 1, (0, 1), p), 4)) for p in (0, 3)]
+    for pin in ((0, 2), (0, 1, 0), ()):  # not a 0/1 sequence, or of no rank swept
+        assert sweeps.context_specs(range(2, 3), (0,), pin) == [], pin
 
 
 def test_job_plans_are_pinned(monkeypatch):
@@ -570,3 +593,41 @@ def test_shards_merge_report_by_report_in_job_order():
     assert (a.name, a.checks, a.failures, a.counterexample) == ("a", 6, 3, "a2")
     assert (b.name, b.checks, b.failures, b.counterexample) == ("b", 3, 3, "b0")
     assert sweeps._run_sharded(worker, [], processes=1) == []
+
+
+def test_the_process_pool_is_capped_at_the_job_count(monkeypatch):
+    # the pool starts all its workers at the first submit, so a large
+    # processes must not fork more workers than there are jobs; a fake
+    # executor records the request and starts no process
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def worker(job):
+        return [sweeps.PropertyReport("a", 1, 0)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    for processes, want in ((5000, 3), (2, 2), (3, 3), (None, min(os.cpu_count() or 1, 3))):
+        requested.clear()
+        (report,) = sweeps._run_sharded(worker, [0, 1, 2], processes)
+        assert (report.checks, requested) == (3, [want]), processes
+    # a part that plans no job starts no pool and returns no report
+    requested.clear()
+    assert sweeps._run_sharded(worker, [], 5000) == []
+    assert requested == []
+    reports = sweeps.run_suite(
+        "pbw-identities", parities_pin=(0, 1, 0, 1), coeff_window=0, processes=5000
+    )
+    assert [r.checks > 0 for r in reports] == [True] * 9
+    assert requested == [1]

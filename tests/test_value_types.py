@@ -135,5 +135,3 @@ def test_the_value_types_are_slotted_and_the_shared_specs_stay_frozen():
     # built once per spec or kind and shared by every caller
     with pytest.raises(dataclasses.FrozenInstanceError):
         paper_ctx(3).p = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        pbw.GeneratorOrder("alt").kind = "default"
