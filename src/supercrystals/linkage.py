@@ -133,6 +133,15 @@ def g_series_presented(ctx: ParityContext, lam: Weight, n: int) -> TruncatedSeri
 
 
 def default_order(ctx: ParityContext) -> int:
+    """The series order C6 compares at rank k: 2k + 2.
+
+    Reduced, the residue series prod_i (1 - up_i u) / (1 - down_i u) is P/Q
+    with deg P, deg Q <= k and Q(0) = 1.  Two such quotients that agree up to
+    u^{2k} are equal, over Q and over F_p alike (Padé uniqueness), so 2k
+    coefficients fix the reduced divisor sum [up_i] - sum [down_i], the A-B
+    data.  At 2k - 1 the acceptance C6 fails ("series equal, data differ");
+    2k + 2 is kept.
+    """
     return 2 * ctx.rank + 2
 
 

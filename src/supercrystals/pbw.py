@@ -27,7 +27,10 @@ into it, and only a word with a descent is rewritten in a dict of its own.
 Zeros drop at the end of each sum and of each rewritten word.  Elements hold
 parities, not a context, as no relation reads p: ``s_element`` and
 ``raised_s_element``, the cached lowering elements, keep one per parity
-sequence; ``verma_scalar`` evaluates one in one pass.
+sequence.  ``verma_scalar`` reads an element off its Verma table, built on
+its first call and kept on the element: the terms with an empty E-part, each
+with its F-part and the positions and exponents of its H factors, so a call
+at another weight only multiplies and sums.
 Normal ordering keeps no cache: the sweeps reuse lowering elements, not
 words, and a word cache held a third to half of their peak memory to save at
 most 5 % of their time.
@@ -200,10 +203,14 @@ class SuperElt:
     """Linear combination of default-basis PBW monomials over Z; treat as immutable.
 
     Takes the terms dict it is given, which must hold no zero coefficient.
+    The lazily filled slots, ``_parity`` and ``_verma``, are read off the
+    terms once and kept, so they assume the terms never change after
+    construction.
     """
 
-    # _parity is filled by the first parity() call
-    __slots__ = ("parities", "terms", "_parity")
+    # _parity is filled by the first parity() call, _verma by the first
+    # verma_scalar call
+    __slots__ = ("parities", "terms", "_parity", "_verma")
 
     def __init__(self, parities: Tuple[int, ...], terms: Dict[Monomial, Coeff]):
         self.parities = parities
@@ -484,32 +491,52 @@ def z_element(ctx: ParityContext, r: int) -> SuperElt:
 # Verma highest-weight action
 
 
-def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
-    """The v-coefficient of u.v for the highest-weight vector v of weight lam.
-
-    One pass over the terms of u, in the B-minus-first default basis:
-    an E-part kills v, an H-part evaluates at lam, and the sum per F-part must
-    vanish, or ArithmeticError names the first three that do not.  An int for
-    integral lam unless u carries a Fraction; ValueError unless len(lam) = rank.
-    """
-    if len(lam) != len(u.parities):
-        raise ValueError(f"weight {list(lam)} has length {len(lam)}, expected {len(u.parities)}")
-    scalar: Coeff = 0
-    out: Dict[Monomial, Coeff] = {}
+def _verma_table(u: SuperElt) -> List[Tuple[Monomial, Coeff, Tuple[Tuple[int, int], ...]]]:
+    """The terms of u with an empty E-part, in term order, as (F-part,
+    coefficient, H factors as (0-based position, exponent))."""
+    table = []
     for mono, c in u.terms.items():
         f_part: Monomial = ()
+        h_part: Tuple[Tuple[int, int], ...] = ()
         for (i, j), e in mono:
             if i < j:
                 break
             if i == j:
-                c *= lam[i - 1] ** e
+                h_part += ((i - 1, e),)
             else:
                 f_part += (((i, j), e),)
         else:
-            if f_part:
-                out[f_part] = out.get(f_part, 0) + c
-            else:
-                scalar += c
+            table.append((f_part, c, h_part))
+    return table
+
+
+def verma_scalar(u: SuperElt, lam: Weight) -> Coeff:
+    """The v-coefficient of u.v for the highest-weight vector v of weight lam.
+
+    In the B-minus-first default basis an E-part kills v, an H-part evaluates
+    at lam, and the sum per F-part must vanish, or ArithmeticError names the
+    first three that do not.  The first call builds u's Verma table (the
+    terms with an empty E-part, each with its F-part and its H factors) and
+    keeps it on u; every call then multiplies each coefficient by its
+    lam[i] ** e and sums per F-part, in term order.  lam is read only through
+    indexing, ``*``, ``**``, ``+`` and truth tests.  An int for integral lam
+    unless u carries a Fraction; ValueError unless len(lam) = rank.
+    """
+    if len(lam) != len(u.parities):
+        raise ValueError(f"weight {list(lam)} has length {len(lam)}, expected {len(u.parities)}")
+    try:
+        table = u._verma
+    except AttributeError:
+        table = u._verma = _verma_table(u)
+    scalar: Coeff = 0
+    out: Dict[Monomial, Coeff] = {}
+    for f_part, c, h_part in table:
+        for i, e in h_part:
+            c *= lam[i] ** e
+        if f_part:
+            out[f_part] = out.get(f_part, 0) + c
+        else:
+            scalar += c
     off_line = [f_part for f_part, c in out.items() if c]
     if off_line:
         raise ArithmeticError(f"image leaves the highest-weight line: {off_line[:3]}")

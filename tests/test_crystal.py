@@ -110,7 +110,7 @@ def test_c_scalar_is_residue_difference():
         assert crystal.b_scalar(ctx, PAPER_LAM, i, i) == down[i - 1] - up[i]
 
 
-def test_downarrow():
+def test_greedy_match_finds_the_downward_injection():
     # greedy_match decides "X injects down into Y" and returns the injection
     assert crystal.greedy_match({2}, {1}) == [1]
     assert crystal.greedy_match({1}, {2}) is None

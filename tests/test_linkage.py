@@ -154,6 +154,13 @@ def test_z_scalar_is_the_g_series_coefficient_less_the_parity_term():
                     assert z_scalar(ctx, lam, r) == want, (parities, lam, r)
 
 
+def test_default_order_is_at_least_the_pade_bound():
+    # 2k coefficients of the series fix its reduced divisor at rank k
+    for rank in range(1, 9):
+        ctx = build_context(rank, 0, (0,) * rank, 0)
+        assert default_order(ctx) >= 2 * ctx.rank, rank
+
+
 def test_blocks_match_ab_data_in_small_window():
     ctx = build_context(1, 1, (0, 1), 2)
     window = list(iter_window(2, 1))

@@ -547,6 +547,25 @@ def test_lowering_scalar_check_raises_each_element_once(monkeypatch):
         assert scalar == pbw.verma_scalar(raised, lam)
 
 
+def _pinned_elements(ctx):
+    """The x columns, keyed by (l, r) for r in (2, 3), and the factors of the
+    pinned products: the generators, the Murphy elements and every
+    S_{i,j}(A) normal-ordered in either order."""
+    positions = range(1, ctx.rank + 1)
+    columns = {(l, r): pbw.x_column(ctx, l, r) for l, r in itertools.product(positions, (2, 3))}
+    lowering = [
+        (i, j, a_set)
+        for i in positions
+        for j in range(i, ctx.rank + 1)
+        for a_set in _subsets(range(i + 1, j))
+    ]
+    elts = [SuperElt.gen(ctx, i, j) for i in positions for j in positions]
+    elts += [pbw.murphy_element(ctx, j) for j in positions]
+    elts += [pbw.s_element(ctx, *args) for args in lowering]
+    elts += [pbw.s_element(ctx, *args, "alt") for args in lowering]
+    return columns, elts
+
+
 def test_products_are_pinned_with_their_term_order():
     # x, x * y and [x, y] over the generators, the Murphy elements and every
     # S_{i,j}(A) normal-ordered in either order, at ranks 2-3, every parity
@@ -554,27 +573,89 @@ def test_products_are_pinned_with_their_term_order():
     # verma_scalar's error text reads; the x columns pin the row sums
     digest = hashlib.sha256()
     for parities in _all_parities((2, 3)):
-        ctx = ctx_of(parities)
-        positions = range(1, ctx.rank + 1)
-        for l, r in itertools.product(positions, (2, 3)):
-            for elt in pbw.x_column(ctx, l, r):
+        columns, elts = _pinned_elements(ctx_of(parities))
+        for (l, r), column in columns.items():
+            for elt in column:
                 digest.update(repr((parities, l, r, list(elt.terms.items()))).encode())
-        lowering = [
-            (i, j, a_set)
-            for i in positions
-            for j in range(i, ctx.rank + 1)
-            for a_set in _subsets(range(i + 1, j))
-        ]
-        elts = [SuperElt.gen(ctx, i, j) for i in positions for j in positions]
-        elts += [pbw.murphy_element(ctx, j) for j in positions]
-        elts += [pbw.s_element(ctx, *args) for args in lowering]
-        elts += [pbw.s_element(ctx, *args, "alt") for args in lowering]
         for a, x in enumerate(elts):
             digest.update(repr((parities, a, list(x.terms.items()))).encode())
             for b, y in enumerate(elts):
                 out = [list((x * y).terms.items()), list(x.bracket(y).terms.items())]
                 digest.update(repr((parities, a, b, out)).encode())
     assert digest.hexdigest()[:16] == "fd5a87c816e824db"
+
+
+def _one_pass_verma_scalar(u, lam):
+    """verma_scalar as one pass over the terms of u, with no table."""
+    scalar = 0
+    out = {}
+    for mono, c in u.terms.items():
+        f_part = ()
+        for (i, j), e in mono:
+            if i < j:
+                break
+            if i == j:
+                c *= lam[i - 1] ** e
+            else:
+                f_part += (((i, j), e),)
+        else:
+            if f_part:
+                out[f_part] = out.get(f_part, 0) + c
+            else:
+                scalar += c
+    off_line = [f_part for f_part, c in out.items() if c]
+    if off_line:
+        raise ArithmeticError(f"image leaves the highest-weight line: {off_line[:3]}")
+    return scalar or 0
+
+
+def _verma_outcome(evaluate, u, lam):
+    """(value, type), or the text of the ArithmeticError raised."""
+    try:
+        value = evaluate(u, lam)
+    except ArithmeticError as exc:
+        return str(exc)
+    return value, type(value)
+
+
+def test_verma_scalar_matches_the_one_pass_loop_on_the_pinned_elements():
+    # every element the pinned-products test builds, as built and mod J, at
+    # three weights in turn, so a table that kept a weight would fail: the
+    # same value and type, or the same error text; at the third weight
+    # H[1] - H[2] sums Fractions to 0
+    for parities in _all_parities((2, 3)):
+        ctx = ctx_of(parities)
+        columns, elts = _pinned_elements(ctx)
+        built = [elt for column in columns.values() for elt in column] + elts
+        built += [x * y for x in elts for y in elts]
+        built += [x.bracket(y) for x in elts for y in elts]
+        weights = [(0, 0, 0), (3, -1, 2), (Fraction(1, 2), Fraction(1, 2), Fraction(-5, 3))]
+        for u in built:
+            for elt in (u, u.reduce_mod_J()):
+                for lam in weights:
+                    lam = lam[: ctx.rank]
+                    want = _verma_outcome(_one_pass_verma_scalar, elt, lam)
+                    assert _verma_outcome(pbw.verma_scalar, elt, lam) == want, (
+                        parities,
+                        elt.dump(),
+                        lam,
+                    )
+
+
+def test_verma_scalar_of_z_r_at_fraction_weights():
+    # lam is read only through *, **, + and truth tests, so non-integral
+    # weights evaluate as integral ones do
+    weights = [
+        (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)),
+        (Fraction(-7, 3), 2, Fraction(1, 5)),
+    ]
+    for parities in _all_parities((2, 3)):
+        ctx = ctx_of(parities)
+        for r in (1, 2, 3):
+            z = pbw.z_element(ctx, r).reduce_mod_J()
+            for lam in weights:
+                lam = lam[: ctx.rank]
+                assert pbw.verma_scalar(z, lam) == z_scalar(ctx, lam, r), (parities, r, lam)
 
 
 def test_rank_4_products_are_pinned_with_their_term_order():
