@@ -23,11 +23,12 @@ the order (``_places``, the one statement of both orders) and the odd set
 once per product; its normal ordering of each word, the kernel of
 ``normalize_word``, compares places, skips the left factor, already in order,
 and adds straight into that dict: a word in order as it stands is collapsed
-into it, and only a word with a descent is rewritten in a dict of its own.
-Zeros drop at the end of each sum and of each rewritten word.  Elements hold
-parities, not a context, as no relation reads p: ``s_element`` and
-``raised_s_element``, the cached lowering elements, keep one per parity
-sequence.  ``verma_scalar`` reads an element off its Verma table, built on
+into it, a two-letter word x y with a descent adds the terms of [x, y] and
+then -+y x in closed form, and only a longer word with a descent is
+rewritten in a dict of its own.  Zeros drop at the end of each sum and of
+each rewritten word.  Elements hold parities, not a context, as no relation
+reads p: ``s_element`` and ``raised_s_element``, the cached lowering
+elements, keep one per parity sequence.  ``verma_scalar`` reads an element off its Verma table, built on
 its first call and kept on the element: the terms with an empty E-part, each
 with its F-part and the positions and exponents of its H factors, so a call
 at another weight only multiplies and sums.
@@ -130,9 +131,28 @@ def _normal_form(
     and odd set it reads, for a word whose first ``ordered`` letters are in
     order: the scan for the first descent starts at the last of them, and
     after a rewrite one place before it.  A word with no descent is collapsed
-    straight into out.  A word with one is rewritten into a dict of its own,
-    whose zeros drop before its terms are added into out in their order, so
-    out sees the same keys in the same order as from ``normalize_word``."""
+    straight into out.  A two-letter word x y with a descent is added in
+    closed form: the terms of [x, y] in reverse, then -+y x, each times coeff
+    and skipped when 0.  A longer word with a descent is rewritten into a
+    dict of its own, whose zeros drop before its terms are added into out in
+    their order.  Either way out sees the same keys in the same order as
+    from ``normalize_word``."""
+    if len(word) == 2:
+        x, y = word
+        if place[x] > place[y]:
+            for bc, g in reversed(_bracket_gens(parities, x, y)):
+                c = coeff * bc
+                if c:
+                    mono = ((g, 1),)
+                    out[mono] = out.get(mono, 0) + c
+            c = -coeff if x in odd and y in odd else coeff
+            if c:
+                mono = ((y, 1), (x, 1))
+                out[mono] = out.get(mono, 0) + c
+        elif x != y or x not in odd:
+            mono = ((x, 1), (y, 1)) if x != y else ((x, 2),)
+            out[mono] = out.get(mono, 0) + coeff
+        return
     start = max(ordered - 1, 0)
     for idx in range(start, len(word) - 1):
         if place[word[idx]] > place[word[idx + 1]]:

@@ -1,12 +1,13 @@
 """Tests for central-character scalars, residue series, and block partitions."""
 
 import itertools
+import random
 from math import prod
 
 import pytest
 from helpers import PAPER_LAM, paper_ctx
 
-from supercrystals.affine import ab_counts, wt_of
+from supercrystals.affine import ab_counts, ab_key, wt_key, wt_of
 from supercrystals.linkage import (
     TruncatedSeries,
     default_order,
@@ -14,6 +15,7 @@ from supercrystals.linkage import (
     g_series_presented,
     parity_term,
     partition_blocks,
+    series_coeffs,
     z_scalar,
     z_scalars,
 )
@@ -159,6 +161,57 @@ def test_default_order_is_at_least_the_pade_bound():
     for rank in range(1, 9):
         ctx = build_context(rank, 0, (0,) * rank, 0)
         assert default_order(ctx) >= 2 * ctx.rank, rank
+
+
+def _product_series(down, up, n):
+    """prod_i (1 - up_i u) * sum_k down_i^k u^k, each product cut at u^n."""
+    coeffs = [1] + [0] * n
+    for d, a in zip(down, up):
+        factor = [1, -a] + [0] * (n - 1)
+        geometric = [d**k for k in range(n + 1)]
+        for series in (factor, geometric):
+            coeffs = [sum(coeffs[t] * series[k - t] for t in range(k + 1)) for k in range(n + 1)]
+    return coeffs
+
+
+def test_wt_ab_data_and_series_agree_on_seeded_weights_far_outside_the_window():
+    # C6's keys as functions of lam alone, so these decide the linkage
+    # statement for every weight: with X = sum_i s_i [b_i] the signed letters
+    # (b_i = down_i + [s_i > 0]) and base = length + m + sum(theta),
+    # - p > 0: wt_key[1:] is ab_key, and p * delta = F(ab) - base, where
+    #   F(ab) = sum_t (t + 1) c(t + 1 mod p) for the c with
+    #   c(r) - c(r + 1) = ab_r and sum(c) = m - n;
+    # - p = 0: ab_key is X(r) - X(r + 1) and sum_b b X(b) = base;
+    # and series_coeffs is the product expansion of its series
+    rng = random.Random(14)
+    for _ in range(500):
+        rank = rng.randint(2, 7)
+        parities = tuple(rng.randint(0, 1) for _ in range(rank))
+        m = parities.count(0)
+        lam = tuple(rng.randint(-40, 40) for _ in range(rank))
+        for p in (0, 2, 3, 5, 7, 11):
+            ctx = build_context(m, rank - m, parities, p)
+            down, up = residue_vectors(ctx, lam)
+            key, ab = wt_key(p, ctx.signs, down), ab_key(p, down, up)
+            base = length(lam) + m + sum(ctx.theta)
+            where = (parities, lam, p)
+            if p:
+                assert key[1:] == ab, where
+                c = [0]  # c(r) - c(0), then shifted so that sum(c) = m - n
+                for r in range(p - 1):
+                    c.append(c[-1] - ab[r])
+                c0, rest = divmod(m - (rank - m) - sum(c), p)
+                assert rest == 0, where
+                c = [c0 + x for x in c]
+                assert p * key[0] == sum((t + 1) * c[(t + 1) % p] for t in range(p)) - base, where
+            else:
+                x = dict(key)
+                rs = {b - d for b in x for d in (0, 1)}
+                diff = ((r, x.get(r, 0) - x.get(r + 1, 0)) for r in sorted(rs))
+                assert ab == tuple((r, v) for r, v in diff if v), where
+                assert sum(b * v for b, v in x.items()) == base, where
+        n = default_order(ctx)
+        assert series_coeffs(down, up, n) == _product_series(down, up, n), (parities, lam)
 
 
 def test_blocks_match_ab_data_in_small_window():

@@ -737,6 +737,92 @@ def test_normal_form_adds_coeff_times_normalize_word_into_out():
         assert list(out.items()) == [(sentinel, 3)]
 
 
+def _stack_normal_form(out, parities, place, odd, word, ordered, coeff):
+    """``pbw._normal_form`` without its closed form for two-letter words: a
+    word with a descent, of any length, goes through the stack rewrite."""
+    start = max(ordered - 1, 0)
+    for idx in range(start, len(word) - 1):
+        if place[word[idx]] > place[word[idx + 1]]:
+            break
+    else:
+        mono = pbw._collapse(odd, word)
+        if mono is not None:
+            out[mono] = out.get(mono, 0) + coeff
+        return
+    terms = {}
+    stack = [(coeff, word, idx)]
+    while stack:
+        c, w, start = stack.pop()
+        for idx in range(start, len(w) - 1):
+            if place[w[idx]] > place[w[idx + 1]]:
+                break
+        else:
+            mono = pbw._collapse(odd, w)
+            if mono is not None:
+                terms[mono] = terms.get(mono, 0) + c
+            continue
+        x, y = w[idx], w[idx + 1]
+        head, tail, start = w[:idx], w[idx + 2 :], idx - 1 if idx else 0
+        sign = -1 if x in odd and y in odd else 1
+        stack.append((c * sign, head + (y, x) + tail, start))
+        for bc, g in pbw._bracket_gens(parities, x, y):
+            stack.append((c * bc, head + (g,) + tail, start))
+    for mono, c in terms.items():
+        if c:
+            out[mono] = out.get(mono, 0) + c
+
+
+def test_two_letter_words_match_the_stack_rewrite():
+    # every ordered pair of generators at ranks 1-4, every parity sequence,
+    # both orders, hints 0 and 1, four coefficients, into an out that holds
+    # a sentinel alone, then with one of the word's own keys (its first, then
+    # its last, at 2, which coeff -2 cancels to a kept 0): the same values
+    # with the same types, in the same key order, as the stack rewrite
+    sentinel = (((1, 1), 5),)
+    for parities in _all_parities((1, 2, 3, 4)):
+        rank = len(parities)
+        gens = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+        odd = pbw._odd_gens(parities)
+        for kind in ("default", "alt"):
+            place = pbw._places(kind, rank)
+            for word in itertools.product(gens, repeat=2):
+                terms = {}
+                _stack_normal_form(terms, parities, place, odd, word, 0, 1)
+                keys = list(terms)
+                befores = [{sentinel: 3}]
+                befores += [{sentinel: 3, key: 2} for key in dict.fromkeys(keys[:1] + keys[-1:])]
+                for before, k, coeff in itertools.product(
+                    befores, (0, 1), (1, -2, Fraction(1, 3), 0)
+                ):
+                    want, got = dict(before), dict(before)
+                    _stack_normal_form(want, parities, place, odd, word, k, coeff)
+                    pbw._normal_form(got, parities, place, odd, word, k, coeff)
+                    assert [(m, c, type(c)) for m, c in got.items()] == [
+                        (m, c, type(c)) for m, c in want.items()
+                    ], (parities, kind, word, k, coeff, before)
+
+
+def test_a_two_letter_descent_reads_the_bracket_table_at_call_time(monkeypatch):
+    # e_{1,2} e_{2,1} is a descent in the default order, which puts F before
+    # E: the product carries the stub's terms in reverse, then -e_{2,1} e_{1,2}
+    # (both generators are odd at parities 1,0)
+    ctx = ctx_of((1, 0))
+    calls = []
+
+    def stub(parities, x, y):
+        calls.append((parities, x, y))
+        return [(3, (1, 1)), (-4, (2, 2))]
+
+    monkeypatch.setattr(pbw, "_bracket_gens", stub)
+    product = SuperElt.gen(ctx, 1, 2) * SuperElt.gen(ctx, 2, 1)
+    assert calls == [((1, 0), (1, 2), (2, 1))]
+    assert list(product.terms.items()) == [
+        ((((2, 2), 1),), -4),
+        ((((1, 1), 1),), 3),
+        ((((2, 1), 1), ((1, 2), 1)), -1),
+    ]
+
+
 def test_a_warm_s_element_returns_its_cached_element_in_either_order(monkeypatch):
     ctx = ctx_of((1, 0, 1))
     monkeypatch.setattr(pbw, "_LOWERING_CACHE", {})
